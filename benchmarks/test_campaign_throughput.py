@@ -1,19 +1,18 @@
 """Micro-benchmarks: campaign throughput (kernels/sec) for the orchestration
 backends, and execution throughput for the pluggable execution engines.
 
-This records a performance trajectory: future PRs that touch the
-orchestration layer (async backends, distributed sharding, cache tuning) or
-the runtime (bytecode VM, further JIT specialisation) can compare their
-kernels/sec against the numbers printed here and the
-``BENCH_engine_throughput.json`` artifact.  The parallel run must also
+This records a performance trajectory: future changes to the orchestration
+layer (async backends, distributed sharding, cache tuning) or the runtime
+can compare their kernels/sec against the numbers printed here and the
+``BENCH_engine_throughput.json`` artifact (untracked: every run rewrites
+it).  The parallel run must also
 reproduce the serial tables exactly — throughput work is not allowed to
 change results.
 
 At this reduced scale the process backend's fork/IPC overhead can outweigh
 the win, so no backend speedup is asserted; the engine benchmark *does* gate
-(the fast engines exist purely for speed: ENGINE.md promises ≥2x for the
-compiled engine and ≥4x for the jit engine under a warm prepared-program
-cache — the per-worker configuration every campaign runs with).
+(the compiled engine exists purely for speed: ENGINE.md promises ≥2x over
+the reference walker, cold).
 
 Setting ``REPRO_BENCH_RELAX=1`` (the CI smoke configuration) skips the
 speedup assertions while still measuring and recording the artifact.
@@ -83,7 +82,7 @@ def test_campaign_throughput_serial_vs_parallel():
 
 
 # ---------------------------------------------------------------------------
-# Execution-engine throughput (reference walker vs compiled vs exec-JIT)
+# Execution-engine throughput (reference walker vs compiled)
 # ---------------------------------------------------------------------------
 
 _ENGINE_BENCH_MODES = (
@@ -95,20 +94,14 @@ _ENGINE_BENCH_MODES = (
 )
 _ENGINE_BENCH_SEEDS = 3
 _ENGINE_BENCH_REPEATS = 3
-#: Corpus sweeps per timed window.  The gates below are ratios of
+#: Corpus sweeps per timed window.  The gate below is a ratio of
 #: per-engine best windows; a single warm sweep is ~0.1 s, short enough
-#: that scheduler jitter on a shared host flaked the 4x warm-jit floor.
-#: Sweeping the corpus several times per window stretches it past the
-#: noise floor without changing what is measured.
+#: for scheduler jitter on a shared host to matter.  Sweeping the corpus
+#: several times per window stretches it past the noise floor without
+#: changing what is measured.
 _ENGINE_BENCH_INNER = 3
-_ENGINES = ("reference", "compiled", "jit")
+_ENGINES = ("reference", "compiled")
 _MIN_COMPILED_SPEEDUP = 2.0   # cold, vs reference (the original promise)
-#: Warm prepared cache, vs reference.  Re-calibrated from 4.0 when the
-#: timed windows were stretched past the noise floor (``_ENGINE_BENCH_INNER``):
-#: the short-window measurements that set the original floor overstated the
-#: ratio, which honestly sits at ~3.9-4.3x on the gate host.
-_MIN_JIT_WARM_SPEEDUP = 3.5
-_MIN_JIT_REPEAT_SPEEDUP = 1.2  # jit warm over jit cold (repeat-launch win)
 _ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_engine_throughput.json"
 
 
@@ -184,20 +177,19 @@ def _rows(by_mode, best):
     return rows
 
 
-def test_engine_throughput_three_engines_cold_and_warm():
+def test_engine_throughput_cold_and_warm():
     """Execution kernels/sec per engine, cold and warm, as a JSON artifact.
 
     Generation and compilation are hoisted out of the timed region: the
     engines only differ in how they *execute*.  Two scenarios are measured:
 
     * **cold** -- every launch pays the engine's full lowering cost (closure
-      trees for ``compiled``, emit + CPython-compile for ``jit``);
+      trees for ``compiled``);
     * **warm** -- a per-engine :class:`PreparedProgramCache` is pre-warmed,
       so launches pay only the per-launch bind.  This is the configuration
-      campaigns run with (per-worker prepared caches), and the one the
-      headline ≥4x jit gate applies to; the differential/EMI harnesses
-      re-run each kernel across many configurations and opt levels, which
-      is exactly the repeat-launch shape.
+      campaigns run with (per-worker prepared caches); the differential/EMI
+      harnesses re-run each kernel across many configurations and opt
+      levels, which is exactly the repeat-launch shape.
     """
     by_mode = _corpus()
 
@@ -229,9 +221,6 @@ def test_engine_throughput_three_engines_cold_and_warm():
     def speedup(row):
         return round(row["kernels_per_sec"] / reference_rate, 2)
 
-    jit_repeat = round(
-        warm["jit"]["kernels_per_sec"] / cold["jit"]["kernels_per_sec"], 2
-    )
     artifact = _load_artifact()
     artifact.update({
         "benchmark": "engine_throughput",
@@ -254,10 +243,7 @@ def test_engine_throughput_three_engines_cold_and_warm():
         "speedups_over_cold_reference": {
             "compiled_cold": speedup(cold["compiled"]),
             "compiled_warm": speedup(warm["compiled"]),
-            "jit_cold": speedup(cold["jit"]),
-            "jit_warm": speedup(warm["jit"]),
         },
-        "jit_warm_over_jit_cold": jit_repeat,
         "relaxed": RELAX,
     })
     _ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
@@ -268,8 +254,7 @@ def test_engine_throughput_three_engines_cold_and_warm():
     for engine in _ENGINES:
         print(f"  {engine:10s} cold {cold[engine]['kernels_per_sec']:8.2f} k/s"
               f"  warm {warm[engine]['kernels_per_sec']:8.2f} k/s")
-    print(f"  speedups over reference: {artifact['speedups_over_cold_reference']}")
-    print(f"  jit repeat-launch (warm/cold): {jit_repeat}x"
+    print(f"  speedups over reference: {artifact['speedups_over_cold_reference']}"
           f"  (artifact: {_ARTIFACT.name})")
 
     if RELAX:
@@ -278,194 +263,6 @@ def test_engine_throughput_three_engines_cold_and_warm():
     assert compiled_speedup >= _MIN_COMPILED_SPEEDUP, (
         f"compiled engine regressed to {compiled_speedup:.2f}x over reference "
         f"(ENGINE.md promises >= {_MIN_COMPILED_SPEEDUP}x cold on this corpus)"
-    )
-    jit_warm_speedup = speedup(warm["jit"])
-    assert jit_warm_speedup >= _MIN_JIT_WARM_SPEEDUP, (
-        f"jit engine reached only {jit_warm_speedup:.2f}x over reference with a "
-        f"warm prepared-program cache (ENGINE.md promises >= "
-        f"{_MIN_JIT_WARM_SPEEDUP}x on this corpus)"
-    )
-    assert jit_repeat >= _MIN_JIT_REPEAT_SPEEDUP, (
-        f"warm jit launches are only {jit_repeat:.2f}x faster than cold ones; "
-        "the prepared-program cache is not delivering its repeat-launch win"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched (family) execution throughput: one lowering, many variants
-# ---------------------------------------------------------------------------
-
-_BATCH_FAMILIES = 4
-#: Matches the Table 5 campaign scale (conftest ``EMI_VARIANTS_PER_BASE``):
-#: the family size ``EmiHarness.run_family`` actually batches.
-_BATCH_VARIANTS_PER_BASE = 10
-_BATCH_REPEATS = 3
-#: Lowering-heavy corpus: batching shares *lowering*, so the cell isolates
-#: that cost -- small launches (execution scales with threads, lowering with
-#: kernel size) and full-size kernel bodies.
-_BATCH_OPTIONS = GeneratorOptions(
-    min_total_threads=4,
-    max_total_threads=8,
-    max_group_size=4,
-    max_statements=10,
-)
-#: The batched-dispatch promise: on the jit, lowering an EMI family as one
-#: emitted module must beat member-by-member lowering by this factor (cold;
-#: a warm prepared cache serves both flows identically).
-_MIN_JIT_BATCH_SPEEDUP = 1.5
-
-
-def _batch_corpus():
-    """EMI families (base + pruned-variant set) -- the exact workload
-    ``EmiHarness.run_family`` batches.  Bases come from
-    ``generate_emi_bases`` (ALL-mode kernels with live injected blocks), so
-    families contain the production mix of distinct and structurally
-    identical members (pruning different blocks often converges on the
-    same residue)."""
-    from repro.emi import generate_variants
-    from repro.testing.campaign import generate_emi_bases
-
-    bases = generate_emi_bases(_BATCH_FAMILIES, seed=0, options=_BATCH_OPTIONS)
-    return [
-        [base] + generate_variants(base)[:_BATCH_VARIANTS_PER_BASE]
-        for base in bases
-    ]
-
-
-def _measure_batch(families, engine, batched, warm_cache):
-    """Best-of-N elapsed for one (engine, dispatch, cache) cell.
-
-    ``batched`` lowers each family through ``lower_batch`` (timed, including
-    the shared lowering) and executes members from the batch; sequential
-    executes member by member, each launch paying its own lowering.
-    ``warm_cache`` pre-warmed serves both flows from the prepared cache.
-    """
-    from repro.runtime.engine import get_engine
-
-    eng = get_engine(engine)
-    best = float("inf")
-    hashes = []
-    for _ in range(_BATCH_REPEATS):
-        run_hashes = []
-        start = time.perf_counter()
-        for family in families:
-            if batched:
-                batch = (
-                    warm_cache.lower_batch(eng, family, max_steps=MAX_STEPS)
-                    if warm_cache is not None
-                    else eng.lower_batch(family, max_steps=MAX_STEPS)
-                )
-                run_hashes.extend(
-                    run_program(
-                        program, engine=engine, max_steps=MAX_STEPS,
-                        prepared=prepared,
-                    ).result_hash()
-                    for program, prepared in zip(family, batch)
-                )
-            else:
-                run_hashes.extend(
-                    run_program(
-                        program, engine=engine, max_steps=MAX_STEPS,
-                        prepared_cache=warm_cache,
-                    ).result_hash()
-                    for program in family
-                )
-        best = min(best, time.perf_counter() - start)
-        hashes = run_hashes
-    return best, hashes
-
-
-def test_batched_family_execution_throughput():
-    """Batched vs sequential kernels/sec per engine, cold/warm.
-
-    Cold is where batching pays: one shared lowering per family covers its
-    duplicate members and shares helpers across the distinct ones, versus
-    one full lowering per member.  Warm (pre-warmed prepared cache) is
-    recorded to show the two flows converge once lowerings are cached
-    (within the noise of per-family vs per-member cache lookups).  Gates
-    the jit's cold batched speedup
-    (the engine with the heaviest lowering step, hence the headline win);
-    results are asserted hash-identical between the two flows, batching is
-    not allowed to change a single output.
-    """
-    from repro.runtime.batch import dedup_members
-
-    families = _batch_corpus()
-    n_members = sum(len(family) for family in families)
-    distinct_per_family = [len(dedup_members(family)[0]) for family in families]
-
-    rows = {}
-    speedups = {}
-    for engine in _ENGINES:
-        rows[engine] = {}
-        for scenario in ("cold", "warm"):
-            if scenario == "warm":
-                warm = PreparedProgramCache()
-                from repro.runtime.engine import get_engine
-
-                for family in families:
-                    warm.lower_batch(
-                        get_engine(engine), family, max_steps=MAX_STEPS
-                    )
-            else:
-                warm = None
-            seq_best, seq_hashes = _measure_batch(
-                families, engine, batched=False, warm_cache=warm
-            )
-            bat_best, bat_hashes = _measure_batch(
-                families, engine, batched=True, warm_cache=warm
-            )
-            assert bat_hashes == seq_hashes, (
-                f"{engine}/{scenario}: batched execution changed results"
-            )
-            ratio = round(seq_best / bat_best, 2)
-            rows[engine][scenario] = {
-                "kernels": n_members,
-                "sequential": {
-                    "elapsed_s": round(seq_best, 4),
-                    "kernels_per_sec": round(n_members / seq_best, 2),
-                },
-                "batched": {
-                    "elapsed_s": round(bat_best, 4),
-                    "kernels_per_sec": round(n_members / bat_best, 2),
-                },
-                "batched_over_sequential": ratio,
-            }
-            speedups[f"{engine}_{scenario}"] = ratio
-
-    artifact = _load_artifact()
-    artifact["batch"] = {
-        "corpus": {
-            "generator": "generate_emi_bases",
-            "families": _BATCH_FAMILIES,
-            "members_per_family": [len(family) for family in families],
-            "distinct_per_family": distinct_per_family,
-            "max_steps": MAX_STEPS,
-        },
-        "engines": rows,
-        "batched_over_sequential": speedups,
-        "relaxed": RELAX,
-    }
-    _ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
-
-    print("\nBatched family execution (best of "
-          f"{_BATCH_REPEATS} runs, {n_members} kernels per cell, "
-          f"distinct per family {distinct_per_family}):")
-    for engine in _ENGINES:
-        for scenario in ("cold", "warm"):
-            row = rows[engine][scenario]
-            print(f"  {engine:10s} {scenario:4s}  "
-                  f"seq {row['sequential']['kernels_per_sec']:8.2f} k/s  "
-                  f"batch {row['batched']['kernels_per_sec']:8.2f} k/s  "
-                  f"({row['batched_over_sequential']:.2f}x)")
-
-    if RELAX:
-        return
-    jit_cold = rows["jit"]["cold"]["batched_over_sequential"]
-    assert jit_cold >= _MIN_JIT_BATCH_SPEEDUP, (
-        f"batched jit EMI-family execution is only {jit_cold:.2f}x sequential "
-        f"(cold); the one-module-per-family emission promises >= "
-        f"{_MIN_JIT_BATCH_SPEEDUP}x on this corpus"
     )
 
 

@@ -8,10 +8,8 @@ threshold and prints a Table 4 style summary.
 
 Run with:  python examples/fuzzing_campaign.py
 Scale up with: python examples/fuzzing_campaign.py --kernels-per-mode 20 --parallelism 4
-Engines produce identical tables; ``--engine reference`` trades speed for
-the tree-walking baseline, ``--engine jit`` uses the exec-based JIT (every
-worker keeps a prepared-program cache, so repeat launches skip lowering;
-see ENGINE.md).
+Both engines produce identical tables; ``--engine reference`` trades the
+compiled fast path for the tree-walking oracle (see ENGINE.md).
 
 ``--auto-reduce`` turns on campaign auto-reduction: every anomalous kernel
 is shrunk to a minimal reproducer preserving its exact failure signature
@@ -48,8 +46,9 @@ def main() -> None:
     parser.add_argument("--parallelism", type=int, default=None,
                         help="worker processes for the campaign (default: serial)")
     parser.add_argument("--engine", choices=available_engines(), default="compiled",
-                        help="execution engine for every campaign cell "
-                             "(default: compiled)")
+                        help="execution engine for every campaign cell: "
+                             "compiled (fast path, the default) or reference "
+                             "(tree-walking oracle); tables are identical")
     parser.add_argument("--auto-reduce", action="store_true",
                         help="shrink every anomalous kernel to a minimal "
                              "reproducer (campaign auto-triage)")

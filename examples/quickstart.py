@@ -4,11 +4,10 @@ the paper's configurations, run it on the simulated device and compare the
 results (random differential testing in a dozen lines).
 
 Run with:  python examples/quickstart.py
-Pick an execution engine with:  python examples/quickstart.py --engine jit
+Pick an execution engine with:  python examples/quickstart.py --engine reference
 (``compiled`` is the default: the closure-lowering fast path produces
-byte-identical results to the reference interpreter, only faster; ``jit``
-emits real Python source per kernel and wins once a kernel is launched more
-than once via the prepared-program cache; see ENGINE.md.)
+byte-identical results to the reference interpreter, only faster; see
+ENGINE.md.)
 """
 
 import argparse
@@ -25,8 +24,9 @@ from repro.testing.outcomes import Outcome
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--engine", choices=available_engines(), default="compiled",
-                        help="execution engine for every kernel run "
-                             "(default: compiled)")
+                        help="execution engine for every kernel run: "
+                             "compiled (fast path, the default) or reference "
+                             "(tree-walking oracle)")
     args = parser.parse_args()
 
     # 1. Generate a deterministic, communicating kernel (BARRIER mode).

@@ -25,7 +25,7 @@ from repro.compiler.pipeline import OptimisationLevel, Pipeline, default_pipelin
 from repro.kernel_lang import ast
 from repro.kernel_lang.semantics import ValidationError, validate_program
 from repro.runtime.device import Device, KernelResult
-from repro.runtime.engine import DEFAULT_ENGINE, PreparedProgram
+from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, ExecutionTimeout, RuntimeCrash
 from repro.runtime.prepared import PreparedProgramCache
 from repro.runtime.scheduler import ScheduleOrder
@@ -60,14 +60,8 @@ class CompiledKernel:
         max_steps: int = 2_000_000,
         engine: str = DEFAULT_ENGINE,
         prepared_cache: Optional[PreparedProgramCache] = None,
-        prepared: Optional[PreparedProgram] = None,
     ) -> KernelResult:
-        """Execute the compiled kernel on the simulated device.
-
-        ``prepared`` passes an already-lowered form of this kernel's program
-        (a batch launch member) straight to the device, skipping both the
-        engine's ``lower`` and the prepared cache.
-        """
+        """Execute the compiled kernel on the simulated device."""
         if self.execution_flags.get("force_runtime_crash"):
             raise RuntimeCrash(f"kernel crashes on configuration {self.config_name}")
         if self.execution_flags.get("force_timeout"):
@@ -81,7 +75,7 @@ class CompiledKernel:
             engine=engine,
             prepared_cache=prepared_cache,
         )
-        return device.run(self.program, prepared=prepared)
+        return device.run(self.program)
 
 
 class CompilerDriver:

@@ -44,7 +44,8 @@ SPAN_PHASE = "phase"
 SPAN_SHARD = "shard"
 #: One ``execute_job`` dispatch, measured inside the worker that ran it.
 SPAN_JOB = "job"
-#: One engine ``lower``/``lower_batch`` call (cache misses only).
+#: One engine ``lower`` call: a prepared-cache miss, or a launch that runs
+#: without a prepared cache.
 SPAN_LOWER = "lower"
 #: One ``PreparedProgram.bind`` call (per launch).
 SPAN_BIND = "bind"

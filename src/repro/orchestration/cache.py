@@ -96,15 +96,6 @@ class ResultCache:
         self._stats.misses += 1
         return default
 
-    def peek(self, key: Hashable) -> bool:
-        """Whether ``key`` is cached, without stats traffic or recency.
-
-        Batch planning uses this to decide which cells will actually
-        execute; the real hit/miss is still counted by the ``get`` each
-        cell performs, so peeking never perturbs the surfaced counters.
-        """
-        return key in self._entries
-
     def put(self, key: Hashable, value: Any) -> None:
         if self.maxsize == 0:
             return
@@ -134,7 +125,6 @@ def cached_run(
     max_steps: int,
     engine: str = "reference",
     prepared_cache: Any = None,
-    prepared: Any = None,
 ) -> Any:
     """Execute a compiled program, memoising through ``cache`` when given.
 
@@ -145,16 +135,11 @@ def cached_run(
     :class:`repro.runtime.prepared.PreparedProgramCache`) additionally reuses
     the engine's launch-independent lowering across launches -- it only pays
     off on result-cache *misses*, which is exactly when the kernel actually
-    executes.  ``prepared`` (a batch launch member, see ENGINE.md) supplies
-    the lowering directly and bypasses both the engine's ``lower`` and the
-    prepared cache; the *result* cache accounting is unchanged.
+    executes.
     """
     if cache is None:
         return compiled.run(
-            max_steps=max_steps,
-            engine=engine,
-            prepared_cache=prepared_cache,
-            prepared=prepared,
+            max_steps=max_steps, engine=engine, prepared_cache=prepared_cache
         )
     from repro.platforms.calibration import execution_cache_key
 
@@ -165,10 +150,7 @@ def cached_run(
     if cached is not None:
         return cached
     result = compiled.run(
-        max_steps=max_steps,
-        engine=engine,
-        prepared_cache=prepared_cache,
-        prepared=prepared,
+        max_steps=max_steps, engine=engine, prepared_cache=prepared_cache
     )
     cache.put(key, result)
     return result

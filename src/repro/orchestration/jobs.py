@@ -153,13 +153,6 @@ class CampaignJob:
     #: ``reduce-kernel`` only: override for the reducer's global
     #: candidate-evaluation budget (``None`` keeps the ReducerConfig default).
     reduce_max_evaluations: Optional[int] = None
-    #: Whether harness-level batch dispatch is used when executing this job:
-    #: a differential configuration sweep / EMI variant family is lowered as
-    #: one engine batch instead of cell by cell.  Deliberately *not* part of
-    #: the job's identity (see ``repro.triage.store.job_identity``): batched
-    #: and sequential execution produce byte-identical results, so a stored
-    #: campaign resumes cleanly across the switch.
-    batch: bool = True
 
     def resolve_configs(self) -> List[Optional[DeviceConfig]]:
         """The job's live configurations: the shipped overrides, or the
@@ -368,7 +361,6 @@ def _execute_clsmith_differential(
         cache=cache,
         engine=job.engine,
         prepared_cache=prepared_cache,
-        batch=job.batch,
     )
     counts: Dict[Tuple[str, str, bool], OutcomeCounts] = {}
     for record in harness.run(program).records:
@@ -388,7 +380,6 @@ def _execute_clsmith_curate(
         cache=cache,
         engine=job.engine,
         prepared_cache=prepared_cache,
-        batch=job.batch,
     )
     record = harness.run(program).records[0]
     accepted = record.outcome not in (Outcome.BUILD_FAILURE, Outcome.TIMEOUT)
@@ -428,7 +419,7 @@ def _execute_emi_family(
     family = [base] + variants
     harness = EmiHarness(
         max_steps=job.max_steps, cache=cache, engine=job.engine,
-        prepared_cache=prepared_cache, batch=job.batch,
+        prepared_cache=prepared_cache,
     )
     cells = [
         harness.run_family(family, config, optimisations)

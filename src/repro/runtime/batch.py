@@ -4,8 +4,8 @@ An EMI family is a base program plus variants that differ only by pruned
 injected-dead-code blocks (see :mod:`repro.emi.variants`): most helper
 functions are byte-identical across the family, and batched lowering
 (:meth:`~repro.runtime.engine.ExecutionEngine.lower_batch`) exploits that by
-emitting/compiling each shared helper once and reusing it across every
-member of the batch.
+lowering each shared helper once and reusing it across every member of the
+batch.
 
 Sharing a helper is sound only under *deep* structural equality: a variant
 may redefine a function the base also defines (a pruned EMI block inside its
@@ -36,7 +36,7 @@ def member_key(program: ast.Program) -> Tuple[str, str, str, str]:
     different injected blocks can converge on one residue), so batches
     routinely contain structurally identical members.  Lowering one of them
     covers all: a lowering observes exactly the printed kernel source, the
-    scalar arguments (the *only* metadata that specialises the emitted
+    scalar arguments (the *only* metadata that specialises the lowered
     entry -- bookkeeping keys like ``emi_variant_index`` differ across
     structurally identical variants and must not break sharing), the buffer
     specs (parameter plans) and the launch geometry -- all captured here.

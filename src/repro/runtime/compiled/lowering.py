@@ -46,7 +46,7 @@ group, so one lowering is reusable across launches through the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.kernel_lang import ast, builtins, types as ty, values as vals
 from repro.kernel_lang.semantics import UBKind
@@ -130,8 +130,8 @@ _PV = vals.PointerValue
 _SHARED_SPACES = (ty.LOCAL, ty.GLOBAL)
 
 
-# Shared engine fast-path helpers (extracted to ops so the jit engine calls
-# literally the same code).
+# Shared engine fast-path helpers (they live in ops, next to the value
+# semantics every engine calls).
 _apply_builtin_fast = ops.apply_scalar_builtin_fast
 _mk_scalar = ops.mk_scalar
 
@@ -192,6 +192,41 @@ class _FnRecord:
 
 
 # ---------------------------------------------------------------------------
+# Yield analysis
+# ---------------------------------------------------------------------------
+
+
+def yielding_functions(functions: Dict[str, ast.FunctionDecl]) -> FrozenSet[str]:
+    """Names of user functions that can reach a scheduling point.
+
+    A function yields control iff it contains a barrier, an atomic builtin
+    call, or a call to a function that (transitively) does -- computed as a
+    call-graph fixpoint.  Only these functions pay generator overhead.
+    """
+    calls: Dict[str, set] = {}
+    syncing = set()
+    for name, fn in functions.items():
+        callees = set()
+        for node in fn.body.walk():
+            if isinstance(node, ast.BarrierStmt):
+                syncing.add(name)
+            elif isinstance(node, ast.Call):
+                if node.name in builtins.ATOMIC_BUILTINS:
+                    syncing.add(name)
+                elif node.name in functions:
+                    callees.add(node.name)
+        calls[name] = callees
+    changed = True
+    while changed:
+        changed = False
+        for name, callees in calls.items():
+            if name not in syncing and callees & syncing:
+                syncing.add(name)
+                changed = True
+    return frozenset(syncing)
+
+
+# ---------------------------------------------------------------------------
 # The lowerer
 # ---------------------------------------------------------------------------
 
@@ -240,7 +275,7 @@ class _Lowerer:
         self._functions: Dict[str, ast.FunctionDecl] = {
             fn.name: fn for fn in program.functions if fn.body is not None
         }
-        self._yielding_fns = self._compute_yielding_functions()
+        self._yielding_fns = yielding_functions(self._functions)
         self._fn_records: Dict[str, _FnRecord] = {}
         self._family = family
         #: Functions whose compiled records are reused from the family base:
@@ -285,15 +320,6 @@ class _Lowerer:
                 raise ExecutionTimeout(max_steps + 1)
 
         self._tick = tick
-
-    # -- yield analysis -------------------------------------------------
-
-    def _compute_yielding_functions(self) -> frozenset:
-        """Names of user functions that can reach a scheduling point
-        (shared with the jit engine's emitter)."""
-        from repro.runtime.jit.support import yielding_functions
-
-        return yielding_functions(self._functions)
 
     # -- entry point ----------------------------------------------------
 
@@ -2036,7 +2062,7 @@ class _Lowerer:
 
 
 # ---------------------------------------------------------------------------
-# Rvalue access helpers (shared with the jit engine via ops)
+# Rvalue access helpers (shared via ops)
 # ---------------------------------------------------------------------------
 
 _rvalue_component = ops.rvalue_component

@@ -87,9 +87,8 @@ class Device:
     engine:
         Execution engine (registry name or instance; see
         :mod:`repro.runtime.engine`): ``"reference"`` for the tree-walking
-        interpreter, ``"compiled"`` for the compile-to-closures fast path,
-        ``"jit"`` for the exec-based JIT.  All produce byte-identical
-        results.
+        interpreter, ``"compiled"`` for the compile-to-closures fast path.
+        Both produce byte-identical results.
     prepared_cache:
         Optional :class:`~repro.runtime.prepared.PreparedProgramCache`.
         When given, the launch-independent lowering step is served from (and

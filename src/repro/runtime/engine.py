@@ -5,7 +5,7 @@ other; this repository applies the same methodology to its *own* runtime.
 An :class:`ExecutionEngine` turns a compiled program into per-work-item
 coroutines; the :class:`~repro.runtime.device.Device` drives those coroutines
 through the shared :class:`~repro.runtime.scheduler.WorkGroupScheduler`, race
-detector and undefined-behaviour model, which are engine-independent.  Three
+detector and undefined-behaviour model, which are engine-independent.  Two
 engines are registered:
 
 ``"reference"``
@@ -18,11 +18,6 @@ engines are registered:
     The compile-to-closures fast path (:mod:`repro.runtime.compiled`): the
     kernel AST is lowered once into nested Python closures with pre-resolved
     builtins and slot-resolved variables.
-
-``"jit"``
-    The exec-based JIT (:mod:`repro.runtime.jit`): real Python source is
-    emitted per kernel and compiled once by CPython, eliminating the
-    per-node closure-call overhead entirely.
 
 The engine contract (see ENGINE.md) is strict: for any program, every engine
 must produce the same :class:`~repro.runtime.device.KernelResult` (outputs,
@@ -50,7 +45,7 @@ step so lowered programs can be reused across launches (see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Generator, Iterator, List, Optional, Union
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.kernel_lang import ast
 from repro.runtime import memory
@@ -63,8 +58,7 @@ from repro.runtime.interpreter import (
 
 #: Engine used when callers do not ask for one.  The reference walker stays
 #: the default so that every existing path keeps its exact baseline
-#: behaviour; fast-path consumers opt in with ``engine="compiled"`` or
-#: ``engine="jit"``.
+#: behaviour; fast-path consumers opt in with ``engine="compiled"``.
 DEFAULT_ENGINE = "reference"
 
 #: Step budget used when callers do not pass one (mirrors ``Device``'s
@@ -123,8 +117,8 @@ class PreparedBatch:
 
     Returned by :meth:`ExecutionEngine.lower_batch`: ``prepared[i]`` is the
     :class:`PreparedProgram` for ``programs[i]``.  Members share lowering
-    work where the engine can prove it safe (shared helper emissions, one
-    compiled module per family -- see ENGINE.md), but each member is an
+    work where the engine can prove it safe (shared function records on the
+    compiled engine -- see ENGINE.md), but each member is an
     independent :class:`PreparedProgram`: binding and launching one member
     is byte-identical to having lowered it alone.  Launches remain strictly
     sequential -- a batch shares *lowering*, never a live launch.
@@ -185,11 +179,10 @@ class ExecutionEngine(ABC):
         """Lower a variant set together, sharing work where safe.
 
         The default implementation simply loops :meth:`lower` -- correct for
-        every engine (the reference walker needs nothing more).  Engines with
-        a real lowering step override this to share it across the batch (one
-        emitted module per EMI family on the jit, shared function records on
-        the compiled engine); the batch == sequential byte-identity property
-        in ``tests/test_batch_execution.py`` gates every such fast path.
+        every engine (the reference walker needs nothing more).  The compiled
+        engine overrides this to share function records across the batch;
+        the batch == sequential byte-identity property in
+        ``tests/test_batch_execution.py`` gates that fast path.
         """
         return PreparedBatch(
             programs,
@@ -212,28 +205,6 @@ class ExecutionEngine(ABC):
         return self.lower(
             program, comma_yields_zero=comma_yields_zero, max_steps=max_steps
         ).bind(global_memory)
-
-    def prepare_batch(
-        self,
-        programs: List[ast.Program],
-        global_memory: memory.GlobalMemory,
-        comma_yields_zero: bool = False,
-        max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> Iterator[PreparedLaunch]:
-        """Batch convenience: lower together, bind each member lazily.
-
-        Yields one :class:`PreparedLaunch` per program, binding each member
-        only when the iterator reaches it: family members may share lowering
-        state (e.g. one step counter per jit family), so binding member N
-        while member N-1's launch is still active would violate the
-        one-active-launch rule.  Drive each yielded launch to completion
-        before advancing.
-        """
-        batch = self.lower_batch(
-            programs, comma_yields_zero=comma_yields_zero, max_steps=max_steps
-        )
-        for prepared in batch:
-            yield prepared.bind(global_memory)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +335,8 @@ def _make_compiled_engine() -> ExecutionEngine:
     return CompiledEngine()
 
 
-def _make_jit_engine() -> ExecutionEngine:
-    # Imported lazily, like the compiled engine.
-    from repro.runtime.jit import JitEngine
-
-    return JitEngine()
-
-
 register_engine("reference", ReferenceEngine)
 register_engine("compiled", _make_compiled_engine)
-register_engine("jit", _make_jit_engine)
 
 
 __all__ = [

@@ -346,7 +346,7 @@ def apply_scalar_builtin_fast(
 
 
 # ---------------------------------------------------------------------------
-# Rvalue accesses into temporaries (shared by the compiled and jit engines)
+# Rvalue accesses into temporaries (used by the compiled engine)
 # ---------------------------------------------------------------------------
 
 

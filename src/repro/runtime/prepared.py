@@ -1,11 +1,11 @@
 """Cross-launch prepared-program cache.
 
-Lowering a kernel (closure trees for the ``"compiled"`` engine, emitted +
-``exec``-compiled Python source for the ``"jit"`` engine) is launch-
-independent work, yet historically it was redone for every launch because
-buffers and the step budget bound at prepare time.  The differential and EMI
-harnesses re-run the *same* compiled program across many configurations and
-optimisation levels, so that cost was paid N times per kernel.
+Lowering a kernel (closure trees for the ``"compiled"`` engine) is
+launch-independent work, yet historically it was redone for every launch
+because buffers and the step budget bound at prepare time.  The differential
+and EMI harnesses re-run the *same* compiled program across many
+configurations and optimisation levels, so that cost was paid N times per
+kernel.
 
 The engine protocol now splits preparation into a launch-independent
 :meth:`~repro.runtime.engine.ExecutionEngine.lower` step and a cheap
@@ -42,17 +42,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.observability import SPAN_LOWER, current_collector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel_lang import ast
-    from repro.runtime.engine import ExecutionEngine, PreparedBatch, PreparedProgram
+    from repro.runtime.engine import ExecutionEngine, PreparedProgram
 
 #: Default number of lowered programs a prepared-program cache retains.
-#: Lowered artefacts are heavier than execution results (closure trees /
-#: exec'd modules), so the default is smaller than the result cache's.
+#: Lowered artefacts (closure trees) are heavier than execution results,
+#: so the default is smaller than the result cache's.
 DEFAULT_PREPARED_CACHE_SIZE = 512
 
 
@@ -132,37 +132,6 @@ def prepared_program_key(
 
         fingerprint = program_fingerprint(program)
     return (fingerprint, engine_name, bool(comma_yields_zero), int(max_steps))
-
-
-#: A batch (family) cache key: identical layout to a single key except the
-#: first element is a *tuple* of the batch's distinct member fingerprints in
-#: first-seen order.  ``str`` and ``tuple`` never compare equal, so a batch
-#: entry can never collide with a single-launch entry for the same program,
-#: and the engine/comma/budget tail rules out cross-engine and cross-budget
-#: collisions exactly as for single keys.
-PreparedFamilyKey = Tuple[Tuple[str, ...], str, bool, int]
-
-
-def prepared_family_key(
-    programs: Sequence["ast.Program"],
-    engine_name: str,
-    comma_yields_zero: bool,
-    max_steps: int,
-    *,
-    fingerprints: Sequence[str] = None,
-) -> PreparedFamilyKey:
-    """The canonical cache key for one batched (family) lowering.
-
-    ``fingerprints`` must align with ``programs`` when given; duplicates
-    collapse (first-seen order), so the key identifies the *set* of distinct
-    lowerings a batch shares, not the request's duplication pattern.
-    """
-    if fingerprints is None:
-        from repro.platforms.calibration import program_fingerprint
-
-        fingerprints = [program_fingerprint(program) for program in programs]
-    distinct = tuple(dict.fromkeys(fingerprints))
-    return (distinct, engine_name, bool(comma_yields_zero), int(max_steps))
 
 
 class PreparedProgramCache:
@@ -262,104 +231,6 @@ class PreparedProgramCache:
                 self._stats.evictions += 1
         return prepared
 
-    def lower_batch(
-        self,
-        engine: "ExecutionEngine",
-        programs: Sequence["ast.Program"],
-        comma_yields_zero: bool = False,
-        max_steps: int = 2_000_000,
-    ) -> "PreparedBatch":
-        """Batched lowering of a variant set, cached per member *and* family.
-
-        Accounting is per member and mirrors a sequential replay: a member
-        whose distinct fingerprint needed a fresh lowering counts one miss
-        (at its first occurrence), every other member -- an in-batch
-        duplicate or an already-cached lowering -- counts one hit, so
-        ``stats.lookups`` grows by ``len(programs)`` exactly as if each
-        member had gone through :meth:`lower`.
-
-        Storage is two-level: every freshly lowered member lands under its
-        single-launch key (later single lookups of family members stay
-        warm), and the whole fingerprint->lowering mapping lands under the
-        :func:`prepared_family_key` (a warm family re-lookup survives even
-        after individual members were evicted, and returns the *same*
-        shared-state lowerings the batch produced).  With ``maxsize`` 0
-        nothing is stored and every member counts a miss -- uniform with
-        single lookups -- though lowering work is still shared within the
-        batch.
-
-        Non-cacheable engines (the reference walker) bypass the cache
-        entirely, exactly as :meth:`lower` does.
-        """
-        from repro.runtime.engine import PreparedBatch
-
-        programs = list(programs)
-        if not getattr(engine, "cacheable_lowering", True):
-            return engine.lower_batch(
-                programs, comma_yields_zero=comma_yields_zero, max_steps=max_steps
-            )
-        fingerprints = [self._fingerprint(program) for program in programs]
-        family_key = prepared_family_key(
-            programs,
-            engine.name,
-            comma_yields_zero,
-            max_steps,
-            fingerprints=fingerprints,
-        )
-        family = self._entries.get(family_key)
-        if family is not None:
-            self._entries.move_to_end(family_key)
-            self._stats.hits += len(programs)
-            return PreparedBatch(programs, [family[fp] for fp in fingerprints])
-        # Assemble the family from already-cached single lowerings where
-        # possible; only genuinely missing members are lowered (together,
-        # so the engine can share their lowering work).
-        mapping: Dict[str, "PreparedProgram"] = {}
-        missing_programs: List["ast.Program"] = []
-        missing_fps: List[str] = []
-        for program, fp in zip(programs, fingerprints):
-            if fp in mapping or fp in missing_fps:
-                continue
-            key = (fp, engine.name, bool(comma_yields_zero), int(max_steps))
-            entry = self._entries.get(key)
-            if entry is not None and self.maxsize > 0:
-                self._entries.move_to_end(key)
-                mapping[fp] = entry
-            else:
-                missing_programs.append(program)
-                missing_fps.append(fp)
-        if missing_programs:
-            collector = current_collector()
-            if collector is None:
-                lowered = engine.lower_batch(
-                    missing_programs,
-                    comma_yields_zero=comma_yields_zero,
-                    max_steps=max_steps,
-                )
-            else:
-                with collector.span(SPAN_LOWER, name=engine.name,
-                                    members=len(missing_programs)):
-                    lowered = engine.lower_batch(
-                        missing_programs,
-                        comma_yields_zero=comma_yields_zero,
-                        max_steps=max_steps,
-                    )
-            for fp, prepared in zip(missing_fps, lowered.prepared):
-                mapping[fp] = prepared
-        if self.maxsize > 0:
-            self._stats.misses += len(missing_fps)
-            self._stats.hits += len(programs) - len(missing_fps)
-            for fp, program in zip(missing_fps, missing_programs):
-                key = (fp, engine.name, bool(comma_yields_zero), int(max_steps))
-                self._entries[key] = mapping[fp]
-            self._entries[family_key] = dict(mapping)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-        else:
-            self._stats.misses += len(programs)
-        return PreparedBatch(programs, [mapping[fp] for fp in fingerprints])
-
     def clear(self) -> None:
         self._entries.clear()
         self._fp_memo.clear()
@@ -377,9 +248,7 @@ class PreparedProgramCache:
 __all__ = [
     "DEFAULT_PREPARED_CACHE_SIZE",
     "PreparedCacheStats",
-    "PreparedFamilyKey",
     "PreparedProgramCache",
     "PreparedProgramKey",
-    "prepared_family_key",
     "prepared_program_key",
 ]

@@ -67,7 +67,7 @@ from repro.reduction.reducer import (
     ReducerConfig,
     ReductionSummary,
 )
-from repro.runtime.engine import DEFAULT_ENGINE
+from repro.runtime.engine import DEFAULT_ENGINE, get_engine
 from repro.runtime.prepared import PreparedCacheStats
 from repro.testing.outcomes import Outcome, OutcomeCounts, cell_label
 from repro.triage.bucketing import bucket_reductions
@@ -168,7 +168,6 @@ def run_clsmith_campaign(
     reduce_budget: Optional[int] = None,
     auto_triage: bool = False,
     resume=None,
-    batch: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     supervision: Optional[SupervisionConfig] = None,
     telemetry: Optional[TelemetryCollector] = None,
@@ -187,7 +186,9 @@ def run_clsmith_campaign(
     that many worker processes; the aggregated table is identical to a serial
     run with the same seed.  ``engine`` selects the execution engine for
     every cell (and is part of the result-cache fingerprint); the table is
-    engine-independent by the engine contract (see ENGINE.md).
+    engine-independent by the engine contract (see ENGINE.md).  An
+    unregistered ``engine`` raises the registry's ``KeyError`` before the
+    store or the worker pool is touched.
 
     With ``auto_reduce=True`` every anomalous kernel (any wrong-code, build
     failure, crash or timeout cell) is shrunk to a minimal reproducer that
@@ -216,12 +217,6 @@ def run_clsmith_campaign(
     already reduced are not re-reduced: the stored reproducer is attached
     instead (bucket-aware scheduling; see TRIAGE.md).
 
-    ``batch=True`` (the default) lowers each kernel's configuration sweep
-    as one engine batch instead of cell by cell; results and surfaced
-    cache counters are byte-identical either way (ENGINE.md), so ``batch``
-    is not part of the campaign's store identity and a stored campaign
-    resumes cleanly across the switch.
-
     The campaign runs on the fault-tolerant pool (ORCHESTRATION.md "Fault
     tolerance"): worker crashes, hangs and job exceptions are retried under
     ``supervision`` (default :class:`~repro.orchestration.pool.
@@ -239,6 +234,7 @@ def run_clsmith_campaign(
     ``None`` default costs nothing.  ``result.health`` (supervisor
     counters) is populated either way.
     """
+    get_engine(engine)
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = _serialise_configs(configs)
     result = ClsmithCampaignResult(kernels_per_mode)
@@ -272,7 +268,7 @@ def run_clsmith_campaign(
             for mode_index, mode in enumerate(modes):
                 kernel_seeds, curation_stats, curation_prepared = _curated_seeds(
                     pool, mode, kernels_per_mode, seed + mode_index * 10_000,
-                    options, curate_on, max_steps, engine, batch=batch,
+                    options, curate_on, max_steps, engine,
                 )
                 result.cache_stats = result.cache_stats.merge(curation_stats)
                 result.prepared_stats = result.prepared_stats.merge(
@@ -289,7 +285,6 @@ def run_clsmith_campaign(
                         options=options,
                         max_steps=max_steps,
                         engine=engine,
-                        batch=batch,
                     )
                     for kernel_seed in kernel_seeds
                 )
@@ -764,7 +759,6 @@ def _curated_seeds(
     curate_on: Optional[DeviceConfig],
     max_steps: int,
     engine: str = DEFAULT_ENGINE,
-    batch: bool = True,
 ) -> Tuple[List[int], CacheStats, PreparedCacheStats]:
     """Seeds of the first ``count`` candidates that survive test curation.
 
@@ -786,7 +780,6 @@ def _curated_seeds(
             options=options,
             max_steps=max_steps,
             engine=engine,
-            batch=batch,
         )
 
     accepted, stats, prepared = _scan_accepted(pool, count, count * 5, job_for_attempt)
@@ -862,7 +855,9 @@ def generate_emi_bases(
     check that EMI blocks were not all placed in already-dead code
     (section 7.4).  With ``parallelism`` > 1 the filter runs candidates in
     parallel worker processes; the accepted set is identical either way.
+    An unregistered ``engine`` raises before the pool starts.
     """
+    get_engine(engine)
     base_options = options or GeneratorOptions()
     with WorkerPool(parallelism) as pool:
         specs, _, _ = _emi_base_specs(pool, n_bases, seed, options, max_steps,
@@ -924,7 +919,6 @@ def run_emi_campaign(
     reduce_budget: Optional[int] = None,
     auto_triage: bool = False,
     resume=None,
-    batch: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     supervision: Optional[SupervisionConfig] = None,
     telemetry: Optional[TelemetryCollector] = None,
@@ -944,13 +938,8 @@ def run_emi_campaign(
     ``result.triage``, and ``resume=`` makes the campaign persistent and
     resumable -- both exactly as on :func:`run_clsmith_campaign`, including
     bucket-aware scheduling (anomalies another campaign already reduced
-    attach their stored reproducer instead of re-reducing).
-
-    ``batch=True`` (the default) lowers each family's executable variants
-    as one engine batch per (configuration, optimisation level) cell --
-    on the jit engine one exec'd module per family -- with byte-identical
-    results and counters either way (ENGINE.md); like the CLsmith entry
-    point, ``batch`` is not part of the campaign's store identity.
+    attach their stored reproducer instead of re-reducing).  Like there, an
+    unregistered ``engine`` raises before the store or the pool is touched.
 
     ``fault_plan``/``supervision`` configure the fault-tolerant pool
     exactly as on :func:`run_clsmith_campaign`; quarantined jobs land in
@@ -959,6 +948,7 @@ def run_emi_campaign(
     ``result.health`` is populated unconditionally — all exactly as on
     :func:`run_clsmith_campaign` (see OBSERVABILITY.md).
     """
+    get_engine(engine)
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = _serialise_configs(configs)
     family_job = dict(
@@ -972,7 +962,6 @@ def run_emi_campaign(
         variants_per_base=variants_per_base,
         variant_seed=seed,
         engine=engine,
-        batch=batch,
     )
     filter_stats = CacheStats()
     filter_prepared = PreparedCacheStats()

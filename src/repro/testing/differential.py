@@ -73,7 +73,6 @@ class DifferentialHarness(ExecutionHarnessBase):
         cache: Optional["ResultCache"] = None,
         engine: str = DEFAULT_ENGINE,
         prepared_cache: Optional[PreparedProgramCache] = None,
-        batch: bool = True,
     ) -> None:
         super().__init__(
             max_steps=max_steps,
@@ -81,7 +80,6 @@ class DifferentialHarness(ExecutionHarnessBase):
             cache=cache,
             engine=engine,
             prepared_cache=prepared_cache,
-            batch=batch,
         )
         self.configs = list(configs)
         self.optimisation_levels = list(optimisation_levels)
@@ -89,50 +87,26 @@ class DifferentialHarness(ExecutionHarnessBase):
     # ------------------------------------------------------------------
 
     def run(self, program: ast.Program) -> DifferentialResult:
-        """Compile/execute ``program`` everywhere and vote on the results.
-
-        All cells compile first, the cells that will actually execute are
-        lowered together as a batch (see ``ExecutionHarnessBase._plan_batch``),
-        and the executions then replay in cell order -- producing records,
-        cache traffic and verdicts byte-identical to the sequential
-        cell-by-cell flow.
-        """
-        cells = [
-            (config, optimisations)
-            for config in self.configs
-            for optimisations in self.optimisation_levels
-        ]
-        records: List[Optional[TestRecord]] = [None] * len(cells)
-        compiled_kernels: List[Optional[object]] = []
-        for index, (config, optimisations) in enumerate(cells):
-            name = config.name if config is not None else "reference"
-            compiled = None
-            try:
-                compiled = CompilerDriver(config).compile(
-                    program, optimisations=optimisations
-                )
-            except (BuildFailure, KernelRuntimeError) as error:
-                records[index] = TestRecord(
-                    name, optimisations, classify_exception(error), detail=str(error)
-                )
-            compiled_kernels.append(compiled)
-
-        plan = self._plan_batch(compiled_kernels)
-
+        """Compile/execute ``program`` everywhere and vote on the results."""
+        records: List[TestRecord] = []
         values: List[Tuple[TestRecord, str]] = []
-        for index, (config, optimisations) in enumerate(cells):
-            if records[index] is not None:
-                continue
+        for config in self.configs:
             name = config.name if config is not None else "reference"
-            try:
-                result = self._execute(compiled_kernels[index], prepared=plan[index])
-            except (BuildFailure, KernelRuntimeError) as error:
-                records[index] = TestRecord(
-                    name, optimisations, classify_exception(error), detail=str(error)
-                )
-                continue
-            records[index] = TestRecord(name, optimisations, Outcome.PASS, result=result)
-            values.append((records[index], result.result_hash()))
+            for optimisations in self.optimisation_levels:
+                try:
+                    compiled = CompilerDriver(config).compile(
+                        program, optimisations=optimisations
+                    )
+                    result = self._execute(compiled)
+                except (BuildFailure, KernelRuntimeError) as error:
+                    records.append(TestRecord(
+                        name, optimisations, classify_exception(error),
+                        detail=str(error),
+                    ))
+                    continue
+                record = TestRecord(name, optimisations, Outcome.PASS, result=result)
+                records.append(record)
+                values.append((record, result.result_hash()))
 
         majority_value, majority_size = self._majority(v for _, v in values)
         if majority_value is not None and majority_size >= MAJORITY_THRESHOLD:
@@ -140,26 +114,6 @@ class DifferentialHarness(ExecutionHarnessBase):
                 if value != majority_value:
                     record.outcome = Outcome.WRONG_CODE
         return DifferentialResult(records, majority_value, majority_size)
-
-    # ------------------------------------------------------------------
-
-    def _run_one(
-        self,
-        program: ast.Program,
-        config: Optional[DeviceConfig],
-        optimisations: bool,
-    ) -> TestRecord:
-        """Single-cell path (no batching); kept for direct callers."""
-        name = config.name if config is not None else "reference"
-        try:
-            compiled = CompilerDriver(config).compile(program, optimisations=optimisations)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return TestRecord(name, optimisations, classify_exception(error), detail=str(error))
-        try:
-            result = self._execute(compiled)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return TestRecord(name, optimisations, classify_exception(error), detail=str(error))
-        return TestRecord(name, optimisations, Outcome.PASS, result=result)
 
     @staticmethod
     def _majority(values: Iterable[str]) -> Tuple[Optional[str], int]:

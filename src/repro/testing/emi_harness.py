@@ -18,20 +18,15 @@ Table 5 bookkeeping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.compiler.driver import CompilerDriver
 from repro.kernel_lang import ast
 from repro.platforms.config import DeviceConfig
 from repro.runtime.device import KernelResult
-from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
-from repro.runtime.prepared import PreparedProgramCache
 from repro.testing.harness_base import ExecutionHarnessBase
 from repro.testing.outcomes import Outcome, classify_exception
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.orchestration.cache import ResultCache
 
 
 @dataclass
@@ -70,26 +65,6 @@ class EmiBaseResult:
 class EmiHarness(ExecutionHarnessBase):
     """Runs EMI variant families against one configuration at a time."""
 
-    def __init__(
-        self,
-        max_steps: int = 2_000_000,
-        cache_results: bool = True,
-        cache: Optional["ResultCache"] = None,
-        engine: str = DEFAULT_ENGINE,
-        prepared_cache: Optional[PreparedProgramCache] = None,
-        batch: bool = True,
-    ) -> None:
-        super().__init__(
-            max_steps=max_steps,
-            cache_results=cache_results,
-            cache=cache,
-            engine=engine,
-            prepared_cache=prepared_cache,
-            batch=batch,
-        )
-
-    # ------------------------------------------------------------------
-
     def run_family(
         self,
         variants: Sequence[ast.Program],
@@ -97,38 +72,14 @@ class EmiHarness(ExecutionHarnessBase):
         optimisations: bool,
     ) -> EmiBaseResult:
         """Run all ``variants`` (typically including the base itself) on one
-        configuration and summarise the outcomes.
-
-        The whole family compiles first and its executable members are
-        lowered together as one batch (shared function bodies on the
-        compiled/jit engines; see ``ExecutionHarnessBase._plan_batch``);
-        outcomes and cache traffic are byte-identical to running
-        ``run_single`` per variant.
-        """
-        driver = CompilerDriver(config)
-        outcomes: List[Optional[Outcome]] = [None] * len(variants)
-        compiled_kernels: List[Optional[object]] = []
-        for index, variant in enumerate(variants):
-            compiled = None
-            try:
-                compiled = driver.compile(variant, optimisations=optimisations)
-            except (BuildFailure, KernelRuntimeError) as error:
-                outcomes[index] = classify_exception(error)
-            compiled_kernels.append(compiled)
-
-        plan = self._plan_batch(compiled_kernels)
-
+        configuration and summarise the outcomes."""
+        outcomes: List[Outcome] = []
         values: List[str] = []
-        for index in range(len(variants)):
-            if outcomes[index] is not None:
-                continue
-            try:
-                result = self._execute(compiled_kernels[index], prepared=plan[index])
-            except (BuildFailure, KernelRuntimeError) as error:
-                outcomes[index] = classify_exception(error)
-                continue
-            outcomes[index] = Outcome.PASS
-            values.append(result.result_hash())
+        for variant in variants:
+            outcome, result = self.run_single(variant, config, optimisations)
+            outcomes.append(outcome)
+            if result is not None:
+                values.append(result.result_hash())
 
         distinct = len(set(values))
         bad_base = len(values) == 0

@@ -3,27 +3,19 @@
 Both harnesses used to carry identical copies of the result-cache wiring,
 the ``cached_run`` delegation and the prepared-stats surface; this base
 class is the single home for that machinery so the key policy and the
-hit/miss accounting cannot drift between them.
-
-It also owns **batch planning**: given the compiled kernels of a
-configuration sweep (differential) or a variant family (EMI), it decides
-which cells will actually execute and lowers them together through
-:meth:`repro.runtime.prepared.PreparedProgramCache.lower_batch`, so one
-engine-level batch lowering (shared function bodies, one exec'd module on
-the jit engine) serves the whole set.  Planning is stats-transparent by
-construction: the per-member accounting of ``lower_batch`` and the
-result-cache traffic of the subsequent executions reproduce exactly the
-counter sequence a sequential cell-by-cell run would have produced, which
-is what keeps the campaign invariant ``prepared_stats.lookups ==
-cache_stats.misses`` intact (see tests/test_prepared_cache.py).
+hit/miss accounting cannot drift between them.  Every cell takes the same
+path: result-cache lookup, then (on a miss) lower through the
+prepared-program cache, bind and run.  That is what keeps the campaign
+invariant ``prepared_stats.lookups == cache_stats.misses`` intact on the
+compiled engine (see tests/test_prepared_cache.py).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.runtime.device import KernelResult
-from repro.runtime.engine import DEFAULT_ENGINE, PreparedProgram, get_engine
+from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.prepared import PreparedProgramCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -32,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 class ExecutionHarnessBase:
-    """Cache plumbing, execution and batch planning shared by harnesses."""
+    """Cache plumbing and execution shared by harnesses."""
 
     def __init__(
         self,
@@ -41,7 +33,6 @@ class ExecutionHarnessBase:
         cache: Optional["ResultCache"] = None,
         engine: str = DEFAULT_ENGINE,
         prepared_cache: Optional[PreparedProgramCache] = None,
-        batch: bool = True,
     ) -> None:
         # Imported lazily: repro.orchestration itself imports the harnesses.
         from repro.orchestration.cache import ResultCache
@@ -58,102 +49,17 @@ class ExecutionHarnessBase:
         self.prepared_cache = (
             prepared_cache if prepared_cache is not None else PreparedProgramCache()
         )
-        #: Batch dispatch switch: when True (the default) a configuration
-        #: sweep / variant family is lowered as one batch per comma-flag
-        #: group; when False every cell lowers through the single-launch
-        #: path.  Results are byte-identical either way (the gating property
-        #: test of tests/test_batch_execution.py).
-        self.batch = batch
 
     # ------------------------------------------------------------------
 
-    def _execute(
-        self, compiled: "CompiledKernel", prepared: Optional[PreparedProgram] = None
-    ) -> KernelResult:
+    def _execute(self, compiled: "CompiledKernel") -> KernelResult:
         from repro.orchestration.cache import cached_run
 
         cache = self.cache if self.cache_results else None
         return cached_run(
             cache, compiled, self.max_steps, self.engine,
             prepared_cache=self.prepared_cache,
-            prepared=prepared,
         )
-
-    # ------------------------------------------------------------------
-
-    def _plan_batch(
-        self, kernels: Sequence[Optional["CompiledKernel"]]
-    ) -> List[Optional[PreparedProgram]]:
-        """Pre-lower the cells of one sweep as a batch.
-
-        Returns a list aligned with ``kernels``: entry ``i`` is the prepared
-        lowering to hand to :meth:`_execute` for kernel ``i``, or ``None``
-        when that cell should take the ordinary single-launch path.  ``None``
-        entries in ``kernels`` (build failures) are skipped.
-
-        A cell is *planned* only when executing it will actually reach the
-        device:
-
-        * kernels whose execution flags force a crash/timeout raise before
-          the device ever lowers anything, so planning them would lower (and
-          count) work the sequential path never performs;
-        * with result caching on, cells whose execution cache key is already
-          stored -- or duplicates an earlier planned cell -- will be served
-          from the result cache, so only the first unseen occurrence of each
-          key is planned.  (If that occurrence then *raises*, later
-          duplicates miss the result cache and fall back to the single-
-          launch lowering path inside the device, exactly as they would have
-          sequentially.)
-
-        Planned cells are grouped by their ``comma_yields_zero`` flag (the
-        only execution flag that parameterises lowering) and each group is
-        lowered with one ``lower_batch`` call, in cell order, so the
-        per-member cache accounting replays the sequential counter sequence.
-        """
-        plan: List[Optional[PreparedProgram]] = [None] * len(kernels)
-        if not self.batch:
-            return plan
-        engine = get_engine(self.engine)
-        if not getattr(engine, "cacheable_lowering", True):
-            # Nothing is shareable across this engine's launches; the batch
-            # default path would just loop ``lower`` for no benefit.
-            return plan
-
-        candidates: List[int] = []
-        seen = set()
-        if self.cache_results:
-            from repro.platforms.calibration import execution_cache_key
-        for index, compiled in enumerate(kernels):
-            if compiled is None:
-                continue
-            flags = compiled.execution_flags
-            if flags.get("force_runtime_crash") or flags.get("force_timeout"):
-                continue
-            if self.cache_results:
-                key = execution_cache_key(
-                    compiled.program, flags, self.max_steps, self.engine
-                )
-                if key in seen or self.cache.peek(key):
-                    continue
-                seen.add(key)
-            candidates.append(index)
-        if len(candidates) < 2:
-            return plan
-
-        groups: Dict[bool, List[int]] = {}
-        for index in candidates:
-            comma = bool(kernels[index].execution_flags.get("comma_yields_zero"))
-            groups.setdefault(comma, []).append(index)
-        for comma, indices in groups.items():
-            lowered = self.prepared_cache.lower_batch(
-                engine,
-                [kernels[index].program for index in indices],
-                comma_yields_zero=comma,
-                max_steps=self.max_steps,
-            )
-            for index, prepared in zip(indices, lowered.prepared):
-                plan[index] = prepared
-        return plan
 
     # ------------------------------------------------------------------
 

@@ -19,7 +19,9 @@ defect configurations of :mod:`repro.reduction.corpus` (wrong-code and
 crash miscompilers whose anomalies exist by construction), persists it to
 ``--store`` (or a temporary file), and triages it -- the CI smoke path and
 the quickest way to see the subsystem work.  Exits with status 1 when the
-store holds nothing to triage.
+store holds nothing to triage, and with status 2 when bisection would need
+an execution engine that is not registered (e.g. a store written by an
+older version with an engine since removed).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import List, Optional
 
 from repro.orchestration.jobs import TRIAGE_BISECT, CampaignJob
 from repro.reduction.interestingness import PredicateSpec
+from repro.runtime.engine import get_engine
 from repro.triage.bisection import attribute_culprit
 from repro.triage.bucketing import bucket_reductions
 from repro.triage.report import render_markdown
@@ -159,6 +162,13 @@ def _run(argv: Optional[List[str]]) -> int:
         if not pairs:
             print("store holds no reductions to triage", file=sys.stderr)
             return 1
+        if not args.no_bisect:
+            for _, context in pairs:
+                try:
+                    get_engine(context["engine"])
+                except KeyError as error:
+                    print(f"repro-triage: {error.args[0]}", file=sys.stderr)
+                    return 2
         contexts = {id(summary): context for summary, context in pairs}
         buckets = bucket_reductions([summary for summary, _ in pairs])
         if not args.no_bisect:

@@ -1,18 +1,12 @@
-"""The batch == sequential byte-identity property (batched execution's gate).
+"""The batch == sequential byte-identity property of engine-level batches.
 
 A batch shares *lowering*, never results: running any member of a
 ``lower_batch`` family must be byte-identical to having lowered that member
 alone -- same outputs, same final step counts, same ``ExecutionTimeout``
 payload at ``max_steps + 1``, same race reports, same UB classification --
-on every engine, and the harnesses, campaigns and worker pools built on top
-must produce identical tables, records and cache statistics whether batch
-dispatch is on (the default) or off.  Every engine fast path (the jit's
-one-module-per-family emission, the compiled engine's shared function
-records) is gated by the tests in this file; see ENGINE.md for the batch
-launch protocol itself.
+on every engine.  The compiled engine's shared function records are gated
+by the tests in this file; see ENGINE.md.
 """
-
-import inspect
 
 import pytest
 
@@ -20,20 +14,12 @@ from repro.emi import generate_variants
 from repro.generator import generate_kernel
 from repro.generator.options import GeneratorOptions, Mode
 from repro.kernel_lang import ast, types as ty
-from repro.platforms import get_configuration
-from repro.runtime import memory
 from repro.runtime.device import run_program
-from repro.runtime.engine import PreparedBatch, PreparedLaunch, get_engine
+from repro.runtime.engine import PreparedBatch, get_engine
 from repro.runtime.errors import ExecutionTimeout
-from repro.testing.campaign import (
-    generate_emi_bases,
-    run_clsmith_campaign,
-    run_emi_campaign,
-)
-from repro.testing.differential import DifferentialHarness
-from repro.testing.emi_harness import EmiHarness
+from repro.testing.campaign import generate_emi_bases
 
-ENGINES = ("reference", "compiled", "jit")
+ENGINES = ("reference", "compiled")
 
 _FAST = GeneratorOptions(
     min_total_threads=4, max_total_threads=12, max_group_size=4, max_statements=8
@@ -216,159 +202,3 @@ def test_prepared_batch_rejects_misaligned_lists():
     prepared = get_engine("compiled").lower(program)
     with pytest.raises(ValueError, match="align"):
         PreparedBatch([program], [prepared, prepared])
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_prepare_batch_yields_lazily_bound_launches(engine):
-    """``prepare_batch`` is a generator: members bind one at a time as the
-    iterator advances (family members may share lowering state, so binding
-    member N while N-1 is live would violate the one-active-launch rule)."""
-    programs = [
-        _single_thread_program([ast.out_write(ast.lit(n))]) for n in (1, 2)
-    ]
-    global_memory = memory.GlobalMemory()
-    for spec in programs[0].buffers:
-        global_memory.allocate(
-            spec.name,
-            spec.element_type,
-            spec.size,
-            spec.initial_contents(),
-            spec.address_space,
-        )
-    launches = get_engine(engine).prepare_batch(programs, global_memory)
-    assert inspect.isgenerator(launches), "prepare_batch must bind lazily"
-    for launch in launches:
-        assert isinstance(launch, PreparedLaunch)
-
-
-# ---------------------------------------------------------------------------
-# The jit fast path: one emitted module per family
-# ---------------------------------------------------------------------------
-
-
-def test_jit_family_shares_one_emitted_module():
-    """A jit family is one exec'd module: every member resolves its entry
-    from the same namespace and shares one step counter.  Structurally
-    identical members (EMI pruning regenerates the same residue often)
-    collapse onto one JitProgram; distinct members get distinct entries."""
-    from repro.platforms.calibration import program_fingerprint
-
-    family = _family(3)
-    fingerprints = [program_fingerprint(program) for program in family]
-    n_distinct = len(set(fingerprints))
-    assert 1 < n_distinct < len(family), "corpus should contain duplicates"
-    batch = get_engine("jit").lower_batch(family, max_steps=300_000)
-    namespaces = {id(member._ns) for member in batch.prepared}
-    assert namespaces == {id(batch.prepared[0]._ns)}
-    limits = {id(member._limits) for member in batch.prepared}
-    assert limits == {id(batch.prepared[0]._limits)}
-    by_fp = {}
-    for fp, member in zip(fingerprints, batch.prepared):
-        by_fp.setdefault(fp, set()).add(id(member))
-    # One JitProgram per distinct program, shared across its duplicates.
-    assert all(len(ids) == 1 for ids in by_fp.values())
-    assert len({id(member._entry) for member in batch.prepared}) == n_distinct
-
-
-def test_jit_single_member_batch_falls_back_to_plain_lowering():
-    """``lower_batch`` on one program must not pay family-emission overhead
-    (and must still satisfy the byte-identity property)."""
-    program = _family(3, n_variants=0)[0]
-    batch = get_engine("jit").lower_batch([program], max_steps=300_000)
-    assert len(batch) == 1
-    assert _observe(
-        program, engine="jit", max_steps=300_000, prepared=batch[0]
-    ) == _observe(program, engine="jit", max_steps=300_000)
-
-
-# ---------------------------------------------------------------------------
-# Harness level: batch dispatch on == off
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_differential_harness_batch_matches_sequential(engine):
-    configs = [None] + [get_configuration(i) for i in (1, 17, 19, 20)]
-    kwargs = dict(max_steps=300_000, engine=engine)
-    for seed in (0, 5):
-        program = generate_kernel(Mode.BASIC, seed, options=_FAST)
-        batched = DifferentialHarness(configs, **kwargs).run(program)
-        sequential = DifferentialHarness(configs, batch=False, **kwargs).run(program)
-        assert batched == sequential
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_emi_harness_batch_matches_sequential(engine):
-    base = generate_emi_bases(1, seed=3, options=_FAST)[0]
-    variants = [base] + generate_variants(base)[:6]
-    kwargs = dict(max_steps=300_000, engine=engine)
-    for config in (None, get_configuration(19)):
-        batched = EmiHarness(**kwargs).run_family(variants, config, optimisations=True)
-        sequential = EmiHarness(batch=False, **kwargs).run_family(
-            variants, config, optimisations=True
-        )
-        assert batched == sequential
-
-
-@pytest.mark.parametrize("engine", ("compiled", "jit"))
-def test_harness_batch_is_stats_transparent(engine):
-    """Batch planning must not perturb the observable cache accounting:
-    result-cache and prepared-cache counters match the sequential flow
-    exactly, including ``prepared_stats.lookups == cache_stats.misses``."""
-    configs = [None] + [get_configuration(i) for i in (1, 19)]
-    program = generate_kernel(Mode.BASIC, seed=2, options=_FAST)
-    batched = DifferentialHarness(configs, max_steps=300_000, engine=engine)
-    sequential = DifferentialHarness(
-        configs, max_steps=300_000, engine=engine, batch=False
-    )
-    batched.run(program)
-    sequential.run(program)
-    assert batched.cache.stats == sequential.cache.stats
-    assert batched.prepared_stats == sequential.prepared_stats
-    assert batched.prepared_stats.lookups == batched.cache.stats.misses
-
-
-# ---------------------------------------------------------------------------
-# Campaign level: batch dispatch on == off, serial and process backends
-# ---------------------------------------------------------------------------
-
-
-def test_clsmith_campaign_batch_matches_sequential_serial_and_parallel():
-    configs = [get_configuration(i) for i in (1, 19)]
-    kwargs = dict(
-        kernels_per_mode=2,
-        modes=(Mode.BASIC,),
-        options=_FAST,
-        max_steps=300_000,
-        seed=0,
-        engine="jit",
-    )
-    batched = run_clsmith_campaign(configs, **kwargs)
-    sequential = run_clsmith_campaign(configs, batch=False, **kwargs)
-    assert batched.table_rows() == sequential.table_rows()
-    assert batched.render() == sequential.render()
-    assert batched.cache_stats == sequential.cache_stats
-    assert batched.prepared_stats == sequential.prepared_stats
-    parallel = run_clsmith_campaign(configs, parallelism=2, **kwargs)
-    assert parallel.table_rows() == batched.table_rows()
-    assert parallel.render() == batched.render()
-
-
-def test_emi_campaign_batch_matches_sequential():
-    configs = [get_configuration(i) for i in (1, 19)]
-    kwargs = dict(
-        n_bases=2,
-        variants_per_base=4,
-        optimisation_levels=(True,),
-        options=_FAST,
-        max_steps=300_000,
-        seed=2,
-        engine="jit",
-    )
-    batched = run_emi_campaign(configs, **kwargs)
-    sequential = run_emi_campaign(configs, batch=False, **kwargs)
-    assert batched.rows == sequential.rows
-    assert batched.cache_stats == sequential.cache_stats
-    assert batched.prepared_stats == sequential.prepared_stats
-    parallel = run_emi_campaign(configs, parallelism=2, **kwargs)
-    assert parallel.rows == batched.rows

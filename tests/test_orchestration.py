@@ -184,6 +184,13 @@ def test_emi_campaign_parallel_rows_match_serial():
     assert serial.rows == parallel.rows
     assert serial.n_bases == parallel.n_bases
     assert serial.n_variants == parallel.n_variants == 4
+    # The fast engine gives the same rows on both backends.
+    compiled = run_emi_campaign(configs, engine="compiled", **kwargs)
+    compiled_parallel = run_emi_campaign(
+        configs, engine="compiled", parallelism=2, **kwargs
+    )
+    assert compiled.rows == compiled_parallel.rows == serial.rows
+    assert compiled.prepared_stats.lookups > 0
 
 
 def test_generate_emi_bases_parallel_matches_serial():

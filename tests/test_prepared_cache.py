@@ -22,14 +22,13 @@ from repro.runtime.engine import get_engine
 from repro.runtime.prepared import (
     PreparedCacheStats,
     PreparedProgramCache,
-    prepared_family_key,
     prepared_program_key,
 )
 from repro.testing.campaign import run_clsmith_campaign
 from repro.testing.differential import DifferentialHarness
 from repro.testing.emi_harness import EmiHarness
 
-ENGINES = ("reference", "compiled", "jit")
+ENGINES = ("reference", "compiled")
 
 CORPUS_OPTIONS = GeneratorOptions(
     min_total_threads=4, max_total_threads=24, max_group_size=8, max_statements=8
@@ -103,8 +102,8 @@ def test_structurally_identical_programs_share_one_lowering():
     first = generate_kernel(Mode.BASIC, 7, options=CORPUS_OPTIONS)
     second = generate_kernel(Mode.BASIC, 7, options=CORPUS_OPTIONS)
     assert first is not second
-    a = _observe(first, engine="jit", prepared_cache=cache)
-    b = _observe(second, engine="jit", prepared_cache=cache)
+    a = _observe(first, engine="compiled", prepared_cache=cache)
+    b = _observe(second, engine="compiled", prepared_cache=cache)
     assert a == b
     assert cache.stats.misses == 1 and cache.stats.hits == 1
 
@@ -142,7 +141,7 @@ def test_one_cache_never_crosses_engines():
     results = [
         _observe(program, engine=engine, prepared_cache=cache) for engine in ENGINES
     ]
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
     cacheable = [e for e in ENGINES if e != "reference"]
     assert cache.stats.misses == len(cacheable) and cache.stats.hits == 0
     assert len(cache) == len(cacheable)
@@ -169,7 +168,7 @@ def test_zero_sized_cache_disables_storage_uniformly():
     cache = PreparedProgramCache(maxsize=0)
     program = generate_kernel(Mode.BASIC, 0, options=CORPUS_OPTIONS)
     for _ in range(3):
-        assert _observe(program, engine="jit", prepared_cache=cache)[0] == "ok"
+        assert _observe(program, engine="compiled", prepared_cache=cache)[0] == "ok"
     assert cache.stats.misses == 3 and cache.stats.hits == 0 and len(cache) == 0
 
 
@@ -185,126 +184,6 @@ def test_stats_merge_and_since():
 
 
 # ---------------------------------------------------------------------------
-# Batched (family) lowering x cache
-# ---------------------------------------------------------------------------
-
-
-def _family(seed, n_variants=5):
-    from repro.emi import generate_variants
-    from repro.testing.campaign import generate_emi_bases
-
-    options = GeneratorOptions(
-        min_total_threads=4, max_total_threads=12, max_group_size=4, max_statements=8
-    )
-    base = generate_emi_bases(1, seed=seed, options=options)[0]
-    return [base] + generate_variants(base)[:n_variants]
-
-
-def test_family_key_never_collides_with_single_keys():
-    """A family key's first element is a tuple of fingerprints; a single
-    key's is the fingerprint string.  The two can never compare equal, and
-    the engine/comma/budget tail distinguishes families exactly as it does
-    singles.  Duplicate members collapse in first-seen order."""
-    from repro.platforms.calibration import program_fingerprint
-
-    a = generate_kernel(Mode.BASIC, 0, options=CORPUS_OPTIONS)
-    b = generate_kernel(Mode.BASIC, 1, options=CORPUS_OPTIONS)
-    fp_a, fp_b = program_fingerprint(a), program_fingerprint(b)
-    family = prepared_family_key([a, b, a], "jit", False, 1000)
-    assert family == ((fp_a, fp_b), "jit", False, 1000)
-    assert family != prepared_program_key(a, "jit", False, 1000)
-    # Even a one-member family keys differently from its single lowering.
-    assert prepared_family_key([a], "jit", False, 1000) != prepared_program_key(
-        a, "jit", False, 1000
-    )
-    keys = {
-        prepared_family_key([a, b], engine, comma, max_steps)
-        for engine in ENGINES
-        for comma in (False, True)
-        for max_steps in (1000, 2000)
-    }
-    assert len(keys) == len(ENGINES) * 2 * 2
-
-
-@pytest.mark.parametrize("engine", ("compiled", "jit"))
-def test_cold_batch_accounting_mirrors_sequential_replay(engine):
-    """Per-member accounting: one miss per distinct fingerprint, one hit per
-    in-batch duplicate -- lookups grow by exactly len(family), as if every
-    member had gone through ``lower``."""
-    from repro.platforms.calibration import program_fingerprint
-
-    family = _family(3)
-    distinct = len({program_fingerprint(program) for program in family})
-    assert distinct < len(family), "EMI families should contain duplicates"
-    cache = PreparedProgramCache()
-    cache.lower_batch(get_engine(engine), family, max_steps=300_000)
-    assert cache.stats.lookups == len(family)
-    assert cache.stats.misses == distinct
-    assert cache.stats.hits == len(family) - distinct
-
-
-@pytest.mark.parametrize("engine", ("compiled", "jit"))
-def test_warm_batch_returns_the_identical_lowerings(engine):
-    """A warm family re-lookup is pure hits and returns the *same* prepared
-    objects the cold batch produced (shared family state included)."""
-    cache = PreparedProgramCache()
-    family = _family(3)
-    cold = cache.lower_batch(get_engine(engine), family, max_steps=300_000)
-    before = cache.stats.copy()
-    warm = cache.lower_batch(get_engine(engine), family, max_steps=300_000)
-    assert [id(p) for p in warm.prepared] == [id(p) for p in cold.prepared]
-    assert cache.stats.hits == before.hits + len(family)
-    assert cache.stats.misses == before.misses
-
-
-@pytest.mark.parametrize("engine", ("compiled", "jit"))
-def test_batch_reuses_single_entries_and_feeds_them_back(engine):
-    """Two-level storage: a batch assembles members already cached under
-    single-launch keys (no re-lowering), and a cold batch's fresh members
-    land under their single keys so later single lookups stay warm."""
-    cache = PreparedProgramCache()
-    eng = get_engine(engine)
-    family = _family(3, n_variants=3)
-    singles = [cache.lower(eng, program, max_steps=300_000) for program in family]
-    before = cache.stats.copy()
-    batch = cache.lower_batch(eng, family, max_steps=300_000)
-    assert cache.stats.misses == before.misses, "pre-cached members re-lowered"
-    for single, member in zip(singles, batch.prepared):
-        assert member is single
-    # And the mirror image: members lowered by a cold batch serve later
-    # single lookups without new lowering work.
-    fresh = PreparedProgramCache()
-    cold = fresh.lower_batch(eng, family, max_steps=300_000)
-    misses = fresh.stats.misses
-    for program, member in zip(family, cold.prepared):
-        assert fresh.lower(eng, program, max_steps=300_000) is member
-    assert fresh.stats.misses == misses
-
-
-def test_zero_sized_cache_batch_counts_all_misses_but_shares_lowering():
-    """maxsize=0 keeps the accounting uniform (every member a miss, nothing
-    stored) while the in-batch lowering work is still shared -- and results
-    stay byte-identical to sequential lowering."""
-    cache = PreparedProgramCache(maxsize=0)
-    family = _family(3)
-    batch = cache.lower_batch(get_engine("jit"), family, max_steps=300_000)
-    assert cache.stats.misses == len(family)
-    assert cache.stats.hits == 0 and len(cache) == 0
-    for program, prepared in zip(family, batch):
-        assert _observe(
-            program, engine="jit", max_steps=300_000, prepared=prepared
-        ) == _observe(program, engine="jit", max_steps=300_000)
-
-
-def test_reference_engine_batch_bypasses_the_cache():
-    cache = PreparedProgramCache()
-    family = _family(3, n_variants=2)
-    batch = cache.lower_batch(get_engine("reference"), family, max_steps=300_000)
-    assert len(batch) == len(family)
-    assert cache.stats.lookups == 0 and len(cache) == 0
-
-
-# ---------------------------------------------------------------------------
 # Harness / campaign plumbing
 # ---------------------------------------------------------------------------
 
@@ -313,7 +192,7 @@ def test_differential_harness_reuses_lowerings_and_surfaces_stats():
     configs = [None] + [get_configuration(i) for i in (1, 9)]
     program = generate_kernel(Mode.BASIC, 4, options=CORPUS_OPTIONS)
     harness = DifferentialHarness(
-        configs, max_steps=300_000, engine="jit", cache_results=False
+        configs, max_steps=300_000, engine="compiled", cache_results=False
     )
     harness.run(program)
     stats = harness.prepared_stats.copy()
@@ -325,9 +204,18 @@ def test_differential_harness_reuses_lowerings_and_surfaces_stats():
     harness.run(program)
     assert harness.prepared_stats.hits > stats.hits
 
+    # With result caching on, the prepared cache sees exactly the
+    # result-cache misses: every cell that executes lowers through it once.
+    configs = [None] + [get_configuration(i) for i in (1, 19)]
+    program = generate_kernel(Mode.BASIC, seed=2, options=CORPUS_OPTIONS)
+    harness = DifferentialHarness(configs, max_steps=300_000, engine="compiled")
+    harness.run(program)
+    assert harness.cache.stats.misses > 0
+    assert harness.prepared_stats.lookups == harness.cache.stats.misses
+
 
 def test_emi_harness_surfaces_prepared_stats():
-    harness = EmiHarness(max_steps=300_000, engine="jit", cache_results=False)
+    harness = EmiHarness(max_steps=300_000, engine="compiled", cache_results=False)
     program = generate_kernel(Mode.BASIC, 5, options=CORPUS_OPTIONS)
     harness.run_single(program, None, True)
     harness.run_single(program, None, True)
@@ -347,7 +235,7 @@ def test_worker_pool_exposes_shared_prepared_cache():
         optimisation_levels=(True,),
         options=CORPUS_OPTIONS,
         max_steps=300_000,
-        engine="jit",
+        engine="compiled",
     )
     with WorkerPool(None) as pool:
         pool.run([job])
@@ -368,7 +256,7 @@ def test_campaign_results_carry_prepared_stats_serial_and_parallel():
         options=CORPUS_OPTIONS,
         max_steps=300_000,
         seed=11,
-        engine="jit",
+        engine="compiled",
     )
     serial = run_clsmith_campaign(configs, **campaign)
     # The execution-result cache dedupes identical executions before they

@@ -28,7 +28,11 @@ from repro.orchestration.jobs import (
 )
 from repro.orchestration.pool import WorkerPool
 from repro.reduction.corpus import clean_config, wrong_code_config
-from repro.testing.campaign import run_clsmith_campaign
+from repro.testing.campaign import (
+    generate_emi_bases,
+    run_clsmith_campaign,
+    run_emi_campaign,
+)
 from repro.testing.emi_harness import EmiBaseResult
 from repro.testing.outcomes import Outcome, OutcomeCounts
 from repro.triage import CampaignStore, StoreBackedPool, bucket_reductions
@@ -66,7 +70,7 @@ def test_job_identity_hashes_work_not_origin():
     assert job_identity(_job()) == job_identity(_job())
     base = job_identity(_job())
     assert job_identity(_job(seed=4)) != base
-    assert job_identity(_job(engine="jit")) != base
+    assert job_identity(_job(engine="compiled")) != base
     assert job_identity(_job(max_steps=400_000)) != base
     assert job_identity(_job(config_ids=(1,))) != base
     assert job_identity(_job(config_overrides=(wrong_code_config(), None))) != base
@@ -447,6 +451,51 @@ def test_cli_compact_flag_compacts_and_exits(tmp_path, capsys):
     assert main(["--store", path, "--compact"]) == 0
     assert "dropped 1 record(s), kept 1" in capsys.readouterr().err
     assert open(path).read() == line
+
+
+# ---------------------------------------------------------------------------
+# Stores written under an engine that is no longer registered
+# ---------------------------------------------------------------------------
+
+
+def test_store_from_a_removed_engine_fails_loudly(tmp_path, monkeypatch, capsys):
+    """A store written while an engine was registered must never replay
+    for it once the engine is gone: every campaign entry point raises the
+    registry's KeyError before touching the store (left byte-identical),
+    and ``repro-triage`` names the engine and exits 2 instead of dying with
+    a traceback when bisection would need it."""
+    from repro.runtime import engine as registry
+    from repro.triage.cli import main
+
+    configs = [clean_config(911), clean_config(912), wrong_code_config()]
+    path = str(tmp_path / "store.jsonl")
+    kwargs = dict(kernels_per_mode=1, modes=(Mode.BASIC,),
+                  options=_FAST_OPTIONS, auto_reduce=True, reduce_budget=20,
+                  resume=path)
+    with monkeypatch.context() as patch:
+        patch.setitem(registry._ENGINE_FACTORIES, "jit", registry.ReferenceEngine)
+        patch.setitem(registry._ENGINE_INSTANCES, "jit", registry.ReferenceEngine())
+        run_clsmith_campaign(configs, engine="jit", **kwargs)
+    before = open(path, "rb").read()
+    with CampaignStore(path) as store:
+        assert store.reductions(), "the store should hold a reduction"
+
+    unknown = "unknown execution engine 'jit'"
+    with pytest.raises(KeyError, match=unknown):
+        run_clsmith_campaign(configs, engine="jit", **kwargs)
+    with pytest.raises(KeyError, match=unknown):
+        run_emi_campaign(configs, n_bases=1, options=_FAST_OPTIONS,
+                         engine="jit", resume=path)
+    with pytest.raises(KeyError, match=unknown):
+        generate_emi_bases(1, options=_FAST_OPTIONS, engine="jit")
+    assert open(path, "rb").read() == before
+
+    capsys.readouterr()
+    assert main(["--store", path]) == 2
+    assert unknown in capsys.readouterr().err
+    # A dedup-only report never executes anything, so it needs no engine.
+    assert main(["--store", path, "--no-bisect"]) == 0
+    assert open(path, "rb").read() == before
 
 
 def test_cross_campaign_dedup_merges_buckets_from_two_campaigns(tmp_path):

@@ -21,6 +21,7 @@ speedup assertions while still measuring and recording the artifact.
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -35,7 +36,6 @@ from repro.platforms import get_configuration
 from repro.reduction import MismatchPredicate, Reducer, ReducerConfig
 from repro.reduction.corpus import wrong_code_config
 from repro.runtime.device import run_program
-from repro.runtime.prepared import PreparedProgramCache
 from repro.testing.campaign import run_clsmith_campaign
 
 #: Relax mode: measure and record, but do not gate (for CI smoke runs on
@@ -95,7 +95,7 @@ _ENGINE_BENCH_MODES = (
 _ENGINE_BENCH_SEEDS = 3
 _ENGINE_BENCH_REPEATS = 3
 #: Corpus sweeps per timed window.  The gate below is a ratio of
-#: per-engine best windows; a single warm sweep is ~0.1 s, short enough
+#: per-engine best windows; a single compiled sweep is short enough
 #: for scheduler jitter on a shared host to matter.  Sweeping the corpus
 #: several times per window stretches it past the noise floor without
 #: changing what is measured.
@@ -126,27 +126,23 @@ def _corpus():
     }
 
 
-def _measure(by_mode, prepared_caches):
+def _measure(by_mode):
     """One interleaved measurement: best-of-N per (engine, mode).
 
     Interleaving the engines keeps a transient load spike from landing
-    entirely inside one engine's window.  ``prepared_caches`` maps engine ->
-    PreparedProgramCache or None (cold: every launch re-lowers).
+    entirely inside one engine's window.  Every launch is cold: it pays the
+    engine's full lowering cost.
     """
     best = {(e, mode): float("inf") for e in _ENGINES for mode in by_mode}
     hashes = {}
     for _ in range(_ENGINE_BENCH_REPEATS):
         for engine in _ENGINES:
-            cache = prepared_caches[engine]
             run_hashes = []
             for mode, programs in by_mode.items():
                 start = time.perf_counter()
                 for _ in range(_ENGINE_BENCH_INNER):
                     results = [
-                        run_program(
-                            program, engine=engine, max_steps=MAX_STEPS,
-                            prepared_cache=cache,
-                        )
+                        run_program(program, engine=engine, max_steps=MAX_STEPS)
                         for program in programs
                     ]
                 elapsed = (time.perf_counter() - start) / _ENGINE_BENCH_INNER
@@ -177,45 +173,24 @@ def _rows(by_mode, best):
     return rows
 
 
-def test_engine_throughput_cold_and_warm():
-    """Execution kernels/sec per engine, cold and warm, as a JSON artifact.
+def test_engine_throughput_cold():
+    """Execution kernels/sec per engine, cold, as a JSON artifact.
 
     Generation and compilation are hoisted out of the timed region: the
-    engines only differ in how they *execute*.  Two scenarios are measured:
-
-    * **cold** -- every launch pays the engine's full lowering cost (closure
-      trees for ``compiled``);
-    * **warm** -- a per-engine :class:`PreparedProgramCache` is pre-warmed,
-      so launches pay only the per-launch bind.  This is the configuration
-      campaigns run with (per-worker prepared caches); the differential/EMI
-      harnesses re-run each kernel across many configurations and opt
-      levels, which is exactly the repeat-launch shape.
+    engines only differ in how they *execute*.  Every launch pays the
+    engine's full lowering cost (closure trees for ``compiled``), as every
+    campaign cell that misses the result cache does.
     """
     by_mode = _corpus()
 
-    cold_best, cold_hashes = _measure(
-        by_mode, {engine: None for engine in _ENGINES}
-    )
-    warm_caches = {engine: PreparedProgramCache() for engine in _ENGINES}
-    # Pre-warm: one untimed pass per engine fills the caches.
-    for engine in _ENGINES:
-        for programs in by_mode.values():
-            for program in programs:
-                run_program(
-                    program, engine=engine, max_steps=MAX_STEPS,
-                    prepared_cache=warm_caches[engine],
-                )
-    warm_best, warm_hashes = _measure(by_mode, warm_caches)
+    cold_best, cold_hashes = _measure(by_mode)
 
     # Throughput work is not allowed to change results -- every kernel of
-    # the corpus must hash identically across engines, cold and warm.
+    # the corpus must hash identically across engines.
     for engine in _ENGINES[1:]:
         assert cold_hashes[engine] == cold_hashes["reference"]
-        assert warm_hashes[engine] == warm_hashes["reference"]
-    assert warm_hashes["reference"] == cold_hashes["reference"]
 
     cold = _rows(by_mode, cold_best)
-    warm = _rows(by_mode, warm_best)
     reference_rate = cold["reference"]["kernels_per_sec"]
 
     def speedup(row):
@@ -236,13 +211,9 @@ def test_engine_throughput_cold_and_warm():
             "system": platform.platform(),
             "machine": platform.machine(),
         },
-        "engines": {
-            engine: {"cold": cold[engine], "warm": warm[engine]}
-            for engine in _ENGINES
-        },
+        "engines": {engine: {"cold": cold[engine]} for engine in _ENGINES},
         "speedups_over_cold_reference": {
             "compiled_cold": speedup(cold["compiled"]),
-            "compiled_warm": speedup(warm["compiled"]),
         },
         "relaxed": RELAX,
     })
@@ -252,8 +223,7 @@ def test_engine_throughput_cold_and_warm():
           f"{_ENGINE_BENCH_REPEATS} interleaved runs, "
           f"{cold['reference']['kernels']} kernels):")
     for engine in _ENGINES:
-        print(f"  {engine:10s} cold {cold[engine]['kernels_per_sec']:8.2f} k/s"
-              f"  warm {warm[engine]['kernels_per_sec']:8.2f} k/s")
+        print(f"  {engine:10s} cold {cold[engine]['kernels_per_sec']:8.2f} k/s")
     print(f"  speedups over reference: {artifact['speedups_over_cold_reference']}"
           f"  (artifact: {_ARTIFACT.name})")
 
@@ -278,15 +248,13 @@ _REDUCTION_SEEDS = (3, 11)
 _REDUCTION_BUDGET = 400
 
 
-def _one_reduction(program, warm_caches):
+def _one_reduction(program, cache):
     """Reduce one wrong-code kernel; return (candidates evaluated, seconds,
-    node reduction).  ``warm_caches`` reuses one (result, prepared) cache
-    pair across reductions -- the per-worker configuration campaigns run
-    with -- versus fresh caches per reduction (cold)."""
-    cache, prepared = warm_caches
+    node reduction).  A warm ``cache`` is one result cache reused across
+    reductions -- the per-worker configuration campaigns run with -- versus
+    a fresh cache per reduction (cold)."""
     predicate = MismatchPredicate.from_program(
-        program, wrong_code_config(), True,
-        max_steps=MAX_STEPS, cache=cache, prepared_cache=prepared,
+        program, wrong_code_config(), True, max_steps=MAX_STEPS, cache=cache,
     )
     start = time.perf_counter()
     result = Reducer(
@@ -312,17 +280,15 @@ def test_reduction_throughput_records_artifact():
 
     scenarios = {}
     for scenario in ("cold", "warm"):
-        # Warm shares one cache pair across reductions; cold gets fresh
-        # caches per reduction.
-        shared = (ResultCache(), PreparedProgramCache()) if scenario == "warm" else None
+        # Warm shares one result cache across reductions; cold gets a fresh
+        # cache per reduction.
+        shared = ResultCache() if scenario == "warm" else None
         total_candidates = 0
         total_elapsed = 0.0
         reductions = []
         for program in programs:
-            caches = shared if shared is not None else (
-                ResultCache(), PreparedProgramCache()
-            )
-            candidates, elapsed, ratio = _one_reduction(program, caches)
+            cache = shared if shared is not None else ResultCache()
+            candidates, elapsed, ratio = _one_reduction(program, cache)
             total_candidates += candidates
             total_elapsed += elapsed
             reductions.append(round(ratio, 3))
@@ -465,13 +431,12 @@ def test_triage_throughput_records_artifact():
     from repro.triage import attribute_culprit, bucket_reductions
 
     config = wrong_code_config()
-    cache, prepared = ResultCache(), PreparedProgramCache()
+    cache = ResultCache()
     summaries = []
     for seed in _REDUCTION_SEEDS:
         program = generate_kernel(Mode.BASIC, seed, options=_REDUCTION_OPTIONS)
         predicate = MismatchPredicate.from_program(
-            program, config, True,
-            max_steps=MAX_STEPS, cache=cache, prepared_cache=prepared,
+            program, config, True, max_steps=MAX_STEPS, cache=cache,
         )
         result = Reducer(
             ReducerConfig(seed=0, max_evaluations=_REDUCTION_BUDGET)
@@ -497,7 +462,7 @@ def test_triage_throughput_records_artifact():
         verdicts.append(
             attribute_culprit(
                 bucket.representative.reduced_program, spec, [config],
-                max_steps=MAX_STEPS, cache=cache, prepared_cache=prepared,
+                max_steps=MAX_STEPS, cache=cache,
             )
         )
     bisection_elapsed = time.perf_counter() - start
@@ -546,7 +511,7 @@ def test_triage_throughput_records_artifact():
 # Telemetry-collector overhead (gated; target < 5%)
 # ---------------------------------------------------------------------------
 
-_OBS_REPEATS = 3
+_OBS_PAIRS = 9
 _MAX_COLLECTOR_OVERHEAD_PCT = 5.0
 _TRACE_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_campaign_trace.jsonl"
 
@@ -562,6 +527,11 @@ def test_observability_overhead_gates_artifact():
     full configuration (registry + JSONL sink), and the trace it writes is
     kept as ``BENCH_campaign_trace.jsonl`` so CI can upload it next to the
     JSON artifact.  Both runs must produce byte-identical tables.
+
+    The estimate is the median over interleaved on/off pairs of each
+    pair's on/off wall ratio, with the side that runs first alternating
+    between pairs.  A slow spell on the host then skews one pair, not the
+    estimate, and neither side always runs first.
     """
     from repro.observability import TelemetryCollector, TraceSink, read_trace
 
@@ -571,37 +541,45 @@ def test_observability_overhead_gates_artifact():
         options=BENCH_OPTIONS, max_steps=MAX_STEPS,
     )
 
-    best_off = float("inf")
-    best_on = float("inf")
-    off_render = on_render = None
-    for repeat in range(_OBS_REPEATS):
+    def timed(pair, telemetry):
+        collector = None
+        if telemetry:
+            collector = TelemetryCollector(
+                sink=TraceSink(str(_TRACE_ARTIFACT),
+                               meta={"campaign": "clsmith", "benchmark": True,
+                                     "repeat": pair}))
         start = time.perf_counter()
-        off_result = run_clsmith_campaign(configs, **kw)
-        best_off = min(best_off, time.perf_counter() - start)
-        off_render = off_result.render()
+        result = run_clsmith_campaign(configs, telemetry=collector, **kw)
+        elapsed = time.perf_counter() - start
+        if collector is not None:
+            collector.close()
+        return elapsed, result.render()
 
-        collector = TelemetryCollector(
-            sink=TraceSink(str(_TRACE_ARTIFACT),
-                           meta={"campaign": "clsmith", "benchmark": True,
-                                 "repeat": repeat}))
-        start = time.perf_counter()
-        on_result = run_clsmith_campaign(configs, telemetry=collector, **kw)
-        best_on = min(best_on, time.perf_counter() - start)
-        collector.close()
-        on_render = on_result.render()
+    off_walls, on_walls = [], []
+    for pair in range(_OBS_PAIRS):
+        if pair % 2:
+            on_s, on_render = timed(pair, telemetry=True)
+            off_s, off_render = timed(pair, telemetry=False)
+        else:
+            off_s, off_render = timed(pair, telemetry=False)
+            on_s, on_render = timed(pair, telemetry=True)
+        # Telemetry observes, never steers.
+        assert on_render == off_render
+        off_walls.append(off_s)
+        on_walls.append(on_s)
 
-    # Telemetry observes, never steers.
-    assert on_render == off_render
     trace_records = read_trace(str(_TRACE_ARTIFACT))
     assert any(record["type"] == "span" for record in trace_records)
-    overhead_pct = round(100.0 * (best_on - best_off) / best_off, 2)
+    ratio = statistics.median(on / off for on, off in zip(on_walls, off_walls))
+    overhead_pct = round(100.0 * (ratio - 1.0), 2)
 
     artifact = _load_artifact()
     artifact["observability"] = {
         "kernels": _KERNELS_PER_MODE * len(_MODES),
-        "repeats_best_of": _OBS_REPEATS,
-        "collector_off_s": round(best_off, 4),
-        "collector_on_s": round(best_on, 4),
+        "interleaved_pairs": _OBS_PAIRS,
+        "estimator": "median of per-pair on/off wall ratios",
+        "collector_off_s": round(statistics.median(off_walls), 4),
+        "collector_on_s": round(statistics.median(on_walls), 4),
         "overhead_pct": overhead_pct,
         "target_pct": _MAX_COLLECTOR_OVERHEAD_PCT,
         "trace_records": len(trace_records),
@@ -610,9 +588,10 @@ def test_observability_overhead_gates_artifact():
     }
     _ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
 
-    print("\nTelemetry-collector overhead (serial campaign, full trace sink):")
-    print(f"  collector off: {best_off:8.3f} s")
-    print(f"  collector on:  {best_on:8.3f} s  "
+    print("\nTelemetry-collector overhead (serial campaign, full trace sink, "
+          f"median of {_OBS_PAIRS} interleaved pairs):")
+    print(f"  collector off: {statistics.median(off_walls):8.3f} s")
+    print(f"  collector on:  {statistics.median(on_walls):8.3f} s  "
           f"({len(trace_records)} trace records)")
     print(f"  overhead: {overhead_pct:+.2f}%  "
           f"(target < {_MAX_COLLECTOR_OVERHEAD_PCT}%)")

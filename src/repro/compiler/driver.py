@@ -27,7 +27,6 @@ from repro.kernel_lang.semantics import ValidationError, validate_program
 from repro.runtime.device import Device, KernelResult
 from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, ExecutionTimeout, RuntimeCrash
-from repro.runtime.prepared import PreparedProgramCache
 from repro.runtime.scheduler import ScheduleOrder
 
 
@@ -59,7 +58,6 @@ class CompiledKernel:
         check_races: bool = False,
         max_steps: int = 2_000_000,
         engine: str = DEFAULT_ENGINE,
-        prepared_cache: Optional[PreparedProgramCache] = None,
     ) -> KernelResult:
         """Execute the compiled kernel on the simulated device."""
         if self.execution_flags.get("force_runtime_crash"):
@@ -73,7 +71,6 @@ class CompiledKernel:
             max_steps=max_steps,
             comma_yields_zero=bool(self.execution_flags.get("comma_yields_zero")),
             engine=engine,
-            prepared_cache=prepared_cache,
         )
         return device.run(self.program)
 

@@ -44,8 +44,8 @@ SPAN_PHASE = "phase"
 SPAN_SHARD = "shard"
 #: One ``execute_job`` dispatch, measured inside the worker that ran it.
 SPAN_JOB = "job"
-#: One engine ``lower`` call: a prepared-cache miss, or a launch that runs
-#: without a prepared cache.
+#: One engine ``lower`` call (per launch, unless the launch was handed an
+#: already-lowered program).
 SPAN_LOWER = "lower"
 #: One ``PreparedProgram.bind`` call (per launch).
 SPAN_BIND = "bind"

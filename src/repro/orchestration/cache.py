@@ -124,23 +124,18 @@ def cached_run(
     compiled: Any,
     max_steps: int,
     engine: str = "reference",
-    prepared_cache: Any = None,
 ) -> Any:
     """Execute a compiled program, memoising through ``cache`` when given.
 
     This is the single execution-caching path shared by the differential and
     EMI harnesses, so the key policy (program fingerprint + execution flags +
     step budget + execution engine) and the hit/miss accounting cannot drift
-    between them.  ``prepared_cache`` (a
-    :class:`repro.runtime.prepared.PreparedProgramCache`) additionally reuses
-    the engine's launch-independent lowering across launches -- it only pays
-    off on result-cache *misses*, which is exactly when the kernel actually
-    executes.
+    between them.  Only a miss executes the kernel, lowering it afresh.  The
+    key covers every input of a lowering (fingerprint, comma flag, budget,
+    engine), so a repeat launch is a hit and never reaches the engine.
     """
     if cache is None:
-        return compiled.run(
-            max_steps=max_steps, engine=engine, prepared_cache=prepared_cache
-        )
+        return compiled.run(max_steps=max_steps, engine=engine)
     from repro.platforms.calibration import execution_cache_key
 
     key = execution_cache_key(
@@ -149,9 +144,7 @@ def cached_run(
     cached = cache.get(key)
     if cached is not None:
         return cached
-    result = compiled.run(
-        max_steps=max_steps, engine=engine, prepared_cache=prepared_cache
-    )
+    result = compiled.run(max_steps=max_steps, engine=engine)
     cache.put(key, result)
     return result
 

@@ -46,7 +46,7 @@ Four job kinds cover the campaigns of Tables 3-5:
     optimisation-pass schedule -- returning a
     :class:`~repro.triage.bisection.BisectionResult`.  Campaigns with
     ``auto_triage=`` enqueue one of these per bucket, so bisections share
-    the issuing worker's result/prepared caches like every other job.
+    the issuing worker's result cache like every other job.
 
 :func:`execute_job` interprets a job and returns a :class:`JobResult` of
 plain aggregates (``OutcomeCounts`` per cell, ``EmiBaseResult`` rows, an
@@ -69,7 +69,6 @@ from repro.orchestration.faults import WorkerFault
 from repro.platforms.config import DeviceConfig
 from repro.platforms.registry import get_configuration
 from repro.runtime.engine import DEFAULT_ENGINE
-from repro.runtime.prepared import PreparedCacheStats, PreparedProgramCache
 from repro.testing.differential import DifferentialHarness
 from repro.testing.emi_harness import EmiBaseResult, EmiHarness
 from repro.testing.outcomes import Outcome, OutcomeCounts
@@ -189,8 +188,6 @@ class JobResult:
     emi_cells: List[EmiBaseResult] = field(default_factory=list)
     n_variants: Optional[int] = None
     cache: CacheStats = field(default_factory=CacheStats)
-    #: Prepared-program cache delta this job contributed (mirrors ``cache``).
-    prepared: PreparedCacheStats = field(default_factory=PreparedCacheStats)
     #: ``reduce-kernel`` only: the reduction outcome (a
     #: :class:`repro.reduction.reducer.ReductionSummary`), or ``None`` when
     #: the kernel turned out not to be reducible (e.g. its anomaly involves
@@ -237,17 +234,13 @@ class JobResult:
 def execute_job(
     job: CampaignJob,
     cache: Optional[ResultCache] = None,
-    prepared_cache: Optional[PreparedProgramCache] = None,
     fault: Optional[Callable[[], None]] = None,
     timing: bool = False,
 ) -> JobResult:
     """Run one job (in whatever process this is called from).
 
-    ``cache`` memoises execution *results*; ``prepared_cache`` memoises the
-    launch-independent engine lowering (closure trees / exec'd modules) so
-    repeat launches of one compiled program across the job's cells pay only
-    the per-launch bind.  Both are per-worker: the serial backend shares one
-    pair across all jobs of a pool, the process backend keeps one pair per
+    ``cache`` memoises execution results per worker: the serial backend
+    shares one across all jobs of a pool, the process backend keeps one per
     worker process.
 
     ``fault`` is the fault-injection hook (no-op default): the worker loop
@@ -267,37 +260,31 @@ def execute_job(
     """
     if cache is None:
         cache = ResultCache()
-    if prepared_cache is None:
-        prepared_cache = PreparedProgramCache()
     if timing:
-        return _execute_job_timed(job, cache, prepared_cache, fault)
+        return _execute_job_timed(job, cache, fault)
     before = cache.snapshot()
-    prepared_before = prepared_cache.snapshot()
     if fault is not None:
         fault()
-    result = _dispatch_job(job, cache, prepared_cache)
+    result = _dispatch_job(job, cache)
     result.cache = cache.snapshot().since(before)
-    result.prepared = prepared_cache.snapshot().since(prepared_before)
     return result
 
 
-def _dispatch_job(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _dispatch_job(job: CampaignJob, cache: ResultCache) -> JobResult:
     if job.kind == CLSMITH_DIFFERENTIAL:
-        result = _execute_clsmith_differential(job, cache, prepared_cache)
+        result = _execute_clsmith_differential(job, cache)
     elif job.kind == CLSMITH_CURATE:
-        result = _execute_clsmith_curate(job, cache, prepared_cache)
+        result = _execute_clsmith_curate(job, cache)
     elif job.kind == EMI_BASE_FILTER:
-        result = _execute_emi_base_filter(job, cache, prepared_cache)
+        result = _execute_emi_base_filter(job, cache)
     elif job.kind == EMI_FAMILY:
-        result = _execute_emi_family(job, cache, prepared_cache)
+        result = _execute_emi_family(job, cache)
     elif job.kind == REDUCE_CHECK:
-        result = _execute_reduce_check(job, cache, prepared_cache)
+        result = _execute_reduce_check(job, cache)
     elif job.kind == REDUCE_KERNEL:
-        result = _execute_reduce_kernel(job, cache, prepared_cache)
+        result = _execute_reduce_kernel(job, cache)
     elif job.kind == TRIAGE_BISECT:
-        result = _execute_triage_bisect(job, cache, prepared_cache)
+        result = _execute_triage_bisect(job, cache)
     else:
         raise ValueError(f"unknown campaign job kind: {job.kind!r}")
     return result
@@ -306,7 +293,6 @@ def _dispatch_job(
 def _execute_job_timed(
     job: CampaignJob,
     cache: ResultCache,
-    prepared_cache: PreparedProgramCache,
     fault: Optional[Callable[[], None]],
 ) -> JobResult:
     """The ``timing=True`` body of :func:`execute_job`."""
@@ -325,18 +311,16 @@ def _execute_job_timed(
         collector = TelemetryCollector(sink=None)
     spans_before = collector.registry.snapshot_durations()
     before = cache.snapshot()
-    prepared_before = prepared_cache.snapshot()
     start = time.perf_counter()
     if fault is not None:
         fault()
     if owns_collector:
         with use_collector(collector):
-            result = _dispatch_job(job, cache, prepared_cache)
+            result = _dispatch_job(job, cache)
     else:
-        result = _dispatch_job(job, cache, prepared_cache)
+        result = _dispatch_job(job, cache)
     duration = time.perf_counter() - start
     result.cache = cache.snapshot().since(before)
-    result.prepared = prepared_cache.snapshot().since(prepared_before)
     result.timing = JobTiming(
         duration_s=duration,
         cells=result.cache.lookups,
@@ -350,9 +334,7 @@ def _execute_job_timed(
 # ---------------------------------------------------------------------------
 
 
-def _execute_clsmith_differential(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_clsmith_differential(job: CampaignJob, cache: ResultCache) -> JobResult:
     program = job.materialise_program()
     harness = DifferentialHarness(
         job.resolve_configs(),
@@ -360,7 +342,6 @@ def _execute_clsmith_differential(
         max_steps=job.max_steps,
         cache=cache,
         engine=job.engine,
-        prepared_cache=prepared_cache,
     )
     counts: Dict[Tuple[str, str, bool], OutcomeCounts] = {}
     for record in harness.run(program).records:
@@ -369,9 +350,7 @@ def _execute_clsmith_differential(
     return JobResult(job.kind, job.seed, counts=counts)
 
 
-def _execute_clsmith_curate(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_clsmith_curate(job: CampaignJob, cache: ResultCache) -> JobResult:
     program = job.materialise_program()
     harness = DifferentialHarness(
         job.resolve_configs(),
@@ -379,21 +358,15 @@ def _execute_clsmith_curate(
         max_steps=job.max_steps,
         cache=cache,
         engine=job.engine,
-        prepared_cache=prepared_cache,
     )
     record = harness.run(program).records[0]
     accepted = record.outcome not in (Outcome.BUILD_FAILURE, Outcome.TIMEOUT)
     return JobResult(job.kind, job.seed, accepted=accepted)
 
 
-def _execute_emi_base_filter(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_emi_base_filter(job: CampaignJob, cache: ResultCache) -> JobResult:
     candidate = job.materialise_program()
-    harness = EmiHarness(
-        max_steps=job.max_steps, cache=cache, engine=job.engine,
-        prepared_cache=prepared_cache,
-    )
+    harness = EmiHarness(max_steps=job.max_steps, cache=cache, engine=job.engine)
     normal_outcome, normal = harness.run_single(candidate, None, True)
     inverted_outcome, inverted = harness.run_single(
         invert_dead_array(candidate), None, True
@@ -406,9 +379,7 @@ def _execute_emi_base_filter(
     return JobResult(job.kind, job.seed, emi_blocks=job.emi_blocks, accepted=accepted)
 
 
-def _execute_emi_family(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_emi_family(job: CampaignJob, cache: ResultCache) -> JobResult:
     if job.program is not None:
         base = job.program
     else:
@@ -417,10 +388,7 @@ def _execute_emi_family(
     if job.variants_per_base is not None:
         variants = variants[: job.variants_per_base]
     family = [base] + variants
-    harness = EmiHarness(
-        max_steps=job.max_steps, cache=cache, engine=job.engine,
-        prepared_cache=prepared_cache,
-    )
+    harness = EmiHarness(max_steps=job.max_steps, cache=cache, engine=job.engine)
     cells = [
         harness.run_family(family, config, optimisations)
         for config in job.resolve_configs()
@@ -435,9 +403,8 @@ def _execute_emi_family(
     )
 
 
-def _build_job_predicate(job: CampaignJob, cache: ResultCache,
-                         prepared_cache: PreparedProgramCache):
-    """The live predicate for a reduce job, sharing the worker's caches."""
+def _build_job_predicate(job: CampaignJob, cache: ResultCache):
+    """The live predicate for a reduce job, sharing the worker's cache."""
     # Imported lazily: repro.reduction pulls in the harness stack, and the
     # reducer's PoolEvaluator in turn builds CampaignJobs from this module.
     from repro.reduction.interestingness import build_predicate
@@ -451,32 +418,27 @@ def _build_job_predicate(job: CampaignJob, cache: ResultCache,
         variant_seed=job.variant_seed,
         variants_per_base=job.variants_per_base,
         cache=cache,
-        prepared_cache=prepared_cache,
     )
 
 
-def _execute_reduce_check(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_reduce_check(job: CampaignJob, cache: ResultCache) -> JobResult:
     if job.program is None:
         raise ValueError("reduce-check jobs carry the candidate by value")
-    predicate = _build_job_predicate(job, cache, prepared_cache)
+    predicate = _build_job_predicate(job, cache)
     accepted = bool(predicate(job.program))
     return JobResult(
         job.kind, job.seed, accepted=accepted, predicate_stats=predicate.stats
     )
 
 
-def _execute_reduce_kernel(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_reduce_kernel(job: CampaignJob, cache: ResultCache) -> JobResult:
     from repro.reduction.reducer import NotReducibleError, Reducer, ReducerConfig
 
     # No fingerprint pre-marking: EmiFamilyPredicate re-derives every
     # evaluated program's own fingerprint (refresh_base_fingerprint), which
     # yields the identical value for the unmodified original.
     program = job.program if job.program is not None else job.materialise_program()
-    predicate = _build_job_predicate(job, cache, prepared_cache)
+    predicate = _build_job_predicate(job, cache)
     config = ReducerConfig(seed=job.seed)
     if job.reduce_max_evaluations is not None:
         config.max_evaluations = job.reduce_max_evaluations
@@ -499,9 +461,7 @@ def _execute_reduce_kernel(
     )
 
 
-def _execute_triage_bisect(
-    job: CampaignJob, cache: ResultCache, prepared_cache: PreparedProgramCache
-) -> JobResult:
+def _execute_triage_bisect(job: CampaignJob, cache: ResultCache) -> JobResult:
     # Imported lazily: repro.triage builds on the reduction/harness stack,
     # which in turn builds jobs from this module.
     from repro.triage.bisection import attribute_culprit
@@ -518,7 +478,6 @@ def _execute_triage_bisect(
         variant_seed=job.variant_seed,
         variants_per_base=job.variants_per_base,
         cache=cache,
-        prepared_cache=prepared_cache,
     )
     return JobResult(
         job.kind, job.seed, emi_blocks=job.emi_blocks, bisection=bisection

@@ -7,11 +7,11 @@ units and executes them either
   the tier-1 tests and any ``parallelism<=1`` campaign; all jobs share one
   bounded :class:`~repro.orchestration.cache.ResultCache`; or
 * across ``parallelism`` supervised worker processes (``backend="process"``).
-  Each worker owns a process-local result cache and prepared-program cache
-  created at spawn; workers persist across ``run()`` calls (a campaign
-  issues several: curation batches, then the main job list), which keeps the
-  per-worker caches warm; call :meth:`WorkerPool.close` (or use the pool as
-  a context manager) to release the workers.
+  Each worker owns a process-local result cache created at spawn; workers
+  persist across ``run()`` calls (a campaign issues several: curation
+  batches, then the main job list), which keeps the per-worker caches warm;
+  call :meth:`WorkerPool.close` (or use the pool as a context manager) to
+  release the workers.
 
 Because jobs carry seeds rather than ASTs, kernel generation happens inside
 the workers; the parent process only ships small value objects and receives
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.orchestration.cache import DEFAULT_CACHE_SIZE, ResultCache
+from repro.orchestration.cache import ResultCache
 from repro.orchestration.faults import (
     OBSERVED_DEADLINE,
     OBSERVED_EXCEPTION,
@@ -69,7 +69,6 @@ from repro.orchestration.faults import (
     fire_fault,
 )
 from repro.orchestration.jobs import CampaignJob, JobResult, execute_job
-from repro.runtime.prepared import DEFAULT_PREPARED_CACHE_SIZE, PreparedProgramCache
 
 #: Backend names accepted by :class:`WorkerPool`.
 BACKENDS = ("serial", "process")
@@ -167,8 +166,7 @@ class _WorkerHandle:
         self.label = label
 
 
-def _worker_main(conn, cache_size: int, prepared_cache_size: int,
-                 fault_plan: Optional[FaultPlan], timing: bool = False) -> None:
+def _worker_main(conn, fault_plan: Optional[FaultPlan], timing: bool = False) -> None:
     """Worker loop: one job per message, results (or errors) sent back.
 
     The worker never dies of a job exception — it reports the error and
@@ -176,8 +174,7 @@ def _worker_main(conn, cache_size: int, prepared_cache_size: int,
     or when a fault (injected or genuine) kills the process itself, which
     the supervisor observes as ``worker-death``.
     """
-    cache = ResultCache(cache_size)
-    prepared = PreparedProgramCache(prepared_cache_size)
+    cache = ResultCache()
     while True:
         try:
             message = conn.recv()
@@ -191,8 +188,7 @@ def _worker_main(conn, cache_size: int, prepared_cache_size: int,
             def hook(job_index=job_index, attempt=attempt):
                 fire_fault(fault_plan, job_index, attempt, in_worker_process=True)
         try:
-            result = execute_job(job, cache=cache, prepared_cache=prepared,
-                                 fault=hook, timing=timing)
+            result = execute_job(job, cache=cache, fault=hook, timing=timing)
         except Exception as exc:  # noqa: BLE001 — reported, never fatal here
             payload = (job_index, "error", f"{type(exc).__name__}: {exc}")
         else:
@@ -248,8 +244,6 @@ class WorkerPool:
         self,
         parallelism: Optional[int] = None,
         backend: Optional[str] = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        prepared_cache_size: int = DEFAULT_PREPARED_CACHE_SIZE,
         fault_plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionConfig] = None,
         telemetry=None,
@@ -260,16 +254,13 @@ class WorkerPool:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         self.backend = backend
         self.parallelism = max(1, int(parallelism or 1))
-        self.cache_size = cache_size
-        self.prepared_cache_size = prepared_cache_size
         self.fault_plan = fault_plan
         self.supervision = supervision or SupervisionConfig()
         self.telemetry = telemetry
         #: Supervisor health counters, always accumulated (telemetry or
         #: not) — see :class:`PoolHealth`.
         self.health = PoolHealth()
-        self._cache = ResultCache(cache_size)
-        self._prepared = PreparedProgramCache(prepared_cache_size)
+        self._cache = ResultCache()
         #: (job, fault) pairs of every job this pool quarantined, in
         #: submission order — deterministic for a given plan and config.
         self.quarantined: List[Tuple[CampaignJob, WorkerFault]] = []
@@ -289,11 +280,6 @@ class WorkerPool:
     def cache(self) -> ResultCache:
         """The serial backend's shared result cache."""
         return self._cache
-
-    @property
-    def prepared_cache(self) -> PreparedProgramCache:
-        """The serial backend's shared prepared-program cache."""
-        return self._prepared
 
     # ------------------------------------------------------------------
 
@@ -464,8 +450,7 @@ class WorkerPool:
                 def hook(ji=lease.job_index, at=lease.attempts):
                     fire_fault(plan, ji, at, in_worker_process=False)
             try:
-                return execute_job(lease.job, cache=self._cache,
-                                   prepared_cache=self._prepared, fault=hook,
+                return execute_job(lease.job, cache=self._cache, fault=hook,
                                    timing=timing)
             except Exception as exc:  # noqa: BLE001 — supervised, bounded
                 detail = f"{type(exc).__name__}: {exc}"
@@ -671,8 +656,7 @@ class WorkerPool:
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.cache_size, self.prepared_cache_size,
-                  self.fault_plan, self.telemetry is not None),
+            args=(child_conn, self.fault_plan, self.telemetry is not None),
             daemon=True,
         )
         process.start()

@@ -34,8 +34,8 @@ reducer is robust against passes producing semantically-nonsensical (but
 well-formed) programs.
 
 Predicates keep per-instance :class:`PredicateStats` and share the usual
-result / prepared-program caches, so repeated candidate evaluations inside
-one reduction stay warm.
+result cache, so repeated candidate evaluations inside one reduction stay
+warm.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.platforms.config import DeviceConfig
 from repro.runtime.device import KernelResult
 from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
-from repro.runtime.prepared import PreparedProgramCache
 from repro.testing.differential import DifferentialHarness, DifferentialResult
 from repro.testing.emi_harness import EmiBaseResult, EmiHarness
 from repro.testing.outcomes import Outcome, cell_label, classify_exception
@@ -189,7 +188,6 @@ class DifferentialSignaturePredicate(InterestingnessPredicate):
         max_steps: int = 500_000,
         engine: str = DEFAULT_ENGINE,
         cache: Optional["ResultCache"] = None,
-        prepared_cache: Optional[PreparedProgramCache] = None,
     ) -> None:
         super().__init__()
         if not expected_signature:
@@ -201,7 +199,6 @@ class DifferentialSignaturePredicate(InterestingnessPredicate):
             max_steps=max_steps,
             cache=cache,
             engine=engine,
-            prepared_cache=prepared_cache,
         )
 
     @classmethod
@@ -256,7 +253,6 @@ class MismatchPredicate(InterestingnessPredicate):
         max_steps: int = 500_000,
         engine: str = DEFAULT_ENGINE,
         cache: Optional["ResultCache"] = None,
-        prepared_cache: Optional[PreparedProgramCache] = None,
     ) -> None:
         super().__init__()
         if expected_class not in FAILURE_CODES:
@@ -275,9 +271,6 @@ class MismatchPredicate(InterestingnessPredicate):
         self.max_steps = max_steps
         self.engine = engine
         self.cache = cache if cache is not None else ResultCache()
-        self.prepared_cache = (
-            prepared_cache if prepared_cache is not None else PreparedProgramCache()
-        )
 
     @classmethod
     def from_program(
@@ -318,10 +311,7 @@ class MismatchPredicate(InterestingnessPredicate):
             compiled = CompilerDriver(config).compile(
                 program, optimisations=optimisations
             )
-            result = cached_run(
-                self.cache, compiled, self.max_steps, self.engine,
-                prepared_cache=self.prepared_cache,
-            )
+            result = cached_run(self.cache, compiled, self.max_steps, self.engine)
         except (BuildFailure, KernelRuntimeError) as error:
             return classify_exception(error), None
         return Outcome.PASS, result
@@ -398,7 +388,6 @@ class EmiFamilyPredicate(InterestingnessPredicate):
         max_steps: int = 500_000,
         engine: str = DEFAULT_ENGINE,
         cache: Optional["ResultCache"] = None,
-        prepared_cache: Optional[PreparedProgramCache] = None,
     ) -> None:
         super().__init__()
         if not expected_signature:
@@ -408,10 +397,7 @@ class EmiFamilyPredicate(InterestingnessPredicate):
         self.optimisation_levels = list(optimisation_levels)
         self.variant_seed = variant_seed
         self.variants_per_base = variants_per_base
-        self.harness = EmiHarness(
-            max_steps=max_steps, cache=cache, engine=engine,
-            prepared_cache=prepared_cache,
-        )
+        self.harness = EmiHarness(max_steps=max_steps, cache=cache, engine=engine)
 
     @classmethod
     def from_program(
@@ -484,7 +470,6 @@ def build_predicate(
     variant_seed: int = 0,
     variants_per_base: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
-    prepared_cache: Optional[PreparedProgramCache] = None,
 ) -> InterestingnessPredicate:
     """Instantiate the live predicate a :class:`PredicateSpec` describes."""
     if spec.kind == DifferentialSignaturePredicate.kind:
@@ -495,7 +480,6 @@ def build_predicate(
             max_steps=max_steps,
             engine=engine,
             cache=cache,
-            prepared_cache=prepared_cache,
         )
     if spec.kind == EmiFamilyPredicate.kind:
         return EmiFamilyPredicate(
@@ -507,7 +491,6 @@ def build_predicate(
             max_steps=max_steps,
             engine=engine,
             cache=cache,
-            prepared_cache=prepared_cache,
         )
     if spec.kind == MismatchPredicate.kind:
         return MismatchPredicate(
@@ -517,7 +500,6 @@ def build_predicate(
             max_steps=max_steps,
             engine=engine,
             cache=cache,
-            prepared_cache=prepared_cache,
         )
     raise ValueError(f"unknown predicate kind {spec.kind!r}")
 

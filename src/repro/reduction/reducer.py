@@ -334,8 +334,7 @@ class PerCandidateEvaluator(PoolEvaluator):
     backend's in-worker reduction, which is what keeps the campaign
     guarantee "serial == parallel summaries" intact.  The speculative
     candidates that did execute are only visible in the cache counters
-    (``cache_stats`` / ``prepared_stats``), which honestly record all work
-    done.
+    (``cache_stats``), which honestly record all work done.
     """
 
     def __init__(
@@ -353,17 +352,12 @@ class PerCandidateEvaluator(PoolEvaluator):
         )
         #: Cache deltas of every dispatched job, speculative ones included.
         self.cache_stats = None
-        self.prepared_stats = None
 
     def _note_caches(self, job_results) -> None:
         for job_result in job_results:
             self.cache_stats = (
                 job_result.cache if self.cache_stats is None
                 else self.cache_stats.merge(job_result.cache)
-            )
-            self.prepared_stats = (
-                job_result.prepared if self.prepared_stats is None
-                else self.prepared_stats.merge(job_result.prepared)
             )
 
     def check_original(self, program: ast.Program) -> bool:

@@ -61,8 +61,7 @@ def dedup_members(
     Returns ``(distinct, slots)`` where member ``i``'s lowering comes from
     ``distinct[slots[i]]``.  Duplicate members share one
     :class:`~repro.runtime.engine.PreparedProgram` -- sound because
-    launches are strictly sequential and ``bind`` resets per-launch state
-    (the same sharing the prepared-program cache applies across launches).
+    launches are strictly sequential and ``bind`` resets per-launch state.
     """
     slots: Dict[Tuple[str, str, str, str], int] = {}
     distinct: List[ast.Program] = []

@@ -40,8 +40,7 @@ across engines (regression-tested in ``tests/test_engine.py``).
 Lowering is launch-independent (the lower/bind split of
 :mod:`repro.runtime.engine`): global/constant buffer cells and the step
 counter bind per launch in :meth:`CompiledProgram.bind`, local buffers per
-group, so one lowering is reusable across launches through the
-:class:`~repro.runtime.prepared.PreparedProgramCache`.
+group, so one lowering is reusable across launches.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.errors import ExecutionTimeout, KernelRuntimeError
 from repro.runtime.interpreter import ThreadContext
-from repro.runtime.prepared import PreparedProgramCache
 from repro.runtime.racecheck import RaceDetector
 from repro.runtime.scheduler import ScheduleOrder, WorkGroupScheduler, make_slot
 
@@ -89,11 +88,6 @@ class Device:
         :mod:`repro.runtime.engine`): ``"reference"`` for the tree-walking
         interpreter, ``"compiled"`` for the compile-to-closures fast path.
         Both produce byte-identical results.
-    prepared_cache:
-        Optional :class:`~repro.runtime.prepared.PreparedProgramCache`.
-        When given, the launch-independent lowering step is served from (and
-        recorded in) the cache instead of being redone per launch; repeat
-        launches of the same program pay only the cheap per-launch bind.
     """
 
     def __init__(
@@ -105,7 +99,6 @@ class Device:
         max_steps: int = 2_000_000,
         comma_yields_zero: bool = False,
         engine: Union[str, ExecutionEngine] = DEFAULT_ENGINE,
-        prepared_cache: Optional[PreparedProgramCache] = None,
     ) -> None:
         self.schedule_order = schedule_order
         self.schedule_seed = schedule_seed
@@ -114,7 +107,6 @@ class Device:
         self.max_steps = max_steps
         self.comma_yields_zero = comma_yields_zero
         self.engine = engine
-        self.prepared_cache = prepared_cache
 
     # ------------------------------------------------------------------
 
@@ -126,14 +118,14 @@ class Device:
         ``prepared`` short-circuits the lowering step with an
         already-lowered form of ``program`` (a batch launch member -- see
         ENGINE.md): it must have been lowered by this device's engine with
-        this device's ``comma_yields_zero``/``max_steps``, and neither the
-        engine's ``lower`` nor the prepared cache is consulted (no stats
-        traffic); only the per-launch bind runs.
+        this device's ``comma_yields_zero``/``max_steps``, and the engine's
+        ``lower`` is not called; only the per-launch bind runs.
 
         Telemetry: when an ambient collector is installed (see
         :mod:`repro.observability`) each execution records a ``run`` span
-        plus nested ``lower``/``bind`` spans; with no collector the only
-        cost is one module-global read.
+        plus nested ``lower``/``bind`` spans (no ``lower`` span when
+        ``prepared`` is given); with no collector the only cost is one
+        module-global read.
         """
         collector = current_collector()
         if collector is None:
@@ -167,13 +159,6 @@ class Device:
         )
         if prepared is not None:
             lowered = prepared
-        elif self.prepared_cache is not None:
-            lowered = self.prepared_cache.lower(
-                get_engine(self.engine),
-                program,
-                comma_yields_zero=self.comma_yields_zero,
-                max_steps=self.max_steps,
-            )
         elif collector is None:
             lowered = get_engine(self.engine).lower(
                 program,
@@ -291,7 +276,6 @@ def run_program(
     max_steps: int = 2_000_000,
     comma_yields_zero: bool = False,
     engine: Union[str, ExecutionEngine] = DEFAULT_ENGINE,
-    prepared_cache: Optional[PreparedProgramCache] = None,
     prepared: Optional[PreparedProgram] = None,
 ) -> KernelResult:
     """Convenience wrapper: run ``program`` on a default device."""
@@ -303,7 +287,6 @@ def run_program(
         max_steps=max_steps,
         comma_yields_zero=comma_yields_zero,
         engine=engine,
-        prepared_cache=prepared_cache,
     )
     return device.run(program, prepared=prepared)
 

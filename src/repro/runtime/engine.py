@@ -27,8 +27,7 @@ UB / crash outcomes, and yield the same
 atomics so that scheduling decisions are engine-independent.
 
 Lifecycle -- preparation is split into a launch-independent and a per-launch
-step so lowered programs can be reused across launches (see
-:mod:`repro.runtime.prepared` for the cache):
+step:
 
 1. :meth:`ExecutionEngine.lower` is called once per *program* (per engine,
    ``comma_yields_zero`` setting and step budget -- all three are baked into
@@ -101,10 +100,9 @@ class PreparedLaunch(ABC):
 class PreparedProgram(ABC):
     """A program lowered by one engine, independent of any launch.
 
-    Instances are reusable across launches (and cacheable -- see
-    :class:`~repro.runtime.prepared.PreparedProgramCache`) but support only
-    one *active* launch at a time: :meth:`bind` resets the lowering's
-    internal step counter.
+    Instances are reusable across launches (an engine-level batch member
+    is bound once per launch) but support only one *active* launch at a
+    time: :meth:`bind` resets the lowering's internal step counter.
     """
 
     @abstractmethod
@@ -147,14 +145,8 @@ class PreparedBatch:
 class ExecutionEngine(ABC):
     """Turns programs into schedulable work-item coroutines."""
 
-    #: Registry name; also recorded in execution-result and prepared-program
-    #: cache fingerprints.
+    #: Registry name; also recorded in execution-result cache keys.
     name: str = "?"
-
-    #: Whether :meth:`lower` does real work worth caching across launches.
-    #: The prepared-program cache bypasses engines that leave this False
-    #: (no fingerprinting, no stats traffic).
-    cacheable_lowering: bool = True
 
     @abstractmethod
     def lower(
@@ -165,9 +157,8 @@ class ExecutionEngine(ABC):
     ) -> PreparedProgram:
         """Lower ``program`` once, independent of any launch.
 
-        ``comma_yields_zero`` and ``max_steps`` are lowering inputs (engines
-        specialise comma-operator code and tick checks on them), which is why
-        both are part of the prepared-program cache key.
+        ``comma_yields_zero`` and ``max_steps`` are lowering inputs: engines
+        specialise comma-operator code and tick checks on them.
         """
 
     def lower_batch(
@@ -314,9 +305,6 @@ class ReferenceEngine(ExecutionEngine):
     """The tree-walking interpreter behind the historical execution path."""
 
     name = "reference"
-    #: The interpreter has no lowering step -- ``lower`` just wraps its
-    #: arguments -- so caching it would be pure overhead.
-    cacheable_lowering = False
 
     def lower(
         self,

@@ -68,7 +68,6 @@ from repro.reduction.reducer import (
     ReductionSummary,
 )
 from repro.runtime.engine import DEFAULT_ENGINE, get_engine
-from repro.runtime.prepared import PreparedCacheStats
 from repro.testing.outcomes import Outcome, OutcomeCounts, cell_label
 from repro.triage.bucketing import bucket_reductions
 from repro.triage.report import TriageResult
@@ -99,8 +98,10 @@ class ClsmithCampaignResult:
     counts: Dict[Tuple[str, str, bool], OutcomeCounts] = field(default_factory=dict)
     #: Aggregated execution-result cache counters across all workers.
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    #: Aggregated prepared-program (lowering) cache counters, likewise.
-    prepared_stats: PreparedCacheStats = field(default_factory=PreparedCacheStats)
+    #: Always zero: there is no prepared-program cache any more.  Kept only
+    #: because ``perfbench/run.py --trace 1`` reads ``.hits``/``.misses``;
+    #: it goes when the benchmark stops reading it.
+    prepared_stats: CacheStats = field(default_factory=CacheStats)
     #: ``auto_reduce=True`` only: one minimised reproducer per anomalous
     #: kernel, in (mode, seed) job order (see REDUCTION.md).
     reductions: List[ReductionSummary] = field(default_factory=list)
@@ -266,14 +267,11 @@ def run_clsmith_campaign(
         jobs: List[CampaignJob] = []
         with maybe_span(SPAN_PHASE, "curate"):
             for mode_index, mode in enumerate(modes):
-                kernel_seeds, curation_stats, curation_prepared = _curated_seeds(
+                kernel_seeds, curation_stats = _curated_seeds(
                     pool, mode, kernels_per_mode, seed + mode_index * 10_000,
                     options, curate_on, max_steps, engine,
                 )
                 result.cache_stats = result.cache_stats.merge(curation_stats)
-                result.prepared_stats = result.prepared_stats.merge(
-                    curation_prepared
-                )
                 jobs.extend(
                     CampaignJob(
                         kind=CLSMITH_DIFFERENTIAL,
@@ -294,7 +292,6 @@ def run_clsmith_campaign(
             for key, cell_counts in job_result.counts.items():
                 result.counts[key] = result.counts.get(key, OutcomeCounts()).merge(cell_counts)
             result.cache_stats = result.cache_stats.merge(job_result.cache)
-            result.prepared_stats = result.prepared_stats.merge(job_result.prepared)
         if auto_reduce:
             with maybe_span(SPAN_PHASE, "reduce"):
                 reduce_jobs = []
@@ -590,9 +587,7 @@ def _run_reduce_jobs(
         for index, job in enumerate(reduce_jobs)
         if index not in skipped
     ]
-    summaries: Dict[
-        int, Tuple[CampaignJob, Optional[ReductionSummary], CacheStats, PreparedCacheStats]
-    ] = {}
+    summaries: Dict[int, Tuple[CampaignJob, Optional[ReductionSummary], CacheStats]] = {}
     per_candidate = (
         pool.backend == "process" and len(live) < pool.parallelism
     )
@@ -606,36 +601,30 @@ def _run_reduce_jobs(
                 # Replay the recorded cache deltas too, so a resumed
                 # campaign's surfaced counters include the reduction phase
                 # exactly like every job-record replay does.
-                summary, cache_delta, prepared_delta = stored
+                summary, cache_delta = stored
             else:
                 summary, evaluator = _reduce_in_parent(pool, job)
                 cache_delta = evaluator.cache_stats or CacheStats()
-                prepared_delta = evaluator.prepared_stats or PreparedCacheStats()
             result.cache_stats = result.cache_stats.merge(cache_delta)
-            result.prepared_stats = result.prepared_stats.merge(prepared_delta)
-            summaries[index] = (job, summary, cache_delta, prepared_delta)
+            summaries[index] = (job, summary, cache_delta)
     else:
         for (index, job), job_result in zip(
             live, pool.run([job for _, job in live])
         ):
             result.cache_stats = result.cache_stats.merge(job_result.cache)
-            result.prepared_stats = result.prepared_stats.merge(job_result.prepared)
-            summaries[index] = (
-                job, job_result.reduction, job_result.cache, job_result.prepared
-            )
+            summaries[index] = (job, job_result.reduction, job_result.cache)
     for index in range(len(reduce_jobs)):
         if index in skipped:
             result.reductions.append(skipped[index])
             continue
-        job, summary, cache_delta, prepared_delta = summaries[index]
+        job, summary, cache_delta = summaries[index]
         if summary is None:
             continue
         result.reductions.append(summary)
         if store is not None:
             reduction_key = job_identity(job)
             store.record_reduction(
-                reduction_key, summary, job, campaign=campaign,
-                cache=cache_delta, prepared=prepared_delta,
+                reduction_key, summary, job, campaign=campaign, cache=cache_delta,
             )
             store.record_once(
                 "anomaly", fingerprints[index],
@@ -650,7 +639,7 @@ def _run_triage(
 
     Bucketing is pure and happens in the parent; bisection ships as one
     ``triage-bisect`` job per bucket on the campaign's own pool (sharing
-    the per-worker result/prepared caches), in deterministic bucket order,
+    the per-worker result caches), in deterministic bucket order,
     so serial and process backends attach identical attributions.
     """
     buckets = bucket_reductions(result.reductions)
@@ -670,7 +659,6 @@ def _run_triage(
     for bucket, job_result in zip(buckets, pool.run(jobs)):
         bucket.culprit = job_result.bisection
         result.cache_stats = result.cache_stats.merge(job_result.cache)
-        result.prepared_stats = result.prepared_stats.merge(job_result.prepared)
     triage = TriageResult(buckets)
     if store is not None:
         import dataclasses
@@ -722,19 +710,17 @@ def _scan_accepted(
     count: int,
     budget: int,
     job_for_attempt,
-) -> Tuple[List[JobResult], CacheStats, PreparedCacheStats]:
+) -> Tuple[List[JobResult], CacheStats]:
     """The first ``count`` accepted candidates of at most ``budget`` attempts.
 
     Candidates are evaluated in attempt order (the serial backend one at a
     time, the process backend a chunk at a time), so the accepted set is
     independent of the backend.  Returns the accepted job results plus the
-    merged result-cache and prepared-cache deltas of every candidate
-    evaluated.
+    merged result-cache delta of every candidate evaluated.
     """
     chunk = 1 if pool.backend == "serial" else pool.parallelism * 2
     accepted: List[JobResult] = []
     stats = CacheStats()
-    prepared = PreparedCacheStats()
     attempt = 0
     while len(accepted) < count and attempt < budget:
         batch = [
@@ -744,10 +730,9 @@ def _scan_accepted(
         for job_result in pool.run(batch):
             attempt += 1
             stats = stats.merge(job_result.cache)
-            prepared = prepared.merge(job_result.prepared)
             if job_result.accepted and len(accepted) < count:
                 accepted.append(job_result)
-    return accepted, stats, prepared
+    return accepted, stats
 
 
 def _curated_seeds(
@@ -759,14 +744,14 @@ def _curated_seeds(
     curate_on: Optional[DeviceConfig],
     max_steps: int,
     engine: str = DEFAULT_ENGINE,
-) -> Tuple[List[int], CacheStats, PreparedCacheStats]:
+) -> Tuple[List[int], CacheStats]:
     """Seeds of the first ``count`` candidates that survive test curation.
 
     Without curation every candidate survives and no jobs run.
     """
     if curate_on is None:
         seeds = [seed + attempt for attempt in range(count)]
-        return seeds, CacheStats(), PreparedCacheStats()
+        return seeds, CacheStats()
     curation_ids, curation_overrides = _serialise_configs([curate_on])
 
     def job_for_attempt(attempt: int) -> CampaignJob:
@@ -782,8 +767,8 @@ def _curated_seeds(
             engine=engine,
         )
 
-    accepted, stats, prepared = _scan_accepted(pool, count, count * 5, job_for_attempt)
-    return [job_result.seed for job_result in accepted], stats, prepared
+    accepted, stats = _scan_accepted(pool, count, count * 5, job_for_attempt)
+    return [job_result.seed for job_result in accepted], stats
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +786,10 @@ class EmiCampaignResult:
     rows: Dict[Tuple[str, bool], Dict[str, int]] = field(default_factory=dict)
     #: Aggregated execution-result cache counters across all workers.
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    #: Aggregated prepared-program (lowering) cache counters, likewise.
-    prepared_stats: PreparedCacheStats = field(default_factory=PreparedCacheStats)
+    #: Always zero: there is no prepared-program cache any more.  Kept only
+    #: because ``perfbench/run.py --trace 1`` reads ``.hits``/``.misses``;
+    #: it goes when the benchmark stops reading it.
+    prepared_stats: CacheStats = field(default_factory=CacheStats)
     #: ``auto_reduce=True`` only: one minimised base per anomalous EMI
     #: family, in job order (see REDUCTION.md).
     reductions: List[ReductionSummary] = field(default_factory=list)
@@ -860,8 +847,8 @@ def generate_emi_bases(
     get_engine(engine)
     base_options = options or GeneratorOptions()
     with WorkerPool(parallelism) as pool:
-        specs, _, _ = _emi_base_specs(pool, n_bases, seed, options, max_steps,
-                                      filter_dead_placement, engine)
+        specs, _ = _emi_base_specs(pool, n_bases, seed, options, max_steps,
+                                   filter_dead_placement, engine)
     return [
         mark_base_fingerprint(
             generate_kernel(Mode.ALL, base_seed, options=base_options, emi_blocks=emi_blocks)
@@ -878,7 +865,7 @@ def _emi_base_specs(
     max_steps: int,
     filter_dead_placement: bool,
     engine: str = DEFAULT_ENGINE,
-) -> Tuple[List[Tuple[int, int]], CacheStats, PreparedCacheStats]:
+) -> Tuple[List[Tuple[int, int]], CacheStats]:
     """(seed, emi_blocks) pairs of the first ``count`` accepted candidates.
 
     Without the dead-placement filter every candidate is accepted and no
@@ -887,7 +874,7 @@ def _emi_base_specs(
     base_options = options or GeneratorOptions()
     if not filter_dead_placement:
         specs = [(seed + attempt, 1 + (attempt % 5)) for attempt in range(count)]
-        return specs, CacheStats(), PreparedCacheStats()
+        return specs, CacheStats()
 
     def job_for_attempt(attempt: int) -> CampaignJob:
         return CampaignJob(
@@ -900,8 +887,8 @@ def _emi_base_specs(
             engine=engine,
         )
 
-    accepted, stats, prepared = _scan_accepted(pool, count, count * 6, job_for_attempt)
-    return [(jr.seed, jr.emi_blocks) for jr in accepted], stats, prepared
+    accepted, stats = _scan_accepted(pool, count, count * 6, job_for_attempt)
+    return [(jr.seed, jr.emi_blocks) for jr in accepted], stats
 
 
 def run_emi_campaign(
@@ -964,7 +951,6 @@ def run_emi_campaign(
         engine=engine,
     )
     filter_stats = CacheStats()
-    filter_prepared = PreparedCacheStats()
     store = open_store(resume, fault_plan=fault_plan)
     store_key = ""
     if store is not None:
@@ -1003,7 +989,7 @@ def run_emi_campaign(
                     for base in bases
                 ]
             else:
-                specs, filter_stats, filter_prepared = _emi_base_specs(
+                specs, filter_stats = _emi_base_specs(
                     pool, n_bases, seed, options, max_steps,
                     filter_dead_placement=True, engine=engine,
                 )
@@ -1013,7 +999,6 @@ def run_emi_campaign(
                 ]
         result = EmiCampaignResult(len(jobs), 0)
         result.cache_stats = result.cache_stats.merge(filter_stats)
-        result.prepared_stats = result.prepared_stats.merge(filter_prepared)
         with maybe_span(SPAN_PHASE, "execute"):
             job_results = pool.run(jobs)
         _merge_emi_job_results(result, job_results)
@@ -1101,7 +1086,6 @@ def _merge_emi_job_results(result: EmiCampaignResult, job_results: Sequence[JobR
     result.n_variants = variant_counts.pop() if variant_counts else 0
     for job_result in job_results:
         result.cache_stats = result.cache_stats.merge(job_result.cache)
-        result.prepared_stats = result.prepared_stats.merge(job_result.prepared)
         for summary in job_result.emi_cells:
             row = result.row(summary.config_name, summary.optimisations)
             if summary.bad_base:

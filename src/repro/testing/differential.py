@@ -27,7 +27,6 @@ from repro.kernel_lang import ast
 from repro.platforms.config import DeviceConfig
 from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import KernelRuntimeError, BuildFailure
-from repro.runtime.prepared import PreparedProgramCache
 from repro.testing.harness_base import ExecutionHarnessBase
 from repro.testing.outcomes import Outcome, TestRecord, classify_exception
 
@@ -69,18 +68,10 @@ class DifferentialHarness(ExecutionHarnessBase):
         configs: Sequence[Optional[DeviceConfig]],
         optimisation_levels: Sequence[bool] = (False, True),
         max_steps: int = 2_000_000,
-        cache_results: bool = True,
         cache: Optional["ResultCache"] = None,
         engine: str = DEFAULT_ENGINE,
-        prepared_cache: Optional[PreparedProgramCache] = None,
     ) -> None:
-        super().__init__(
-            max_steps=max_steps,
-            cache_results=cache_results,
-            cache=cache,
-            engine=engine,
-            prepared_cache=prepared_cache,
-        )
+        super().__init__(max_steps=max_steps, cache=cache, engine=engine)
         self.configs = list(configs)
         self.optimisation_levels = list(optimisation_levels)
 

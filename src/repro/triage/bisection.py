@@ -57,7 +57,6 @@ from repro.reduction.interestingness import (
 )
 from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
-from repro.runtime.prepared import PreparedProgramCache
 from repro.testing.outcomes import Outcome, cell_label, classify_exception
 from repro.triage.bucketing import _CODE_SEVERITY, worst_signature_code
 
@@ -133,7 +132,6 @@ def _make_probe(
     variant_seed: int,
     variants_per_base: Optional[int],
     cache: Optional[ResultCache],
-    prepared_cache: Optional[PreparedProgramCache],
     counter: _ProbeCounter,
 ) -> Callable[[int, List[object]], bool]:
     """A probe: does the anomaly reproduce with the target configuration's
@@ -168,7 +166,6 @@ def _make_probe(
             variant_seed=variant_seed,
             variants_per_base=variants_per_base,
             cache=cache,
-            prepared_cache=prepared_cache,
         )
         return bool(predicate(program))
 
@@ -210,7 +207,6 @@ def bisect_bug_models(
     variant_seed: int = 0,
     variants_per_base: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    prepared_cache: Optional[PreparedProgramCache] = None,
     counter: Optional[_ProbeCounter] = None,
 ) -> Tuple[Optional[str], bool, int]:
     """(culprit model name, verified, probe steps) for one configuration.
@@ -223,7 +219,7 @@ def bisect_bug_models(
     counter = counter or _ProbeCounter()
     probe = _make_probe(
         program, spec, configs, optimisation_levels, max_steps, engine,
-        variant_seed, variants_per_base, cache, prepared_cache, counter,
+        variant_seed, variants_per_base, cache, counter,
     )
     target = configs[target_index]
     models = list(target.bug_models) if target is not None else []
@@ -256,16 +252,13 @@ def _observed_class(
     max_steps: int,
     engine: str,
     cache: Optional[ResultCache],
-    prepared_cache: Optional[PreparedProgramCache],
 ) -> Tuple[str, Optional[str]]:
     """(outcome code, result hash) of one compile+run under ``pipeline``."""
     try:
         compiled = CompilerDriver(config).compile(
             program, optimisations=optimisations, pipeline=pipeline
         )
-        result = cached_run(
-            cache, compiled, max_steps, engine, prepared_cache=prepared_cache
-        )
+        result = cached_run(cache, compiled, max_steps, engine)
     except (BuildFailure, KernelRuntimeError) as error:
         return classify_exception(error).value, None
     return Outcome.PASS.value, result.result_hash()
@@ -279,7 +272,6 @@ def bisect_passes(
     max_steps: int = 500_000,
     engine: str = DEFAULT_ENGINE,
     cache: Optional[ResultCache] = None,
-    prepared_cache: Optional[PreparedProgramCache] = None,
     counter: Optional[_ProbeCounter] = None,
 ) -> Tuple[Optional[str], int]:
     """(culprit pass name, probe steps) over the optimisation-pass schedule.
@@ -295,7 +287,7 @@ def bisect_passes(
     counter = counter or _ProbeCounter()
     schedule = list(passes if passes is not None else default_pipeline().passes)
     baseline_code, baseline_hash = _observed_class(
-        program, config, None, False, max_steps, engine, cache, prepared_cache
+        program, config, None, False, max_steps, engine, cache
     )
     counter.steps += 1
     if baseline_code != Outcome.PASS.value:
@@ -306,7 +298,7 @@ def bisect_passes(
         with maybe_span(SPAN_BISECT_PROBE, name="pass-schedule"):
             code, value = _observed_class(
                 program, config, Pipeline(schedule[:k]), True, max_steps,
-                engine, cache, prepared_cache,
+                engine, cache,
             )
         if expected_class == "w":
             return code == Outcome.PASS.value and value != baseline_hash
@@ -334,7 +326,6 @@ def attribute_culprit(
     variants_per_base: Optional[int] = None,
     passes: Optional[Sequence] = None,
     cache: Optional[ResultCache] = None,
-    prepared_cache: Optional[PreparedProgramCache] = None,
 ) -> BisectionResult:
     """Attribute one bucket's representative reproducer to a culprit.
 
@@ -360,8 +351,7 @@ def attribute_culprit(
 
     model, verified, _ = bisect_bug_models(
         program, spec, configs, target_index, optimisation_levels, max_steps,
-        engine, variant_seed, variants_per_base, cache, prepared_cache,
-        counter=counter,
+        engine, variant_seed, variants_per_base, cache, counter=counter,
     )
     if model is not None:
         return BisectionResult(
@@ -380,7 +370,7 @@ def attribute_culprit(
     )
     pass_name, _ = bisect_passes(
         program, stripped, defect_class, passes, max_steps, engine,
-        cache, prepared_cache, counter=counter,
+        cache, counter=counter,
     )
     if pass_name is not None:
         return BisectionResult(

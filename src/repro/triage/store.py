@@ -18,10 +18,10 @@ File format
 One JSON object per line, ``sort_keys`` + compact separators so identical
 records are identical bytes.  Every record carries the schema version::
 
-    {"v": 1, "kind": "campaign", "key": <campaign key>, "meta": {...}}
-    {"v": 1, "kind": "job", "key": <job identity>, "campaign": ..., "result": {...}}
-    {"v": 1, "kind": "reduction", "key": "<campaign>:<job identity>", "campaign": ..., "summary": {...}, "context": {...}, "cache": {...}, "prepared": {...}}
-    {"v": 1, "kind": "bucket", "key": "<campaign>:<fingerprint>", "campaign": ..., "culprit": ..., ...}
+    {"v": 2, "kind": "campaign", "key": <campaign key>, "meta": {...}}
+    {"v": 2, "kind": "job", "key": <job identity>, "campaign": ..., "result": {...}}
+    {"v": 2, "kind": "reduction", "key": "<campaign>:<job identity>", "campaign": ..., "summary": {...}, "context": {...}, "cache": {...}}
+    {"v": 2, "kind": "bucket", "key": "<campaign>:<fingerprint>", "campaign": ..., "culprit": ..., ...}
 
 ``kind=job`` records hold a full encoded ``JobResult``; ``kind=reduction``
 records additionally denormalise each reduction summary next to the job
@@ -50,7 +50,7 @@ so nothing else can be damaged.  All record writes are idempotent (keyed
 A quarantined job (see ORCHESTRATION.md "Fault tolerance") is recorded as
 a ``worker-fault`` record rather than a ``job`` record::
 
-    {"v": 1, "kind": "worker-fault", "key": "<campaign>:<job identity>", "campaign": ..., "job_kind": ..., "seed": ..., "mode": ..., "fault": {"kind": ..., "attempts": ..., "detail": ...}}
+    {"v": 2, "kind": "worker-fault", "key": "<campaign>:<job identity>", "campaign": ..., "job_kind": ..., "seed": ..., "mode": ..., "fault": {"kind": ..., "attempts": ..., "detail": ...}}
 
 so resuming the campaign *re-runs* the poison job (its identity has no
 ``job`` record) instead of replaying the failure -- a transiently-faulty
@@ -64,6 +64,12 @@ Versioning
 skips records with a *newer* major version rather than guessing (forward
 compatibility: old stores always load, new stores degrade to "unknown
 records ignored").
+
+Version 2 dropped the ``prepared`` counters from ``job`` results and
+``reduction`` records (the prepared-program cache they counted is gone).
+A v1 reader would fail to decode a job record without them; the bump
+makes it skip v2 records and re-run their jobs instead.  v1 records still
+load here, their ``prepared`` fields ignored.
 """
 
 from __future__ import annotations
@@ -83,12 +89,11 @@ from repro.orchestration.jobs import CampaignJob, JobResult
 from repro.platforms.calibration import program_fingerprint
 from repro.reduction.interestingness import PredicateStats
 from repro.reduction.reducer import ReductionSummary
-from repro.runtime.prepared import PreparedCacheStats
 from repro.testing.emi_harness import EmiBaseResult
 from repro.testing.outcomes import Outcome, OutcomeCounts
 
 #: Bumped on incompatible record-shape changes; see the module docstring.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,6 @@ def encode_job_result(result: JobResult) -> Dict:
         "emi_cells": [_encode_emi_cell(c) for c in result.emi_cells],
         "n_variants": result.n_variants,
         "cache": result.cache.as_dict(),
-        "prepared": result.prepared.as_dict(),
         "reduction": (
             encode_summary(result.reduction) if result.reduction is not None else None
         ),
@@ -305,7 +309,6 @@ def decode_job_result(data: Dict) -> JobResult:
         emi_cells=[_decode_emi_cell(c) for c in data["emi_cells"]],
         n_variants=data["n_variants"],
         cache=CacheStats(**data["cache"]),
-        prepared=PreparedCacheStats(**data["prepared"]),
         reduction=(
             decode_summary(data["reduction"])
             if data["reduction"] is not None
@@ -525,7 +528,6 @@ class CampaignStore:
         self, key: str, summary: ReductionSummary, job: CampaignJob,
         campaign: str = "",
         cache: Optional[CacheStats] = None,
-        prepared: Optional[PreparedCacheStats] = None,
     ) -> None:
         """Record one campaign reduction (idempotent per campaign).
 
@@ -537,10 +539,10 @@ class CampaignStore:
         occurrence per campaign when bucketed store-wide.  The heavy work
         still dedups across campaigns through the ``job`` records.
 
-        ``cache``/``prepared`` hold the reduction's cache deltas so a
-        resumed campaign that replays the stored summary can still merge
-        them into its surfaced ``cache_stats``/``prepared_stats`` -- the
-        same replay-consistency the ``job`` records give every other phase.
+        ``cache`` holds the reduction's cache delta so a resumed campaign
+        that replays the stored summary can still merge it into its
+        surfaced ``cache_stats`` -- the same replay-consistency the ``job``
+        records give every other phase.
         """
         self.record_once(
             "reduction", f"{campaign}:{key}",
@@ -549,22 +551,20 @@ class CampaignStore:
                 "summary": encode_summary(summary),
                 "context": encode_reduction_context(job),
                 "cache": (cache or CacheStats()).as_dict(),
-                "prepared": (prepared or PreparedCacheStats()).as_dict(),
             },
         )
 
     def lookup_reduction(
         self, key: str, campaign: str = ""
-    ) -> Optional[Tuple[ReductionSummary, CacheStats, PreparedCacheStats]]:
-        """This campaign's recorded (summary, cache delta, prepared delta)
-        for a reduce-job identity."""
+    ) -> Optional[Tuple[ReductionSummary, CacheStats]]:
+        """This campaign's recorded (summary, cache delta) for a reduce-job
+        identity."""
         record = self._index.get(("reduction", f"{campaign}:{key}"))
         if record is None:
             return None
         return (
             decode_summary(record["summary"]),
             CacheStats(**record.get("cache", {})),
-            PreparedCacheStats(**record.get("prepared", {})),
         )
 
     def reductions(

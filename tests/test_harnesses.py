@@ -6,6 +6,7 @@ import pytest
 from repro.generator import Mode, generate_kernel
 from repro.generator.options import GeneratorOptions
 from repro.emi import generate_variants
+from repro.orchestration.cache import ResultCache
 from repro.platforms import all_configurations, get_configuration
 from repro.runtime.errors import (
     BuildFailure,
@@ -120,9 +121,12 @@ def test_differential_majority_tie_break_is_order_independent():
 
 def test_differential_result_cache_is_transparent():
     program = generate_kernel(Mode.BASIC, seed=1, options=_FAST)
-    cached = DifferentialHarness([None, get_configuration(1)], cache_results=True).run(program)
-    uncached = DifferentialHarness([None, get_configuration(1)], cache_results=False).run(program)
+    cached = DifferentialHarness([None, get_configuration(1)]).run(program)
+    # A zero-sized cache stores nothing, so every cell executes.
+    uncached_harness = DifferentialHarness([None, get_configuration(1)], cache=ResultCache(0))
+    uncached = uncached_harness.run(program)
     assert [r.outcome for r in cached.records] == [r.outcome for r in uncached.records]
+    assert uncached_harness.cache.stats.hits == 0
 
 
 # ---------------------------------------------------------------------------

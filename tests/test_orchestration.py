@@ -190,7 +190,6 @@ def test_emi_campaign_parallel_rows_match_serial():
         configs, engine="compiled", parallelism=2, **kwargs
     )
     assert compiled.rows == compiled_parallel.rows == serial.rows
-    assert compiled.prepared_stats.lookups > 0
 
 
 def test_generate_emi_bases_parallel_matches_serial():

@@ -89,14 +89,18 @@ def test_job_result_round_trips_through_the_codec():
         kind=CLSMITH_DIFFERENTIAL, seed=7, counts=counts, emi_cells=[cell],
         n_variants=4,
     )
-    decoded = decode_job_result(
-        json.loads(json.dumps(encode_job_result(result), sort_keys=True))
-    )
-    assert decoded.counts == counts
-    assert decoded.emi_cells == [cell]
-    assert decoded.n_variants == 4
-    assert decoded.seed == 7
-    assert decoded.reduction is None and decoded.bisection is None
+    encoded = json.loads(json.dumps(encode_job_result(result), sort_keys=True))
+    assert "prepared" not in encoded
+    # Schema-1 records also carry prepared-cache counters; they are ignored.
+    legacy = dict(encoded, prepared={"hits": 0, "misses": 3, "evictions": 0})
+    for data in (encoded, legacy):
+        decoded = decode_job_result(data)
+        assert decoded.counts == counts
+        assert decoded.emi_cells == [cell]
+        assert decoded.n_variants == 4
+        assert decoded.seed == 7
+        assert decoded.reduction is None and decoded.bisection is None
+        assert encode_job_result(decoded) == encoded
 
 
 def test_reduction_summaries_round_trip_with_programs(tmp_path):
@@ -289,7 +293,51 @@ def test_resume_without_interruption_replays_everything(tmp_path):
         s.reduced_source for s in first.reductions
     ]
     assert second.cache_stats.as_dict() == first.cache_stats.as_dict()
-    assert second.prepared_stats.as_dict() == first.prepared_stats.as_dict()
+
+
+def test_schema_1_store_resumes_as_a_full_replay(tmp_path, monkeypatch):
+    """Schema 2 dropped the ``prepared`` counters.  A finished store written
+    as schema 1 (``v: 1``, counters present) must still resume by replaying
+    every job: nothing executes, nothing is appended, and the table and
+    triage report are unchanged."""
+    import repro.orchestration.pool as pool_module
+
+    configs = [clean_config(911), clean_config(912), wrong_code_config()]
+    kwargs = dict(kernels_per_mode=1, modes=(Mode.BASIC,),
+                  options=_FAST_OPTIONS, auto_triage=True, reduce_budget=150)
+    path = str(tmp_path / "store.jsonl")
+    first = run_clsmith_campaign(configs, resume=path, **kwargs)
+    legacy = {"hits": 0, "misses": 2, "evictions": 0}
+    lines, kinds = [], set()
+    for line in open(path).read().splitlines():
+        record = json.loads(line)
+        assert record["v"] == 2 and "prepared" not in record.get("result", record)
+        kinds.add(record["kind"])
+        record["v"] = 1
+        if record["kind"] == "job":
+            record["result"]["prepared"] = legacy
+        elif record["kind"] == "reduction":
+            record["prepared"] = legacy
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    assert {"job", "reduction", "bucket"} <= kinds
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+    before = open(path, "rb").read()
+
+    executed = []
+    execute_job = pool_module.execute_job
+
+    def counting_execute_job(job, **kw):
+        executed.append(job.kind)
+        return execute_job(job, **kw)
+
+    monkeypatch.setattr(pool_module, "execute_job", counting_execute_job)
+    second = run_clsmith_campaign(configs, resume=path, **kwargs)
+    assert executed == []
+    assert open(path, "rb").read() == before
+    assert second.render() == first.render()
+    assert second.triage.render_markdown() == first.triage.render_markdown()
+    assert second.cache_stats.as_dict() == first.cache_stats.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,17 @@ def called_functions(node: ast.Node) -> Set[str]:
     }
 
 
+# uses_vectors/uses_barriers/uses_atomics walk the whole program and every
+# configuration's bug models query them, so each is computed once per
+# program (ast.Program.memoised).
+
+
 def uses_vectors(program: ast.Program) -> bool:
     """True if the program declares or constructs any vector value."""
+    return program.memoised("uses_vectors", lambda: _uses_vectors(program))
+
+
+def _uses_vectors(program: ast.Program) -> bool:
     from repro.kernel_lang import types as ty
 
     for node in _all_nodes(program):
@@ -224,13 +233,19 @@ def uses_vectors(program: ast.Program) -> bool:
 
 
 def uses_barriers(program: ast.Program) -> bool:
-    return any(isinstance(n, ast.BarrierStmt) for n in _all_nodes(program))
+    return program.memoised(
+        "uses_barriers",
+        lambda: any(isinstance(n, ast.BarrierStmt) for n in _all_nodes(program)),
+    )
 
 
 def uses_atomics(program: ast.Program) -> bool:
-    return any(
-        isinstance(n, ast.Call) and n.name in builtins.ATOMIC_BUILTINS
-        for n in _all_nodes(program)
+    return program.memoised(
+        "uses_atomics",
+        lambda: any(
+            isinstance(n, ast.Call) and n.name in builtins.ATOMIC_BUILTINS
+            for n in _all_nodes(program)
+        ),
     )
 
 

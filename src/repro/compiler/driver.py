@@ -1,7 +1,9 @@
 """The compiler driver: front end, optimisation, bug-model application.
 
-``compile_program`` is the single entry point the testing harness uses.  It
-mirrors what happens inside a real OpenCL driver's ``clBuildProgram``:
+:meth:`CompilerDriver.compile` is the entry point the testing harnesses,
+interestingness predicates and bisection use (``compile_program`` is a
+convenience wrapper).  It mirrors what happens inside a real OpenCL driver's
+``clBuildProgram``:
 
 1. front-end validation (may raise :class:`BuildFailure`), including any
    configuration-specific front-end defects (e.g. configuration 15 rejecting
@@ -14,6 +16,18 @@ mirrors what happens inside a real OpenCL driver's ``clBuildProgram``:
 When no configuration is supplied the driver behaves as a conformant,
 bug-free compiler -- the reference against which the buggy configurations
 differ.
+
+A campaign compiles each program for every configuration at opt- and opt+.
+Validation and the default pipeline depend only on the program and the
+optimisation level, never on the configuration, so ``compile`` memoises the
+validation verdict and the optimised program on the program object
+(:meth:`~repro.kernel_lang.ast.Program.memoised`), as
+:func:`~repro.platforms.calibration.program_fingerprint` and the
+``analysis.uses_*`` flags the bug models query do.  That is sound because
+validation and the passes are deterministic, neither the passes nor the bug
+models edit their input, and a program is not edited once compiled (the
+contract in :mod:`repro.kernel_lang.ast`; copies start with an empty memo).
+A caller-supplied ``pipeline=`` (pass bisection) bypasses the memo.
 """
 
 from __future__ import annotations
@@ -93,10 +107,9 @@ class CompilerDriver:
     ) -> CompiledKernel:
         """Compile ``program``; raises :class:`BuildFailure` on rejection."""
         level = OptimisationLevel.from_flag(optimisations)
-        try:
-            validate_program(program)
-        except ValidationError as exc:
-            raise BuildFailure(str(exc)) from exc
+        error = program.memoised("validation", lambda: _validation_error(program))
+        if error is not None:
+            raise BuildFailure(error)
 
         if self.config is not None:
             self.config.frontend_check(program, optimisations)
@@ -104,7 +117,12 @@ class CompilerDriver:
         compiled_ast = program
         config_optimises = getattr(self.config, "run_optimiser", True)
         if level is OptimisationLevel.FULL and config_optimises:
-            compiled_ast = (pipeline or default_pipeline(level)).run(compiled_ast)
+            if pipeline is not None:
+                compiled_ast = pipeline.run(program)
+            else:
+                compiled_ast = program.memoised(
+                    ("optimised", level), lambda: default_pipeline(level).run(program)
+                )
 
         execution_flags: Dict[str, bool] = {}
         config_name = "reference"
@@ -120,6 +138,15 @@ class CompilerDriver:
             config_name=config_name,
             execution_flags=execution_flags,
         )
+
+
+def _validation_error(program: ast.Program) -> Optional[str]:
+    """The front end's verdict: ``None`` if valid, else the rejection."""
+    try:
+        validate_program(program)
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 def compile_program(

@@ -13,6 +13,7 @@ array would then not change the result).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.emi.pruning import PruningConfig, prune_program
@@ -37,14 +38,21 @@ PRUNING_GRID: List[PruningConfig] = _build_grid()
 
 
 def mark_base_fingerprint(program: ast.Program) -> ast.Program:
-    """Record the base program's fingerprint in its metadata.
+    """``program`` with its fingerprint recorded as the EMI base fingerprint.
 
     EMI variants inherit the value, which lets configuration defect models
     with ``stable_wrong_code`` behave identically across all variants of a
-    base (see :mod:`repro.platforms.calibration`).
+    base (see :mod:`repro.platforms.calibration`).  An already-marked program
+    is returned as it is; otherwise the result is a copy with new metadata
+    sharing ``program``'s nodes, and ``program`` itself is left untouched --
+    it may already have been compiled (the contract in
+    :mod:`repro.kernel_lang.ast`).
     """
-    program.metadata.setdefault("emi_base_fingerprint", program_fingerprint(program))
-    return program
+    if "emi_base_fingerprint" in program.metadata:
+        return program
+    metadata = dict(program.metadata)
+    metadata["emi_base_fingerprint"] = program_fingerprint(program)
+    return dataclasses.replace(program, metadata=metadata)
 
 
 def generate_variants(
@@ -52,12 +60,16 @@ def generate_variants(
     grid: Optional[Sequence[PruningConfig]] = None,
     seed: int = 0,
 ) -> List[ast.Program]:
-    """Produce one pruned variant per grid point (the base is not included)."""
-    mark_base_fingerprint(base)
+    """Produce one pruned variant per grid point (the base is not included).
+
+    Each variant carries the base's EMI fingerprint -- its mark, or else its
+    fingerprint -- while ``base`` is left as it is.
+    """
+    base_fingerprint = mark_base_fingerprint(base).metadata["emi_base_fingerprint"]
     variants: List[ast.Program] = []
     for index, config in enumerate(grid if grid is not None else PRUNING_GRID):
         variant = prune_program(base, config, seed=seed + index)
-        variant.metadata["emi_base_fingerprint"] = base.metadata["emi_base_fingerprint"]
+        variant.metadata["emi_base_fingerprint"] = base_fingerprint
         variant.metadata["emi_variant_index"] = index
         variants.append(variant)
     return variants

@@ -9,15 +9,34 @@ control flow constructs that CLsmith emits.
 Every node supports :meth:`clone` (deep copy, used by the EMI pruner and the
 optimisation passes, which never mutate their input program) and
 :meth:`children` (generic traversal used by analyses and the printer tests).
+
+Contract: a :class:`Program` is not edited after it is first compiled or
+fingerprinted -- clone it first and edit the clone.  Compilation memoises
+what it derives from a program on the program object itself
+(:meth:`Program.memoised`), and a clone starts with an empty memo.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.kernel_lang import types as ty
+
+_T = TypeVar("_T")
 
 
 class Node:
@@ -575,6 +594,30 @@ class Program(Node):
 
     def output_buffers(self) -> List[BufferSpec]:
         return [b for b in self.buffers if b.is_output]
+
+    def memoised(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, evaluated at most once per program object and ``key``.
+
+        The one lookup behind every fact compilation derives from a program
+        whatever the configuration: its fingerprint, its validation verdict,
+        the default pipeline's output and its feature flags.  Sound because a
+        program is not edited once compiled or fingerprinted (module
+        docstring).
+        """
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Copies -- clone(), copy.copy, pickled jobs -- start with an empty
+        # memo: a clone is usually edited next.
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
 
 # ---------------------------------------------------------------------------

@@ -380,10 +380,8 @@ def _execute_emi_base_filter(job: CampaignJob, cache: ResultCache) -> JobResult:
 
 
 def _execute_emi_family(job: CampaignJob, cache: ResultCache) -> JobResult:
-    if job.program is not None:
-        base = job.program
-    else:
-        base = mark_base_fingerprint(job.materialise_program())
+    base = job.program if job.program is not None else job.materialise_program()
+    base = mark_base_fingerprint(base)
     variants = generate_variants(base, seed=job.variant_seed)
     if job.variants_per_base is not None:
         variants = variants[: job.variants_per_base]

@@ -61,8 +61,13 @@ def program_fingerprint(program: ast.Program) -> str:
     The printed kernel source alone is not enough: two programs can share
     their source but differ in buffer initialisation (e.g. the EMI dead-array
     inversion of section 7.4) and must not be conflated by result caches or
-    defect keying.
+    defect keying.  Computed once per program object
+    (:meth:`~repro.kernel_lang.ast.Program.memoised`).
     """
+    return program.memoised("fingerprint", lambda: _print_and_hash(program))
+
+
+def _print_and_hash(program: ast.Program) -> str:
     h = hashlib.sha256()
     h.update(printer.print_program(program).encode())
     hash_host_setup(h, program)
@@ -250,12 +255,8 @@ class StochasticDefectModel(BugModel):
                 ]
             return None
 
-        transformed = rewrite.rewrite_program(program, stmt_fn=stmt_fn)
-        if not state["done"]:
-            # No recognisable result store: fall back to flagging a crash so
-            # that the defect remains observable.
-            return transformed
-        return transformed
+        # A kernel with no ``out[...]`` store gets no observable miscompile.
+        return rewrite.rewrite_program(program, stmt_fn=stmt_fn)
 
 
 class StochasticBuildFailureShim(BugModel):

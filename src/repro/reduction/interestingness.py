@@ -40,6 +40,7 @@ warm.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -359,18 +360,17 @@ def refresh_base_fingerprint(base: ast.Program) -> ast.Program:
 
     Reduction candidates are deep clones and would otherwise inherit the
     *original* kernel's ``emi_base_fingerprint`` metadata
-    (``mark_base_fingerprint`` uses ``setdefault``), letting
+    (``mark_base_fingerprint`` keeps an existing mark), letting
     fingerprint-keyed calibrated defects keep firing for shrinks that no
     longer contain the triggering code at all -- the candidate would then
     "reproduce" through an invisible metadata field.
     """
-    base = base.clone()
-    base.metadata = {
+    metadata = {
         key: value
         for key, value in base.metadata.items()
         if key != "emi_base_fingerprint"
     }
-    return mark_base_fingerprint(base)
+    return mark_base_fingerprint(dataclasses.replace(base, metadata=metadata))
 
 
 class EmiFamilyPredicate(InterestingnessPredicate):

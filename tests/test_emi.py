@@ -11,6 +11,7 @@ from repro.emi import (
     generate_variants,
     inject_emi_blocks,
     invert_dead_array,
+    mark_base_fingerprint,
     prune_program,
 )
 from repro.emi.pruning import count_emi_statements
@@ -125,7 +126,7 @@ def test_lift_pruning_removes_outer_loop_control():
 
 
 def test_generate_variants_produces_grid_sized_family_with_metadata():
-    base = _base(seed=5)
+    base = mark_base_fingerprint(_base(seed=5))
     variants = generate_variants(base)
     assert len(variants) == 40
     fingerprints = {v.metadata["emi_base_fingerprint"] for v in variants}

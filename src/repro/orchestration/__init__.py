@@ -46,12 +46,7 @@ from repro.orchestration.jobs import (
     JobResult,
     execute_job,
 )
-from repro.orchestration.pool import (
-    BACKENDS,
-    PoolHealth,
-    SupervisionConfig,
-    WorkerPool,
-)
+from repro.orchestration.pool import PoolHealth, SupervisionConfig, WorkerPool
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -76,7 +71,6 @@ __all__ = [
     "CampaignJob",
     "JobResult",
     "execute_job",
-    "BACKENDS",
     "PoolHealth",
     "SupervisionConfig",
     "WorkerPool",

@@ -30,15 +30,16 @@ Four job kinds cover the campaigns of Tables 3-5:
     Evaluate one candidate program (shipped by value) against the
     interestingness predicate described by ``predicate_spec``; report
     acceptance.  The reducer's :class:`~repro.reduction.reducer.
-    PoolEvaluator` fans candidate batches out as these jobs.
+    PoolEvaluator` ships each candidate as its reduce job with this kind.
 ``reduce-kernel``
     Materialise one anomalous kernel (from seed, or ``program``) and run a
     whole reduction against ``predicate_spec`` inside the worker, returning
     a :class:`~repro.reduction.reducer.ReductionSummary`.  Campaigns with
-    ``auto_reduce=`` enqueue one of these per anomalous record, except
-    when a process-backend pool has more workers than anomalies -- then
-    each reduction is driven from the parent and its candidates fan out
-    as per-candidate ``reduce-check`` jobs (see REDUCTION.md).
+    ``auto_reduce=`` build one of these per anomalous record and either run
+    it here or, when a process-backend pool has more workers than
+    anomalies, drive it from the parent through a ``PoolEvaluator``; both
+    run :func:`~repro.reduction.reducer.reduce_job`, so the summary is the
+    same (see REDUCTION.md).
 ``triage-bisect``
     Attribute one bug bucket's representative reproducer (shipped by value)
     to a culprit component: bisect over the target configuration's
@@ -404,7 +405,7 @@ def _execute_emi_family(job: CampaignJob, cache: ResultCache) -> JobResult:
 def _build_job_predicate(job: CampaignJob, cache: ResultCache):
     """The live predicate for a reduce job, sharing the worker's cache."""
     # Imported lazily: repro.reduction pulls in the harness stack, and the
-    # reducer's PoolEvaluator in turn builds CampaignJobs from this module.
+    # reducer in turn imports CampaignJob from this module.
     from repro.reduction.interestingness import build_predicate
 
     return build_predicate(
@@ -430,30 +431,9 @@ def _execute_reduce_check(job: CampaignJob, cache: ResultCache) -> JobResult:
 
 
 def _execute_reduce_kernel(job: CampaignJob, cache: ResultCache) -> JobResult:
-    from repro.reduction.reducer import NotReducibleError, Reducer, ReducerConfig
+    from repro.reduction.reducer import LocalEvaluator, reduce_job
 
-    # No fingerprint pre-marking: EmiFamilyPredicate re-derives every
-    # evaluated program's own fingerprint (refresh_base_fingerprint), which
-    # yields the identical value for the unmodified original.
-    program = job.program if job.program is not None else job.materialise_program()
-    predicate = _build_job_predicate(job, cache)
-    config = ReducerConfig(seed=job.seed)
-    if job.reduce_max_evaluations is not None:
-        config.max_evaluations = job.reduce_max_evaluations
-    try:
-        result = Reducer(config).reduce(program, predicate)
-    except NotReducibleError:
-        # The original no longer satisfies its own predicate (e.g. the UB
-        # guard vetoed it); report "not reducible" rather than failing the
-        # whole campaign.  Any other exception is a genuine fault and
-        # propagates.
-        return JobResult(job.kind, job.seed, emi_blocks=job.emi_blocks)
-    summary = result.summary(
-        seed=job.seed,
-        mode=job.mode,
-        predicate_kind=job.predicate_spec.kind,
-        signature=job.predicate_spec.signature,
-    )
+    summary = reduce_job(job, LocalEvaluator(_build_job_predicate(job, cache)))
     return JobResult(
         job.kind, job.seed, emi_blocks=job.emi_blocks, reduction=summary
     )

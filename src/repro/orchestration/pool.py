@@ -3,10 +3,11 @@
 :class:`WorkerPool` takes a list of :class:`~repro.orchestration.jobs.CampaignJob`
 units and executes them either
 
-* in-process (``backend="serial"``) — deterministic, dependency-free, used by
-  the tier-1 tests and any ``parallelism<=1`` campaign; all jobs share one
-  bounded :class:`~repro.orchestration.cache.ResultCache`; or
-* across ``parallelism`` supervised worker processes (``backend="process"``).
+* in-process (the ``serial`` backend, ``parallelism<=1``) — deterministic,
+  dependency-free, used by the tier-1 tests; all jobs share one bounded
+  :class:`~repro.orchestration.cache.ResultCache`; or
+* across ``parallelism`` supervised worker processes (the ``process``
+  backend, ``parallelism>1``).
   Each worker owns a process-local result cache created at spawn; workers
   persist across ``run()`` calls (a campaign issues several: curation
   batches, then the main job list), which keeps the per-worker caches warm;
@@ -69,9 +70,6 @@ from repro.orchestration.faults import (
     fire_fault,
 )
 from repro.orchestration.jobs import CampaignJob, JobResult, execute_job
-
-#: Backend names accepted by :class:`WorkerPool`.
-BACKENDS = ("serial", "process")
 
 
 @dataclass
@@ -221,8 +219,6 @@ class WorkerPool:
 
     ``parallelism`` of ``None``, 0 or 1 selects the serial backend;
     anything larger selects the process backend with that many workers.
-    ``backend`` overrides the choice explicitly (e.g. ``backend="serial"``
-    with ``parallelism=4`` for debugging a parallel plan deterministically).
 
     ``supervision`` sets the lease/retry policy (see
     :class:`SupervisionConfig`); ``fault_plan`` injects deterministic
@@ -243,17 +239,12 @@ class WorkerPool:
     def __init__(
         self,
         parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionConfig] = None,
         telemetry=None,
     ) -> None:
-        if backend is None:
-            backend = "process" if parallelism is not None and parallelism > 1 else "serial"
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        self.backend = backend
         self.parallelism = max(1, int(parallelism or 1))
+        self.backend = "process" if self.parallelism > 1 else "serial"
         self.fault_plan = fault_plan
         self.supervision = supervision or SupervisionConfig()
         self.telemetry = telemetry
@@ -308,7 +299,7 @@ class WorkerPool:
     def _run(self, job_list: List[CampaignJob]) -> List[JobResult]:
         base_index = self._next_job_index
         self._next_job_index += len(job_list)
-        if self.backend == "serial" or self.parallelism <= 1:
+        if self.backend == "serial":
             results = []
             for i, job in enumerate(job_list):
                 result = self._attempts_in_parent(
@@ -690,6 +681,17 @@ class WorkerPool:
         return multiprocessing.get_context()
 
 
+def speculation_width(pool) -> int:
+    """Jobs to submit at once when a scan stops at the first accepted one.
+
+    One on the serial backend, where nothing can run ahead; two per worker
+    on the process backend, so each worker has a job queued while the
+    parent reads results.  Scans take results in submission order, so the
+    width never changes which job is accepted.
+    """
+    return 1 if pool.backend == "serial" else 2 * pool.parallelism
+
+
 def _pop_eligible(pending: "deque[_Lease]", now: float) -> Optional[_Lease]:
     """Remove and return the first lease whose backoff has expired,
     preserving submission order for the rest."""
@@ -702,4 +704,4 @@ def _pop_eligible(pending: "deque[_Lease]", now: float) -> Optional[_Lease]:
     return None
 
 
-__all__ = ["BACKENDS", "PoolHealth", "SupervisionConfig", "WorkerPool"]
+__all__ = ["PoolHealth", "SupervisionConfig", "WorkerPool", "speculation_width"]

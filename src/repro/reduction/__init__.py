@@ -44,14 +44,13 @@ from repro.reduction.passes import DEFAULT_PASSES, ReductionPass, size_key
 from repro.reduction.reducer import (
     LocalEvaluator,
     NotReducibleError,
-    PerCandidateEvaluator,
     PoolEvaluator,
     Reducer,
     ReducerConfig,
     ReductionResult,
     ReductionSummary,
     TraceStep,
-    reduce_program,
+    reduce_job,
     replay_trace,
     token_count,
 )
@@ -72,14 +71,13 @@ __all__ = [
     "size_key",
     "LocalEvaluator",
     "NotReducibleError",
-    "PerCandidateEvaluator",
     "PoolEvaluator",
     "Reducer",
     "ReducerConfig",
     "ReductionResult",
     "ReductionSummary",
     "TraceStep",
-    "reduce_program",
+    "reduce_job",
     "replay_trace",
     "token_count",
 ]

@@ -14,13 +14,13 @@ attribution, predicate counters, reduced source) plus the replayable
 accepted-step trace -- so triage and external tooling can consume a
 reduction without re-running it.  Diagnostics stay on stderr.
 
-With ``--parallelism N > 1`` candidate evaluations are dispatched through a
-process-backed :class:`~repro.orchestration.pool.WorkerPool`.  Pool runs are
-byte-identical across pool backends (``serial`` vs ``process``); versus the
-default in-process run they may differ near a tight ``--budget``, because
-pool dispatch charges whole candidate batches against it.  Exits with status
-1 when the kernel shows no anomaly on the given configurations -- there is
-nothing to reduce.
+Candidates are evaluated as ``reduce-check`` jobs on a
+:class:`~repro.orchestration.pool.WorkerPool`: in-process by default, on
+``N`` worker processes with ``--parallelism N > 1``.  The output is the same
+bytes either way.  Exits with status 1 when the kernel shows no anomaly on
+the given configurations -- there is nothing to reduce -- and with status 2
+when ``--configs`` is empty, not a list of integers, or names an id Table 1
+does not have.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from typing import List, Optional
 
 from repro.generator import generate_kernel
 from repro.generator.options import Mode
+from repro.orchestration.jobs import REDUCE_KERNEL, CampaignJob
 from repro.orchestration.pool import WorkerPool
+from repro.platforms.config import DeviceConfig
 from repro.platforms.registry import get_configuration
-from repro.reduction.interestingness import (
-    DifferentialSignaturePredicate,
-    PredicateSpec,
-    differential_signature,
-)
-from repro.reduction.reducer import Reducer, ReducerConfig, reduce_program
+from repro.reduction.interestingness import PredicateSpec, differential_signature
+from repro.reduction.reducer import PoolEvaluator, Reducer, ReducerConfig
 from repro.runtime.engine import DEFAULT_ENGINE, available_engines
 from repro.testing.differential import DifferentialHarness
 from repro.testing.outcomes import Outcome
@@ -65,7 +63,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                         help="seed of the reduction itself (pass RNG)")
     parser.add_argument("--parallelism", type=int, default=None,
                         help="worker processes for candidate evaluation "
-                             "(default: in-process)")
+                             "(default: in-process; same output either way)")
     parser.add_argument("--show-source", action="store_true",
                         help="print the reduced kernel source")
     parser.add_argument("--json", action="store_true",
@@ -74,7 +72,26 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _json_document(args, signature, result) -> dict:
+def _resolve_configs(text: str) -> List[DeviceConfig]:
+    """The Table 1 configurations ``--configs`` names.
+
+    Raises ``ValueError`` with a one-line message for an entry that is not
+    an integer, an id Table 1 does not have, or a list naming nothing.
+    """
+    configs = []
+    for item in filter(None, text.split(",")):
+        try:
+            configs.append(get_configuration(int(item)))
+        except ValueError:
+            raise ValueError(f"--configs: {item!r} is not an integer") from None
+        except KeyError:
+            raise ValueError(f"--configs: no Table 1 configuration {item}") from None
+    if not configs:
+        raise ValueError("--configs names no configuration")
+    return configs
+
+
+def _json_document(args, configs, signature, result) -> dict:
     """The ``--json`` payload: summary fields + the replayable trace.
 
     Mirrors the store's reduction-summary encoding (every analytic field is
@@ -93,7 +110,7 @@ def _json_document(args, signature, result) -> dict:
     document = encode_summary(summary)
     document.pop("reduced_program")
     document.update(
-        configs=[int(c) for c in args.configs.split(",") if c],
+        configs=[config.config_id for config in configs],
         engine=args.engine,
         max_steps=args.max_steps,
         reduction_seed=args.reduction_seed,
@@ -104,7 +121,11 @@ def _json_document(args, signature, result) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
-    configs = [get_configuration(int(c)) for c in args.configs.split(",") if c]
+    try:
+        configs = _resolve_configs(args.configs)
+    except ValueError as error:
+        print(f"repro-reduce: {error}", file=sys.stderr)
+        return 2
     program = generate_kernel(Mode(args.mode), args.seed)
 
     harness = DifferentialHarness(
@@ -124,23 +145,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"anomaly signature: {', '.join(f'{c}:{o}' for c, o in signature)}",
           file=sys.stderr if args.json else sys.stdout)
 
+    template = CampaignJob(
+        kind=REDUCE_KERNEL, seed=args.seed, mode=args.mode, program=program,
+        config_ids=tuple(config.config_id for config in configs),
+        max_steps=args.max_steps, engine=args.engine,
+        predicate_spec=PredicateSpec(kind="differential", signature=signature),
+    )
     config = ReducerConfig(seed=args.reduction_seed, max_evaluations=args.budget)
-    spec = PredicateSpec(kind="differential", signature=signature)
-    if args.parallelism is not None and args.parallelism > 1:
-        with WorkerPool(args.parallelism) as pool:
-            result = reduce_program(
-                program, config=config, pool=pool, spec=spec, configs=configs,
-                max_steps=args.max_steps, engine=args.engine,
-            )
-    else:
-        predicate = DifferentialSignaturePredicate(
-            configs, signature, max_steps=args.max_steps, engine=args.engine
+    with WorkerPool(args.parallelism) as pool:
+        result = Reducer(config).reduce(
+            program, evaluator=PoolEvaluator(pool, template)
         )
-        result = Reducer(config).reduce(program, predicate)
 
     if args.json:
-        print(json.dumps(_json_document(args, signature, result), indent=2,
-                         sort_keys=True))
+        print(json.dumps(_json_document(args, configs, signature, result),
+                         indent=2, sort_keys=True))
         return 0
 
     print(f"nodes : {result.nodes_before} -> {result.nodes_after} "

@@ -22,16 +22,21 @@ Candidate evaluation is pluggable:
 
 * :class:`LocalEvaluator` calls the predicate in-process, lazily, one
   candidate at a time (the minimum number of executions);
-* :class:`PoolEvaluator` ships fixed-size batches of candidates through a
-  :class:`~repro.orchestration.pool.WorkerPool` as ``reduce-check`` jobs and
-  accepts the first accepted candidate in submission order.  The batch size
-  is a constant (not a function of the backend), so the serial and process
-  backends evaluate identical candidate sequences and produce byte-identical
-  :class:`ReductionResult`\\ s -- the same guarantee the campaign tables have.
+* :class:`PoolEvaluator` ships candidates through a
+  :class:`~repro.orchestration.pool.WorkerPool` as ``reduce-check`` jobs.
+  It may evaluate candidates ahead, but charges evaluations, budget and
+  predicate counters only up to the first accepted candidate, so a pool
+  reduction -- on either backend -- is byte-identical to the in-process one.
+
+:func:`reduce_job` is the one body that turns a ``reduce-kernel``
+:class:`~repro.orchestration.jobs.CampaignJob` into a
+:class:`ReductionSummary`, whichever evaluator drives it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
@@ -40,17 +45,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.kernel_lang import ast
 from repro.kernel_lang.printer import print_program
 from repro.observability import SPAN_REDUCE_ROUND, maybe_span
+from repro.orchestration.cache import CacheStats
+from repro.orchestration.jobs import REDUCE_CHECK, CampaignJob
+from repro.orchestration.pool import speculation_width
 from repro.reduction.interestingness import (
     InterestingnessPredicate,
-    PredicateSpec,
     PredicateStats,
 )
 from repro.reduction.passes import DEFAULT_PASSES, ReductionPass, size_key
-
-#: Candidates per batch a :class:`PoolEvaluator` ships to its pool.  A fixed
-#: constant (rather than a multiple of the worker count) so that serial and
-#: process backends evaluate identical candidate sequences.
-POOL_EVALUATION_CHUNK = 8
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+|[^\s\w]")
 
@@ -242,159 +244,64 @@ class LocalEvaluator:
 class PoolEvaluator:
     """Evaluate candidates as ``reduce-check`` jobs on a ``WorkerPool``.
 
-    Candidates are shipped in fixed-size chunks; the first accepted candidate
-    *in submission order* wins, so the accept decision -- and therefore the
-    entire reduction -- is independent of the pool backend.  Evaluations are
-    counted as candidates submitted (a chunk is submitted atomically), which
-    is likewise backend-independent.
+    ``template`` is the reduce job the candidates come from: each candidate
+    ships as that job with ``kind=REDUCE_CHECK`` and the candidate as its
+    ``program``, so configurations, predicate, step budget and engine all
+    travel with it.
+
+    The evaluator speculates: it submits up to ``speculation_width(pool)``
+    candidates at once (1 on the serial backend, two per worker on the
+    process backend) but charges evaluations, budget and predicate counters
+    only for the candidates up to and including the first accepted one,
+    exactly as the lazy :class:`LocalEvaluator` would.  A reduction driven through it is
+    therefore byte-identical (reduced kernel, trace, evaluation counts, pass
+    attribution, predicate counters) to the in-process one.  Speculative
+    candidates that did execute show up only in :attr:`cache_stats`, which
+    records all work done.
     """
 
-    def __init__(
-        self,
-        pool,
-        spec: PredicateSpec,
-        job_fields: Dict[str, object],
-        chunk: int = POOL_EVALUATION_CHUNK,
-    ) -> None:
+    def __init__(self, pool, template: CampaignJob) -> None:
         self.pool = pool
-        self.spec = spec
-        self.job_fields = dict(job_fields)
-        self.chunk = max(1, chunk)
-        #: Predicate counters summed over every dispatched candidate job.
+        self.template = template
+        self.width = speculation_width(pool)
+        #: Predicate counters summed over the charged candidate jobs.
         self.stats = PredicateStats()
+        #: Cache deltas of every dispatched job, speculative ones included.
+        self.cache_stats = CacheStats()
 
-    def _jobs(self, programs: Sequence[ast.Program]):
-        from repro.orchestration.jobs import REDUCE_CHECK, CampaignJob
-
-        return [
-            CampaignJob(
-                kind=REDUCE_CHECK,
-                program=program,
-                predicate_spec=self.spec,
-                **self.job_fields,
+    def _run(self, programs: Sequence[ast.Program]):
+        job_results = self.pool.run([
+            dataclasses.replace(
+                self.template, kind=REDUCE_CHECK, program=program,
+                reduce_max_evaluations=None,
             )
             for program in programs
-        ]
+        ])
+        for job_result in job_results:
+            self.cache_stats = self.cache_stats.merge(job_result.cache)
+        return job_results
 
-    def check_original(self, program: ast.Program) -> bool:
-        job_result = self.pool.run(self._jobs([program]))[0]
-        self._merge_stats([job_result])
+    def _charge(self, job_result) -> bool:
+        if job_result.predicate_stats is not None:
+            self.stats = self.stats.merge(job_result.predicate_stats)
         return bool(job_result.accepted)
 
-    def _merge_stats(self, job_results) -> None:
-        for job_result in job_results:
-            if job_result.predicate_stats is not None:
-                self.stats = self.stats.merge(job_result.predicate_stats)
+    def check_original(self, program: ast.Program) -> bool:
+        return self._charge(self._run([program])[0])
 
     def first_accepted(
         self, candidates: Iterator[ast.Program], budget: int
     ) -> Tuple[Optional[Tuple[int, ast.Program]], int, bool]:
+        """Same contract as :meth:`LocalEvaluator.first_accepted`."""
         used = 0
-        offset = 0
         while used < budget:
-            batch: List[ast.Program] = []
-            stream_ended = False
-            while len(batch) < min(self.chunk, budget - used):
-                try:
-                    batch.append(next(candidates))
-                except StopIteration:
-                    stream_ended = True
-                    break
+            batch = list(itertools.islice(candidates, min(self.width, budget - used)))
             if not batch:
                 return None, used, True
-            used += len(batch)
-            job_results = self.pool.run(self._jobs(batch))
-            self._merge_stats(job_results)
-            for position, job_result in enumerate(job_results):
-                if job_result.accepted:
-                    return (offset + position, batch[position]), used, False
-            if stream_ended:
-                return None, used, True
-            offset += len(batch)
-        return None, used, False
-
-
-class PerCandidateEvaluator(PoolEvaluator):
-    """Per-candidate ``reduce-check`` dispatch with *lazy* accounting.
-
-    Campaign-issued reductions use this (instead of whole ``reduce-kernel``
-    jobs) when a process pool has more workers than anomalies: the driver
-    runs in the parent and every candidate becomes its own job, so one
-    large anomaly parallelises across workers that would otherwise idle.
-
-    The job construction and stats merging are inherited from
-    :class:`PoolEvaluator`; only the accounting policy differs.  Where the
-    base class charges whole fixed-size chunks against the budget, this
-    evaluator *speculates*: it submits up to ``chunk`` candidates
-    concurrently but charges -- in evaluations, predicate stats and budget
-    -- only the candidates up to and including the first accepted one,
-    exactly as the lazy :class:`LocalEvaluator` would have.  A reduction
-    driven through it is therefore byte-identical (reduced kernel, trace,
-    evaluation counts, pass attribution, predicate stats) to the serial
-    backend's in-worker reduction, which is what keeps the campaign
-    guarantee "serial == parallel summaries" intact.  The speculative
-    candidates that did execute are only visible in the cache counters
-    (``cache_stats``), which honestly record all work done.
-    """
-
-    def __init__(
-        self,
-        pool,
-        spec: PredicateSpec,
-        job_fields: Dict[str, object],
-        chunk: Optional[int] = None,
-    ) -> None:
-        # Speculation width: a pure performance knob (results are
-        # accounting-identical for any value), default two jobs per worker.
-        super().__init__(
-            pool, spec, job_fields,
-            chunk=chunk if chunk is not None else pool.parallelism * 2,
-        )
-        #: Cache deltas of every dispatched job, speculative ones included.
-        self.cache_stats = None
-
-    def _note_caches(self, job_results) -> None:
-        for job_result in job_results:
-            self.cache_stats = (
-                job_result.cache if self.cache_stats is None
-                else self.cache_stats.merge(job_result.cache)
-            )
-
-    def check_original(self, program: ast.Program) -> bool:
-        job_result = self.pool.run(self._jobs([program]))[0]
-        self._note_caches([job_result])
-        self._merge_stats([job_result])
-        return bool(job_result.accepted)
-
-    def first_accepted(
-        self, candidates: Iterator[ast.Program], budget: int
-    ) -> Tuple[Optional[Tuple[int, ast.Program]], int, bool]:
-        used = 0
-        offset = 0
-        while used < budget:
-            batch: List[ast.Program] = []
-            stream_ended = False
-            while len(batch) < min(self.chunk, budget - used):
-                try:
-                    batch.append(next(candidates))
-                except StopIteration:
-                    stream_ended = True
-                    break
-            if not batch:
-                return None, used, True
-            job_results = self.pool.run(self._jobs(batch))
-            self._note_caches(job_results)
-            for position, job_result in enumerate(job_results):
-                if job_result.accepted:
-                    # Lazy accounting: charge only up to the acceptance.
-                    self._merge_stats(job_results[: position + 1])
-                    used += position + 1
-                    return (offset + position, batch[position]), used, False
-            self._merge_stats(job_results)
-            used += len(batch)
-            offset += len(batch)
-            if stream_ended:
-                return None, used, True
+            for candidate, job_result in zip(batch, self._run(batch)):
+                used += 1
+                if self._charge(job_result):
+                    return (used - 1, candidate), used, False
         return None, used, False
 
 
@@ -553,55 +460,35 @@ def replay_trace(
     return current
 
 
-def reduce_program(
-    program: ast.Program,
-    predicate: Optional[InterestingnessPredicate] = None,
-    *,
-    config: Optional[ReducerConfig] = None,
-    pool=None,
-    spec: Optional[PredicateSpec] = None,
-    configs: Sequence = (),
-    optimisation_levels: Sequence[bool] = (False, True),
-    max_steps: int = 500_000,
-    engine: str = "reference",
-    variant_seed: int = 0,
-    variants_per_base: Optional[int] = None,
-) -> ReductionResult:
-    """Convenience entry point covering both evaluation strategies.
+def reduce_job(job: CampaignJob, evaluator) -> Optional[ReductionSummary]:
+    """Reduce a ``reduce-kernel`` job's program through ``evaluator``.
 
-    Without ``pool``, ``predicate`` runs in-process.  With ``pool`` (a
-    :class:`~repro.orchestration.pool.WorkerPool`), ``spec`` + ``configs``
-    describe the predicate by value and candidate batches are dispatched as
-    ``reduce-check`` jobs; the serial and process backends produce
-    byte-identical results.
+    The job fixes the reduction: its seed seeds the passes,
+    ``reduce_max_evaluations`` (when set) caps the candidate evaluations,
+    and its predicate spec labels the summary.  Returns ``None`` when the
+    original no longer satisfies its own predicate (e.g. the UB guard
+    vetoed it): that anomaly contributes no summary rather than failing
+    the campaign.  Any other exception is a genuine fault and propagates.
     """
-    reducer = Reducer(config)
-    if pool is None:
-        return reducer.reduce(program, predicate)
-    if spec is None:
-        raise ValueError("pool dispatch requires a PredicateSpec")
-    from repro.orchestration.jobs import serialise_configs
-
-    config_ids, config_overrides = serialise_configs(list(configs))
-    evaluator = PoolEvaluator(
-        pool,
-        spec,
-        job_fields=dict(
-            seed=0,
-            config_ids=config_ids,
-            config_overrides=config_overrides,
-            optimisation_levels=tuple(optimisation_levels),
-            max_steps=max_steps,
-            engine=engine,
-            variant_seed=variant_seed,
-            variants_per_base=variants_per_base,
-        ),
+    config = ReducerConfig(seed=job.seed)
+    if job.reduce_max_evaluations is not None:
+        config.max_evaluations = job.reduce_max_evaluations
+    # No fingerprint pre-marking: EmiFamilyPredicate re-derives every
+    # evaluated program's own fingerprint (refresh_base_fingerprint), which
+    # yields the identical value for the unmodified original.
+    try:
+        result = Reducer(config).reduce(job.materialise_program(), evaluator=evaluator)
+    except NotReducibleError:
+        return None
+    return result.summary(
+        seed=job.seed,
+        mode=job.mode,
+        predicate_kind=job.predicate_spec.kind,
+        signature=job.predicate_spec.signature,
     )
-    return reducer.reduce(program, evaluator=evaluator)
 
 
 __all__ = [
-    "POOL_EVALUATION_CHUNK",
     "token_count",
     "NotReducibleError",
     "PassStats",
@@ -610,9 +497,8 @@ __all__ = [
     "ReductionResult",
     "LocalEvaluator",
     "PoolEvaluator",
-    "PerCandidateEvaluator",
     "ReducerConfig",
     "Reducer",
     "replay_trace",
-    "reduce_program",
+    "reduce_job",
 ]

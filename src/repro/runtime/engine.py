@@ -185,18 +185,6 @@ class ExecutionEngine(ABC):
             ],
         )
 
-    def prepare(
-        self,
-        program: ast.Program,
-        global_memory: memory.GlobalMemory,
-        comma_yields_zero: bool = False,
-        max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> PreparedLaunch:
-        """One-shot convenience: lower and bind for a single launch."""
-        return self.lower(
-            program, comma_yields_zero=comma_yields_zero, max_steps=max_steps
-        ).bind(global_memory)
-
 
 # ---------------------------------------------------------------------------
 # Registry

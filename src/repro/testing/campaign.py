@@ -51,7 +51,12 @@ from repro.orchestration.jobs import (
     JobResult,
     serialise_configs,
 )
-from repro.orchestration.pool import PoolHealth, SupervisionConfig, WorkerPool
+from repro.orchestration.pool import (
+    PoolHealth,
+    SupervisionConfig,
+    WorkerPool,
+    speculation_width,
+)
 from repro.platforms.calibration import program_fingerprint
 from repro.platforms.config import DeviceConfig
 from repro.reduction.interestingness import (
@@ -60,13 +65,7 @@ from repro.reduction.interestingness import (
     Signature,
     emi_family_signature,
 )
-from repro.reduction.reducer import (
-    NotReducibleError,
-    PerCandidateEvaluator,
-    Reducer,
-    ReducerConfig,
-    ReductionSummary,
-)
+from repro.reduction.reducer import PoolEvaluator, ReductionSummary, reduce_job
 from repro.runtime.engine import DEFAULT_ENGINE, get_engine
 from repro.testing.outcomes import Outcome, OutcomeCounts, cell_label
 from repro.triage.bucketing import bucket_reductions
@@ -78,11 +77,6 @@ from repro.triage.store import (
     job_identity,
     open_store,
 )
-
-
-# Shipping configurations by id/value lives with the job machinery now;
-# the alias keeps this module's many call sites unchanged.
-_serialise_configs = serialise_configs
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ def run_clsmith_campaign(
     """
     get_engine(engine)
     auto_reduce = auto_reduce or auto_triage
-    config_ids, config_overrides = _serialise_configs(configs)
+    config_ids, config_overrides = serialise_configs(configs)
     result = ClsmithCampaignResult(kernels_per_mode)
     store = open_store(resume, fault_plan=fault_plan)
     store_key = ""
@@ -451,55 +445,6 @@ def _render_worker_faults(records: List[QuarantineRecord]) -> List[str]:
     return lines
 
 
-def _reduce_in_parent(
-    pool, job: CampaignJob
-) -> Tuple[Optional[ReductionSummary], PerCandidateEvaluator]:
-    """Drive one campaign reduction in the parent, per-candidate dispatch.
-
-    The ROADMAP rung behind this: on the process backend a whole-reduction
-    ``reduce-kernel`` job pins one anomaly to one worker, so a campaign with
-    a single large anomaly leaves the pool idle.  Driving the fixpoint here
-    and shipping each candidate as its own ``reduce-check`` job parallelises
-    *within* the reduction; :class:`~repro.reduction.reducer.
-    PerCandidateEvaluator`'s lazy accounting keeps the resulting summary
-    byte-identical to the serial backend's in-worker reduction.
-    """
-    evaluator = PerCandidateEvaluator(
-        pool,
-        job.predicate_spec,
-        job_fields=dict(
-            seed=job.seed,
-            mode=job.mode,
-            config_ids=job.config_ids,
-            config_overrides=job.config_overrides,
-            optimisation_levels=job.optimisation_levels,
-            options=job.options,
-            max_steps=job.max_steps,
-            emi_blocks=job.emi_blocks,
-            variant_seed=job.variant_seed,
-            variants_per_base=job.variants_per_base,
-            engine=job.engine,
-        ),
-    )
-    config = ReducerConfig(seed=job.seed)
-    if job.reduce_max_evaluations is not None:
-        config.max_evaluations = job.reduce_max_evaluations
-    program = job.materialise_program()
-    try:
-        outcome = Reducer(config).reduce(program, evaluator=evaluator)
-    except NotReducibleError:
-        # Mirrors the worker-side reduce-kernel policy: a kernel that no
-        # longer satisfies its own predicate contributes no summary.
-        return None, evaluator
-    summary = outcome.summary(
-        seed=job.seed,
-        mode=job.mode,
-        predicate_kind=job.predicate_spec.kind,
-        signature=job.predicate_spec.signature,
-    )
-    return summary, evaluator
-
-
 def _anomaly_fingerprint(job: CampaignJob) -> str:
     """The bucket fingerprint of a reduce job's *unreduced* anomaly.
 
@@ -556,12 +501,14 @@ def _run_reduce_jobs(
     as workers, whole ``reduce-kernel`` jobs already fill the pool (and
     across-anomaly parallelism beats within-reduction parallelism, whose
     accept chain is inherently sequential); with fewer anomalies than
-    workers, each reduction is instead driven in the parent with
-    per-candidate ``reduce-check`` dispatch (see :func:`_reduce_in_parent`)
-    so the idle workers evaluate candidates.  Summaries are byte-identical
-    whichever axis runs -- the choice depends only on the job count and the
-    pool width, never on timing.  Anomalies that turned out not to be
-    reducible (UB-vetoed originals) contribute cache deltas but no summary.
+    workers, each reduction is instead driven in the parent through a
+    :class:`~repro.reduction.reducer.PoolEvaluator`, whose per-candidate
+    ``reduce-check`` jobs keep the idle workers busy.  Both axes run
+    :func:`~repro.reduction.reducer.reduce_job`, so summaries are
+    byte-identical whichever runs -- the choice depends only on the job
+    count and the pool width, never on timing.  Anomalies that turned out
+    not to be reducible (UB-vetoed originals) contribute cache deltas but no
+    summary.
     With a store, each summary is also recorded as a ``reduction`` record
     (keyed by campaign + reduce-job identity) together with the job context
     `repro-triage` needs for later cross-campaign bucketing and bisection,
@@ -603,8 +550,9 @@ def _run_reduce_jobs(
                 # exactly like every job-record replay does.
                 summary, cache_delta = stored
             else:
-                summary, evaluator = _reduce_in_parent(pool, job)
-                cache_delta = evaluator.cache_stats or CacheStats()
+                evaluator = PoolEvaluator(pool, job)
+                summary = reduce_job(job, evaluator)
+                cache_delta = evaluator.cache_stats
             result.cache_stats = result.cache_stats.merge(cache_delta)
             summaries[index] = (job, summary, cache_delta)
     else:
@@ -713,12 +661,12 @@ def _scan_accepted(
 ) -> Tuple[List[JobResult], CacheStats]:
     """The first ``count`` accepted candidates of at most ``budget`` attempts.
 
-    Candidates are evaluated in attempt order (the serial backend one at a
-    time, the process backend a chunk at a time), so the accepted set is
-    independent of the backend.  Returns the accepted job results plus the
-    merged result-cache delta of every candidate evaluated.
+    Candidates are evaluated in attempt order (``speculation_width`` at a
+    time), so the accepted set is independent of the backend.  Returns the
+    accepted job results plus the merged result-cache delta of every
+    candidate evaluated.
     """
-    chunk = 1 if pool.backend == "serial" else pool.parallelism * 2
+    chunk = speculation_width(pool)
     accepted: List[JobResult] = []
     stats = CacheStats()
     attempt = 0
@@ -752,7 +700,7 @@ def _curated_seeds(
     if curate_on is None:
         seeds = [seed + attempt for attempt in range(count)]
         return seeds, CacheStats()
-    curation_ids, curation_overrides = _serialise_configs([curate_on])
+    curation_ids, curation_overrides = serialise_configs([curate_on])
 
     def job_for_attempt(attempt: int) -> CampaignJob:
         return CampaignJob(
@@ -937,7 +885,7 @@ def run_emi_campaign(
     """
     get_engine(engine)
     auto_reduce = auto_reduce or auto_triage
-    config_ids, config_overrides = _serialise_configs(configs)
+    config_ids, config_overrides = serialise_configs(configs)
     family_job = dict(
         kind=EMI_FAMILY,
         mode=Mode.ALL.value,

@@ -119,22 +119,8 @@ class DifferentialHarness(ExecutionHarnessBase):
         return value, count
 
 
-def run_differential(
-    program: ast.Program,
-    configs: Sequence[Optional[DeviceConfig]],
-    optimisation_levels: Sequence[bool] = (False, True),
-    max_steps: int = 2_000_000,
-    engine: str = DEFAULT_ENGINE,
-) -> DifferentialResult:
-    """One-shot convenience wrapper around :class:`DifferentialHarness`."""
-    return DifferentialHarness(
-        configs, optimisation_levels, max_steps, engine=engine
-    ).run(program)
-
-
 __all__ = [
     "MAJORITY_THRESHOLD",
     "DifferentialResult",
     "DifferentialHarness",
-    "run_differential",
 ]

@@ -125,9 +125,6 @@ def test_worker_pool_backend_selection_and_validation():
     assert WorkerPool().backend == "serial"
     assert WorkerPool(parallelism=1).backend == "serial"
     assert WorkerPool(parallelism=4).backend == "process"
-    assert WorkerPool(parallelism=4, backend="serial").backend == "serial"
-    with pytest.raises(ValueError, match="unknown backend"):
-        WorkerPool(backend="threads")
 
 
 def test_worker_pool_serial_shares_one_cache_across_jobs():

@@ -10,8 +10,9 @@ These lock the subsystem's contract (see REDUCTION.md):
 * determinism: the same (seed, kernel, predicate) produces an identical
   reduction, and the accepted-step trace replays without any harness;
 * orchestration: candidate evaluation through serial and process
-  ``WorkerPool`` backends produces byte-identical ``ReductionResult``s, and
-  ``auto_reduce=`` campaigns attach identical summaries on both backends.
+  ``WorkerPool`` backends produces ``ReductionResult``s byte-identical to
+  the in-process reduction, and ``auto_reduce=`` campaigns attach identical
+  summaries on both backends.
 """
 
 import statistics
@@ -27,14 +28,16 @@ from repro.orchestration.jobs import (
     REDUCE_KERNEL,
     CampaignJob,
     execute_job,
+    serialise_configs,
 )
 from repro.orchestration.pool import WorkerPool
 from repro.reduction import (
     MismatchPredicate,
+    PoolEvaluator,
     PredicateSpec,
     Reducer,
     ReducerConfig,
-    reduce_program,
+    build_predicate,
     replay_trace,
 )
 from repro.reduction.corpus import (
@@ -194,26 +197,43 @@ def test_invalid_candidates_are_rejected_statically():
 
 
 def test_pool_backends_produce_byte_identical_reductions():
+    """A reduction through a serial or a process pool is the in-process
+    reduction, also when a tight budget cuts it short."""
     program = generate_kernel(Mode.BASIC, 11, options=_FAST_OPTIONS)
     spec = PredicateSpec(
         kind="mismatch", expected_class="w", target_index=0,
         target_optimisations=True,
     )
-    config = ReducerConfig(seed=2, max_evaluations=300)
-    results = {}
-    for backend, parallelism in (("serial", 1), ("process", 2)):
-        with WorkerPool(parallelism, backend=backend) as pool:
-            results[backend] = reduce_program(
-                program, config=config, pool=pool, spec=spec,
-                configs=[wrong_code_config()],
-            )
-    serial, process = results["serial"], results["process"]
-    assert serial.reduced_source == process.reduced_source
-    assert serial.trace == process.trace
-    assert serial.evaluations == process.evaluations
-    assert {n: s.as_dict() for n, s in serial.pass_stats.items()} == {
-        n: s.as_dict() for n, s in process.pass_stats.items()
-    }
+    configs = [wrong_code_config()]
+    config_ids, config_overrides = serialise_configs(configs)
+    template = CampaignJob(
+        kind=REDUCE_KERNEL, seed=0, config_ids=config_ids,
+        config_overrides=config_overrides, predicate_spec=spec,
+    )
+
+    def observed(result):
+        return (
+            result.reduced_source,
+            result.trace,
+            result.evaluations,
+            result.budget_exhausted,
+            {n: s.as_dict() for n, s in result.pass_stats.items()},
+            result.predicate_stats.as_dict(),
+        )
+
+    for budget in (300, 60):
+        reducer = Reducer(ReducerConfig(seed=2, max_evaluations=budget))
+        predicate = build_predicate(
+            spec, configs, template.optimisation_levels, template.max_steps,
+            template.engine,
+        )
+        in_process = observed(reducer.reduce(program, predicate))
+        for parallelism in (1, 2):
+            with WorkerPool(parallelism) as pool:
+                pooled = reducer.reduce(
+                    program, evaluator=PoolEvaluator(pool, template)
+                )
+            assert observed(pooled) == in_process, (budget, parallelism)
 
 
 def test_reduce_jobs_execute_like_any_campaign_job():
@@ -281,15 +301,20 @@ def test_emi_auto_reduce_shrinks_anomalous_bases():
         max_statements=6, max_expr_depth=2,
     )
     bases = generate_emi_bases(2, seed=0, options=options)
-    result = run_emi_campaign(
-        [emi_parity_config()],
-        bases=bases,
-        variants_per_base=6,
-        optimisation_levels=(False,),
-        options=options,
-        auto_reduce=True,
-        reduce_budget=250,
-    )
+
+    def campaign(reduce_budget, parallelism=None):
+        return run_emi_campaign(
+            [emi_parity_config()],
+            bases=bases,
+            variants_per_base=6,
+            optimisation_levels=(False,),
+            options=options,
+            auto_reduce=True,
+            reduce_budget=reduce_budget,
+            parallelism=parallelism,
+        )
+
+    result = campaign(250)
     anomalous = sum(
         1 for row in result.rows.values()
         if row["w"] or row["bf"] or row["c"] or row["to"]
@@ -300,6 +325,20 @@ def test_emi_auto_reduce_shrinks_anomalous_bases():
         assert summary.predicate_kind == "emi-family"
         assert summary.nodes_after < summary.nodes_before
         assert any(code == "w" for _, code in summary.signature)
+
+    # One anomalous base on two workers: fewer anomalies than workers, so
+    # the parent drives the reduction and ships every candidate as an
+    # emi-family reduce-check job.
+    serial, parallel = campaign(60), campaign(60, parallelism=2)
+    assert len(serial.reductions) == len(parallel.reductions) == 1
+    assert serial.rows == parallel.rows
+    for left, right in zip(serial.reductions, parallel.reductions):
+        assert left.reduced_source == right.reduced_source
+        assert left.evaluations == right.evaluations
+        assert left.budget_exhausted == right.budget_exhausted
+        assert left.pass_attribution == right.pass_attribution
+        assert left.predicate_stats == right.predicate_stats
+        assert left.nodes_after < left.nodes_before
 
 
 def test_timeout_and_crash_classes_reduce_to_near_empty_kernels():
@@ -338,3 +377,15 @@ def test_cli_reduces_a_real_table1_anomaly(capsys):
     assert "anomaly signature: config1-:bf" in captured.out
     assert "nodes :" in captured.out
     assert "kernel void entry" in captured.out
+
+
+@pytest.mark.parametrize("configs", ["1,77", "1,x", ""])
+def test_cli_rejects_bad_configs_in_one_line(capsys, configs):
+    from repro.reduction.cli import main
+
+    code = main(["--mode", "BASIC", "--seed", "0", "--configs", configs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("repro-reduce: --configs")
+    assert captured.err.count("\n") == 1

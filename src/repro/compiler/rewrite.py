@@ -1,8 +1,12 @@
-"""Generic AST rewriting utilities shared by the optimisation passes,
-the bug models and the EMI pruner.
+"""Generic AST rewriting utilities shared by the optimisation passes and
+the bug models.
 
-The rewriters are *pure*: they never mutate their input.  Passes clone the
-program once and then rebuild statements/expressions bottom-up.
+The rewriters are *pure*: they never mutate their input.  They rebuild the
+statements and expressions they walk bottom-up and reuse every node they do
+not rebuild, so a rewritten program shares subtrees with its input -- as EMI
+variants share theirs with their base (:mod:`repro.emi.pruning`).  Neither
+may therefore be edited in place (the contract in
+:mod:`repro.kernel_lang.ast`).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ node, lifting uses the adjusted probability
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.kernel_lang import ast
@@ -152,28 +152,55 @@ def prune_program(
     Only the *contents* of blocks tagged with an ``emi_marker`` are pruned;
     live code is never touched, so the variant is equivalent modulo the input
     that makes the blocks dead (paper section 3.2, Definition of EMI).
+
+    The variant is a path copy: it rebuilds the nodes from each function body
+    down to each EMI block and shares every other subtree with ``program``,
+    which is left untouched.
     """
-    rng = random.Random(seed)
-    clone = program.clone()
-    pruner = _Pruner(config, rng)
-    for fn in clone.functions:
-        if fn.body is None:
-            continue
-        _prune_emi_blocks_in_place(fn.body, pruner)
-    clone.metadata = dict(clone.metadata)
-    clone.metadata["emi_pruning"] = config.label()
-    clone.metadata["emi_pruning_seed"] = seed
-    return clone
+    pruner = _Pruner(config, random.Random(seed))
+    metadata = dict(program.metadata)
+    metadata["emi_pruning"] = config.label()
+    metadata["emi_pruning_seed"] = seed
+    return replace(
+        program,
+        functions=[_prune_emi_blocks(fn, pruner) for fn in program.functions],
+        metadata=metadata,
+    )
 
 
-def _prune_emi_blocks_in_place(node: ast.Node, pruner: _Pruner) -> None:
-    for child in node.children():
-        if isinstance(child, ast.IfStmt) and child.emi_marker is not None:
-            child.then_block = pruner.prune_block(child.then_block)
-            # Do not descend further: nested EMI blocks (if any) were handled
-            # as part of the enclosing block's pruning.
-            continue
-        _prune_emi_blocks_in_place(child, pruner)
+#: The fields through which a node holds statements, in
+#: :meth:`~repro.kernel_lang.ast.Node.children` order.
+_STATEMENT_FIELDS = {
+    ast.FunctionDecl: ("body",),
+    ast.IfStmt: ("then_block", "else_block"),
+    ast.ForStmt: ("init", "update", "body"),
+    ast.WhileStmt: ("body",),
+}
+
+
+def _prune_emi_blocks(node: ast.Node, pruner: _Pruner) -> ast.Node:
+    """``node`` with the EMI blocks under it pruned, visited in pre-order.
+
+    Returns ``node`` itself when nothing under it changed, so only the path
+    down to each EMI block is rebuilt.
+    """
+    if isinstance(node, ast.IfStmt) and node.emi_marker is not None:
+        # Do not descend further: nested EMI blocks (if any) are pruned as
+        # part of the enclosing block's contents.
+        return replace(node, then_block=pruner.prune_block(node.then_block))
+    if isinstance(node, ast.Block):
+        statements = [_prune_emi_blocks(s, pruner) for s in node.statements]
+        if all(new is old for new, old in zip(statements, node.statements)):
+            return node
+        return ast.Block(statements)
+    changed = {}
+    for name in _STATEMENT_FIELDS.get(type(node), ()):
+        child = getattr(node, name)
+        if child is not None:
+            pruned = _prune_emi_blocks(child, pruner)
+            if pruned is not child:
+                changed[name] = pruned
+    return replace(node, **changed) if changed else node
 
 
 def count_emi_statements(program: ast.Program) -> int:

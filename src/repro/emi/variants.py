@@ -62,8 +62,12 @@ def generate_variants(
 ) -> List[ast.Program]:
     """Produce one pruned variant per grid point (the base is not included).
 
-    Each variant carries the base's EMI fingerprint -- its mark, or else its
-    fingerprint -- while ``base`` is left as it is.
+    Variant ``i`` depends only on ``grid[i]`` and seed ``seed + i``, so a
+    caller that runs only the first ``n`` variants passes
+    ``PRUNING_GRID[:n]`` and pays for nothing else.  Each variant carries the
+    base's EMI fingerprint -- its mark, or else its fingerprint -- and is a
+    path copy that shares every subtree outside the pruned EMI blocks with
+    ``base``, which is left as it is (see :func:`prune_program`).
     """
     base_fingerprint = mark_base_fingerprint(base).metadata["emi_base_fingerprint"]
     variants: List[ast.Program] = []
@@ -83,27 +87,18 @@ def invert_dead_array(program: ast.Program, dead_name: str = "dead") -> ast.Prog
     of the normal and inverted programs tells whether the blocks were placed
     in live code (results differ) or in already-dead code (results equal);
     the paper discards bases of the latter kind when building Table 5.
+
+    The copy swaps one buffer spec and the metadata and shares everything
+    else -- its functions included -- with ``program``, which is left
+    untouched.
     """
-    clone = program.clone()
-    new_buffers = []
-    for spec in clone.buffers:
-        if spec.name == dead_name:
-            new_buffers.append(
-                ast.BufferSpec(
-                    spec.name,
-                    spec.element_type,
-                    spec.size,
-                    spec.address_space,
-                    init="iota_inverted",
-                    is_output=spec.is_output,
-                )
-            )
-        else:
-            new_buffers.append(spec)
-    clone.buffers = new_buffers
-    clone.metadata = dict(clone.metadata)
-    clone.metadata["dead_array_inverted"] = True
-    return clone
+    buffers = [
+        dataclasses.replace(spec, init="iota_inverted") if spec.name == dead_name else spec
+        for spec in program.buffers
+    ]
+    metadata = dict(program.metadata)
+    metadata["dead_array_inverted"] = True
+    return dataclasses.replace(program, buffers=buffers, metadata=metadata)
 
 
 __all__ = [

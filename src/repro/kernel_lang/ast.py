@@ -6,14 +6,23 @@ bug of Figure 2(f)), address-of/dereference, and calls to builtins or
 user-defined functions; statements include barriers and the structured
 control flow constructs that CLsmith emits.
 
-Every node supports :meth:`clone` (deep copy, used by the EMI pruner and the
-optimisation passes, which never mutate their input program) and
+Every node supports :meth:`clone` (a deep copy, used by the EMI injector, the
+test-case reducer and triage, which edit the copy in place) and
 :meth:`children` (generic traversal used by analyses and the printer tests).
 
-Contract: a :class:`Program` is not edited after it is first compiled or
-fingerprinted -- clone it first and edit the clone.  Compilation memoises
-what it derives from a program on the program object itself
-(:meth:`Program.memoised`), and a clone starts with an empty memo.
+Programs may share subtrees.  The optimisation passes and bug models return
+programs that share nodes with their input (:mod:`repro.compiler.rewrite`).
+EMI variants are path copies that share every subtree outside their pruned
+EMI blocks with their base (:func:`repro.emi.pruning.prune_program`), and
+``invert_dead_array`` and ``mark_base_fingerprint`` results share all of
+their input's functions.
+
+Contract: never edit a node that is reachable from a program you did not
+clone yourself -- clone the program and edit the clone.  An edit to a shared
+node would silently change every program that reaches it, and compilation
+memoises what it derives from a program on the program object itself
+(:meth:`Program.memoised`), so it would also go stale.  A clone starts with
+an empty memo.
 """
 
 from __future__ import annotations
@@ -600,9 +609,9 @@ class Program(Node):
 
         The one lookup behind every fact compilation derives from a program
         whatever the configuration: its fingerprint, its validation verdict,
-        the default pipeline's output and its feature flags.  Sound because a
-        program is not edited once compiled or fingerprinted (module
-        docstring).
+        the default pipeline's output and its feature flags.  Sound because
+        nodes are edited only in a fresh clone, before anything is derived
+        from it (module docstring).
         """
         try:
             memo = self._memo

@@ -61,7 +61,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.emi.variants import generate_variants, invert_dead_array, mark_base_fingerprint
+from repro.emi.variants import (
+    PRUNING_GRID,
+    generate_variants,
+    invert_dead_array,
+    mark_base_fingerprint,
+)
 from repro.generator import generate_kernel
 from repro.generator.options import GeneratorOptions, Mode
 from repro.kernel_lang import ast
@@ -383,9 +388,9 @@ def _execute_emi_base_filter(job: CampaignJob, cache: ResultCache) -> JobResult:
 def _execute_emi_family(job: CampaignJob, cache: ResultCache) -> JobResult:
     base = job.program if job.program is not None else job.materialise_program()
     base = mark_base_fingerprint(base)
-    variants = generate_variants(base, seed=job.variant_seed)
-    if job.variants_per_base is not None:
-        variants = variants[: job.variants_per_base]
+    variants = generate_variants(
+        base, PRUNING_GRID[: job.variants_per_base], seed=job.variant_seed
+    )
     family = [base] + variants
     harness = EmiHarness(max_steps=job.max_steps, cache=cache, engine=job.engine)
     cells = [

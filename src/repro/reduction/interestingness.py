@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.compiler.driver import CompilerDriver
-from repro.emi.variants import generate_variants, mark_base_fingerprint
+from repro.emi.variants import PRUNING_GRID, generate_variants, mark_base_fingerprint
 from repro.kernel_lang import ast
 from repro.kernel_lang.semantics import ValidationError, validate_program
 from repro.platforms.config import DeviceConfig
@@ -420,9 +420,9 @@ class EmiFamilyPredicate(InterestingnessPredicate):
 
     def _family_cells(self, base: ast.Program) -> List[EmiBaseResult]:
         base = refresh_base_fingerprint(base)
-        variants = generate_variants(base, seed=self.variant_seed)
-        if self.variants_per_base is not None:
-            variants = variants[: self.variants_per_base]
+        variants = generate_variants(
+            base, PRUNING_GRID[: self.variants_per_base], seed=self.variant_seed
+        )
         family = [base] + variants
         cells = []
         for config in self.configs:

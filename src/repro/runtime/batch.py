@@ -14,8 +14,7 @@ body), and a function that is itself unchanged may call one that changed.
 shareable iff its declaration equals the base's **and** every user function
 it transitively calls is shareable too.  AST nodes and types are plain
 ``@dataclass`` values (types frozen), so ``==`` is true structural equality
-even across :func:`copy.deepcopy` -- the property the EMI variant generator
-relies on as well.
+between copies and path copies alike.
 
 Equality of the reachable subgraph implies equality of every derived
 analysis (yielding status, scope shapes, tick counts), so a shared lowering

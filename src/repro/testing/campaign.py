@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.emi.variants import mark_base_fingerprint
+from repro.emi.variants import PRUNING_GRID, mark_base_fingerprint
 from repro.observability import (
     SPAN_CAMPAIGN,
     SPAN_PHASE,
@@ -882,8 +882,17 @@ def run_emi_campaign(
     attaches ``result.telemetry``, byte-identical output either way, and
     ``result.health`` is populated unconditionally — all exactly as on
     :func:`run_clsmith_campaign` (see OBSERVABILITY.md).
+
+    ``variants_per_base`` runs the first that many points of the pruning
+    grid (``None``: all of them); a value outside ``1..len(PRUNING_GRID)``
+    raises ``ValueError``, again before the store or the pool is touched.
     """
     get_engine(engine)
+    if variants_per_base is not None and not 1 <= variants_per_base <= len(PRUNING_GRID):
+        raise ValueError(
+            f"variants_per_base must be None or 1..{len(PRUNING_GRID)}, "
+            f"got {variants_per_base!r}"
+        )
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = serialise_configs(configs)
     family_job = dict(

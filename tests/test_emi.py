@@ -4,6 +4,7 @@ inversion and injection into existing (workload) kernels."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.compiler.driver import CompilerDriver
 from repro.emi import (
     PRUNING_GRID,
     EmiInjector,
@@ -19,6 +20,8 @@ from repro.generator import Mode, generate_kernel
 from repro.generator.options import GeneratorOptions
 from repro.kernel_lang import ast, printer
 from repro.kernel_lang.semantics import validate_program
+from repro.platforms import get_configuration
+from repro.platforms.calibration import program_fingerprint
 from repro.runtime.device import run_program
 from repro.workloads import get_workload
 
@@ -132,6 +135,45 @@ def test_generate_variants_produces_grid_sized_family_with_metadata():
     fingerprints = {v.metadata["emi_base_fingerprint"] for v in variants}
     assert fingerprints == {base.metadata["emi_base_fingerprint"]}
     assert sorted(v.metadata["emi_variant_index"] for v in variants) == list(range(40))
+    # Variant i depends only on grid point i and seed + i, so a sliced grid
+    # builds exactly the first n variants of the whole family.
+    for seed in (0, 9):
+        family = generate_variants(base, seed=seed)
+        for n in (1, 5, 12, 40):
+            sliced = generate_variants(base, PRUNING_GRID[:n], seed=seed)
+            assert [printer.print_program(v) for v in sliced] == \
+                [printer.print_program(v) for v in family[:n]]
+            assert [v.metadata for v in sliced] == [v.metadata for v in family[:n]]
+
+
+def _holds_emi_block(stmt):
+    return any(isinstance(n, ast.IfStmt) and n.emi_marker is not None
+               for n in stmt.walk())
+
+
+def test_variants_and_inversion_are_path_copies_of_an_untouched_base():
+    """Variants share every subtree outside their EMI blocks with the base,
+    and the inverted program shares its functions; none of them may edit the
+    base, which was compiled and fingerprinted before they were built."""
+    base = mark_base_fingerprint(_base(seed=5))
+    fingerprint = program_fingerprint(base)
+    CompilerDriver(get_configuration(1)).compile(base, optimisations=True)
+    variants = generate_variants(base)
+    inverted = invert_dead_array(base)
+
+    fresh = mark_base_fingerprint(_base(seed=5))
+    assert printer.print_program(base) == printer.print_program(fresh)
+    assert base.metadata == fresh.metadata
+    assert [b.init for b in base.buffers] == [b.init for b in fresh.buffers]
+    assert program_fingerprint(base) == fingerprint == program_fingerprint(fresh)
+
+    statements = base.kernel().body.statements
+    untouched = [i for i, stmt in enumerate(statements) if not _holds_emi_block(stmt)]
+    assert untouched
+    for variant in variants:
+        assert all(variant.kernel().body.statements[i] is statements[i]
+                   for i in untouched)
+    assert all(f is g for f, g in zip(inverted.functions, base.functions))
 
 
 def test_invert_dead_array_changes_initialisation_only():

@@ -244,6 +244,29 @@ def test_emi_campaign_produces_table5_shaped_rows():
     assert "base fails" in result.render()
 
 
+@pytest.mark.parametrize("variants_per_base", [-1, 0, 41])
+def test_emi_campaign_rejects_out_of_range_variants_per_base(tmp_path, variants_per_base):
+    """-1 would run 39 variants, 0 base-only families that can never show
+    wrong code yet count as stable, and 41 would run 40 variants under a
+    store key recording 41.  The check fires before the store is opened."""
+    path = tmp_path / "store.jsonl"
+    with pytest.raises(ValueError, match="variants_per_base must be None or 1..40"):
+        run_emi_campaign([get_configuration(1)], n_bases=1,
+                         variants_per_base=variants_per_base,
+                         optimisation_levels=(True,), options=_FAST,
+                         max_steps=300_000, resume=str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("variants_per_base", [1, 40])
+def test_emi_campaign_accepts_both_ends_of_the_grid(variants_per_base):
+    result = run_emi_campaign([get_configuration(1)], n_bases=1,
+                              variants_per_base=variants_per_base,
+                              optimisation_levels=(True,), options=_FAST,
+                              max_steps=300_000)
+    assert result.n_variants == variants_per_base
+
+
 def test_generate_emi_bases_filters_dead_placement():
     bases = generate_emi_bases(2, seed=0, options=_FAST, filter_dead_placement=True)
     assert len(bases) == 2

@@ -48,29 +48,43 @@ class VoidType(Type):
 
 @dataclass(frozen=True)
 class IntType(Type):
-    """A fixed-width integer scalar type (``char`` ... ``ulong``)."""
+    """A fixed-width integer scalar type (``char`` ... ``ulong``).
+
+    Equality, hashing and pickles use the three fields only.  Construction
+    and unpickling also precompute the range (``min_value``, ``max_value``)
+    and the wrap masks as plain attributes: ``mask`` is ``2**bits - 1`` and
+    ``half`` is ``2**(bits - 1)`` for signed types and 0 for unsigned ones,
+    so ``((v + half) & mask) - half`` is the wrap for either signedness (the
+    compiled engine inlines exactly that expression).  Keeping them out of
+    the pickled state keeps program blobs in the triage store's format, so
+    stores written before the attributes existed still load.
+    """
 
     name: str
     bits: int
     signed: bool
+
+    def __post_init__(self) -> None:
+        mask = (1 << self.bits) - 1
+        half = 1 << (self.bits - 1) if self.signed else 0
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "min_value", -half)
+        object.__setattr__(self, "max_value", mask - half)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"name": self.name, "bits": self.bits, "signed": self.signed}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for key in ("name", "bits", "signed"):
+            object.__setattr__(self, key, state[key])
+        self.__post_init__()
 
     def spelling(self) -> str:
         return self.name
 
     def sizeof(self) -> int:
         return self.bits // 8
-
-    @property
-    def min_value(self) -> int:
-        if self.signed:
-            return -(1 << (self.bits - 1))
-        return 0
-
-    @property
-    def max_value(self) -> int:
-        if self.signed:
-            return (1 << (self.bits - 1)) - 1
-        return (1 << self.bits) - 1
 
     def contains(self, value: int) -> bool:
         """Return True if ``value`` is representable in this type."""
@@ -83,14 +97,12 @@ class IntType(Type):
         explicit casts; for signed types it implements the two's-complement
         reinterpretation that the standard mandates for conversions.
         """
-        value &= (1 << self.bits) - 1
-        if self.signed and value >= (1 << (self.bits - 1)):
-            value -= 1 << self.bits
-        return value
+        half = self.half
+        return ((value + half) & self.mask) - half
 
     def encode(self, value: int) -> bytes:
         """Encode ``value`` as little-endian bytes of this type's width."""
-        return (value & ((1 << self.bits) - 1)).to_bytes(self.bits // 8, "little")
+        return (value & self.mask).to_bytes(self.bits // 8, "little")
 
     def decode(self, data: bytes) -> int:
         """Decode little-endian bytes into a value of this type."""

@@ -20,7 +20,7 @@ Candidates are evaluated as ``reduce-check`` jobs on a
 bytes either way.  Exits with status 1 when the kernel shows no anomaly on
 the given configurations -- there is nothing to reduce -- and with status 2
 when ``--configs`` is empty, not a list of integers, or names an id Table 1
-does not have.
+does not have, or when ``--budget`` is below 1.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     try:
         configs = _resolve_configs(args.configs)
+        if args.budget < 1:
+            raise ValueError(f"--budget must be at least 1, got {args.budget}")
     except ValueError as error:
         print(f"repro-reduce: {error}", file=sys.stderr)
         return 2

@@ -17,13 +17,26 @@ AST *once per launch* and emitting a tree of closures:
 * **coroutine overhead is paid only where scheduling can happen** -- a yield
   analysis (barriers, atomics, calls to functions that transitively contain
   them) decides per subtree whether a closure must be a generator; straight
-  line compute compiles to plain closures.
+  line compute compiles to plain closures;
+* **integers travel unboxed** -- a node whose value is statically an integer
+  of a known type (literals, int variables and parameters, work-item
+  values, int casts, and operators, ternaries and 2-argument builtins over
+  such nodes) also gets a closure returning a plain int, with width and
+  sign wraps chosen at lowering time from :class:`IntType` masks.
+  Consumers that want an integer (those nodes, casts, conditions, indices,
+  atomic operands) call it, so a value is boxed into a
+  :class:`ScalarValue` once, where it is stored (see :class:`_C`).  The
+  static type of an int variable rests on one invariant: every writer
+  converts a private int cell's value to the cell's declared type.
 
-Semantics are *not* reimplemented here: operators, conversions, builtins and
-pointer targets come from :mod:`repro.runtime.ops`, the same functions the
-reference interpreter delegates to, and memory accesses go through the same
-:class:`~repro.runtime.memory.LValue` machinery (so access hooks fire for
-the race detector exactly as they do under the reference engine).
+Semantics are *not* reimplemented here: operators, comparisons, conversions,
+builtins and pointer targets come from :mod:`repro.runtime.ops` and
+:mod:`repro.kernel_lang.builtins`, the same functions the reference
+interpreter delegates to -- the typed closures inline only wraps and boxing
+-- and memory accesses go through the same
+:class:`~repro.runtime.memory.LValue` machinery or mirror it exactly (so
+access hooks fire for the race detector as they do under the reference
+engine).
 
 Step-budget semantics: closures tick the lowering's
 :class:`~repro.runtime.interpreter.ExecutionLimits` at the same AST points
@@ -84,19 +97,137 @@ class _RT:
 
     def __init__(self) -> None:
         self.hook: Optional[memory.AccessHook] = None
-        self.wi: List[vals.ScalarValue] = []
+        self.wi: List[int] = []
         self.locals: Optional[List[Optional[memory.Cell]]] = None
         self.depth = 0
 
 
 class _C:
-    """A compiled node: a closure plus whether it is a generator."""
+    """A compiled node: a closure plus whether it is a generator.
 
-    __slots__ = ("fn", "yields")
+    A plain node whose value is statically an integer of a known type also
+    carries ``raw``, a closure returning that value as a Python int already
+    in the range of ``itype``.  Consumers that want an integer call ``raw``;
+    the boxed closure ``fn``, which returns a :class:`ScalarValue`, is then
+    built on first use only, from ``raw`` unless the node supplied a cheaper
+    one.  Both closures tick, raise and touch memory identically.
+    """
 
-    def __init__(self, fn: Callable, yields: bool) -> None:
-        self.fn = fn
+    __slots__ = ("_fn", "yields", "raw", "itype")
+
+    def __init__(
+        self,
+        fn: Optional[Callable],
+        yields: bool,
+        raw: Optional[Callable] = None,
+        itype: Optional[ty.IntType] = None,
+    ) -> None:
+        self._fn = fn
         self.yields = yields
+        self.raw = raw
+        self.itype = itype
+
+    @property
+    def fn(self) -> Callable:
+        fn = self._fn
+        if fn is None:
+            raw, itype = self.raw, self.itype
+
+            def run_boxed(rt):
+                return _mk_scalar(itype, raw(rt))
+            fn = self._fn = run_boxed
+        return fn
+
+
+def _typed(raw: Callable, itype: ty.IntType, fn: Optional[Callable] = None) -> _C:
+    """A plain integer node of static type ``itype``."""
+    return _C(fn, False, raw, itype)
+
+
+def _int_fn(c: _C) -> Callable:
+    """``rt -> int`` for a plain node whose consumer wants an integer (an
+    index or an atomic operand): ``ops.as_int`` of its value, with no box
+    when the node is typed."""
+    if c.raw is not None:
+        return c.raw
+    fn = c.fn
+
+    def run_unbox(rt):
+        value = fn(rt)
+        return value.value if value.__class__ is _SV else ops.as_int(value)
+    return run_unbox
+
+
+def _truth_fn(c: _C) -> Callable:
+    """``rt -> truth`` for a plain node used as a condition (``ops.truthy``)."""
+    if c.raw is not None:
+        return c.raw
+    fn = c.fn
+
+    def run_truth(rt):
+        value = fn(rt)
+        return value.value != 0 if value.__class__ is _SV else ops.truthy(value)
+    return run_truth
+
+
+def _fits(source: ty.IntType, target: ty.IntType) -> bool:
+    """True when every ``source`` value is a ``target`` value, so converting
+    needs no wrap (``uint -> ulong``, not ``int -> uint``)."""
+    return target.min_value <= source.min_value and source.max_value <= target.max_value
+
+
+def _store_fn(value: _C, target: ty.Type) -> Callable:
+    """``rt -> value`` of a plain node converted for a store into the static
+    type ``target`` (``ops.convert_for_store``): the one place an integer
+    node is boxed, with its wrap chosen here."""
+    raw = value.raw
+    if raw is not None and isinstance(target, ty.IntType):
+        if _fits(value.itype, target):
+            def run_store_int(rt):
+                return _mk_scalar(target, raw(rt))
+            return run_store_int
+        half, mask = target.half, target.mask
+
+        def run_store_wrap(rt):
+            return _mk_scalar(target, ((raw(rt) + half) & mask) - half)
+        return run_store_wrap
+    fn = value.fn
+
+    def run_store(rt):
+        return ops.convert_for_store(fn(rt), target)
+    return run_store
+
+
+def _box_int(raw: int, target: ty.IntType) -> vals.ScalarValue:
+    """``raw`` wrapped into ``target``, a type known only at run time, and
+    boxed: the int case of ``ops.convert_for_store`` (and
+    ``ScalarValue.wrap``)."""
+    half = target.half
+    return _mk_scalar(target, ((raw + half) & target.mask) - half)
+
+
+def _convert_boxed(value: vals.Value, target: ty.Type) -> vals.Value:
+    """``ops.convert_for_store`` for a target type known only at run time
+    (a buffer element)."""
+    if value.__class__ is _SV and target.__class__ is ty.IntType:
+        return _box_int(value.value, target)
+    return ops.convert_for_store(value, target)
+
+
+def _dynamic_store(value: _C) -> Tuple[Callable, Callable]:
+    """``(evaluate, convert)`` for a plain node stored where the target type
+    is known only at run time: ``evaluate(rt)`` returns the raw int of a
+    typed node, else its boxed value, and ``convert(result, target)``
+    finishes the store's conversion."""
+    if value.raw is None:
+        return value.fn, _convert_boxed
+    itype = value.itype
+
+    def convert_raw(raw: int, target: ty.Type) -> vals.Value:
+        if target.__class__ is ty.IntType:
+            return _box_int(raw, target)
+        return ops.convert_for_store(_mk_scalar(itype, raw), target)
+    return value.raw, convert_raw
 
 
 def _ev(c: "_C", rt: _RT):
@@ -398,30 +529,6 @@ class _Lowerer:
             self._wi_specs.append(key)
         return self._wi_map[key]
 
-    # -- conversions ----------------------------------------------------
-
-    def _make_convert(self, target: Optional[ty.Type]):
-        """``conv(value, lv)`` mirroring ``ops.convert_for_store``.
-
-        With a statically-known target type the integer fast path skips the
-        isinstance dispatch; without one the target is the lvalue's dynamic
-        type, exactly as the interpreter computes it.
-        """
-        if target is None:
-            def conv_dynamic(value, lv):
-                return ops.convert_for_store(value, lv.type)
-            return conv_dynamic
-        if isinstance(target, ty.IntType):
-            def conv_int(value, lv=None, _t=target, _wrap=target.wrap):
-                if value.__class__ is _SV:
-                    return _mk_scalar(_t, _wrap(value.value))
-                return ops.convert_for_store(value, _t)
-            return conv_int
-
-        def conv_static(value, lv=None, _t=target):
-            return ops.convert_for_store(value, _t)
-        return conv_static
-
     # -- static shape analysis (mirrors the interpreter's env checks) ----
 
     def _is_pointer_expr(self, expr: ast.Expr, scope: _Scope) -> bool:
@@ -522,20 +629,11 @@ class _Lowerer:
             return self._compile_decl(stmt, scope)
         if isinstance(stmt, ast.AssignStmt):
             # The statement tick is folded into the assignment's entry tick
-            # (they are contiguous: nothing observable happens in between).
-            assign = self._compile_assign(
+            # (they are contiguous: nothing observable happens in between),
+            # and the assignment's closure already completes with None.
+            return self._compile_assign(
                 stmt.target, stmt.value, stmt.op, scope, extra_ticks=1
             )
-            if not assign.yields:
-                def run_assign(rt, _a=assign.fn):
-                    _a(rt)
-                    return None
-                return _C(run_assign, False)
-
-            def run_assign_gen(rt, _a=assign.fn):
-                yield from _a(rt)
-                return None
-            return _C(run_assign_gen, True)
         if isinstance(stmt, ast.ExprStmt):
             value = self._compile_expr(stmt.expr, scope)
             if not value.yields:
@@ -647,15 +745,14 @@ class _Lowerer:
         other = self._compile_block(stmt.else_block, scope) if stmt.else_block else None
         parts = [cond, then] + ([other] if other else [])
         if not any(c.yields for c in parts):
-            cfn, tfn = cond.fn, then.fn
+            truth, tfn = _truth_fn(cond), then.fn
             if other is None:
                 def run_if(rt):
                     s = limits.steps + 1
                     limits.steps = s
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
-                    c = cfn(rt)
-                    if c.value != 0 if c.__class__ is _SV else ops.truthy(c):
+                    if truth(rt):
                         return tfn(rt)
                     return None
                 return _C(run_if, False)
@@ -666,15 +763,15 @@ class _Lowerer:
                 limits.steps = s
                 if s > max_steps:
                     raise ExecutionTimeout(max_steps + 1)
-                c = cfn(rt)
-                if c.value != 0 if c.__class__ is _SV else ops.truthy(c):
+                if truth(rt):
                     return tfn(rt)
                 return ofn(rt)
             return _C(run_if_else, False)
+        truth = None if cond.yields else _truth_fn(cond)
 
         def run_if_gen(rt):
             tick()
-            if ops.truthy((yield from _ev(cond, rt))):
+            if truth(rt) if truth is not None else ops.truthy((yield from cond.fn(rt))):
                 return (yield from _ev(then, rt))
             if other is not None:
                 return (yield from _ev(other, rt))
@@ -689,9 +786,9 @@ class _Lowerer:
         body = self._compile_block(stmt.body, inner)
         update = self._compile_stmt(stmt.update, inner) if stmt.update is not None else None
         parts = [c for c in (init, cond, body, update) if c is not None]
+        truth = _truth_fn(cond) if cond is not None and not cond.yields else None
         if not any(c.yields for c in parts):
             ifn = init.fn if init is not None else None
-            cfn = cond.fn if cond is not None else None
             bfn = body.fn
             ufn = update.fn if update is not None else None
             limits = self.limits
@@ -711,10 +808,8 @@ class _Lowerer:
                     limits.steps = s
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
-                    if cfn is not None:
-                        c = cfn(rt)
-                        if not (c.value != 0 if c.__class__ is _SV else ops.truthy(c)):
-                            break
+                    if truth is not None and not truth(rt):
+                        break
                     fl = bfn(rt)
                     if fl is not None:
                         if fl is _BRK:
@@ -736,7 +831,10 @@ class _Lowerer:
                     return fl
             while True:
                 tick()
-                if cond is not None and not ops.truthy((yield from _ev(cond, rt))):
+                if truth is not None:
+                    if not truth(rt):
+                        break
+                elif cond is not None and not ops.truthy((yield from cond.fn(rt))):
                     break
                 fl = yield from _ev(body, rt)
                 if fl is not None:
@@ -755,8 +853,9 @@ class _Lowerer:
         tick = self._tick
         cond = self._compile_expr(stmt.cond, scope)
         body = self._compile_block(stmt.body, scope)
-        if not cond.yields and not body.yields:
-            cfn, bfn = cond.fn, body.fn
+        truth = None if cond.yields else _truth_fn(cond)
+        if truth is not None and not body.yields:
+            bfn = body.fn
             limits = self.limits
             max_steps = self._max_steps
 
@@ -770,8 +869,7 @@ class _Lowerer:
                     limits.steps = s
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
-                    c = cfn(rt)
-                    if not (c.value != 0 if c.__class__ is _SV else ops.truthy(c)):
+                    if not truth(rt):
                         break
                     fl = bfn(rt)
                     if fl is not None:
@@ -786,7 +884,8 @@ class _Lowerer:
             tick()
             while True:
                 tick()
-                if not ops.truthy((yield from _ev(cond, rt))):
+                if not (truth(rt) if truth is not None
+                        else ops.truthy((yield from cond.fn(rt)))):
                     break
                 fl = yield from _ev(body, rt)
                 if fl is not None:
@@ -809,7 +908,8 @@ class _Lowerer:
         scope: _Scope,
         extra_ticks: int = 0,
     ) -> _C:
-        """The write of ``target op= value``.
+        """The write of ``target op= value``; its closure returns None, so it
+        serves as an ``AssignStmt``'s statement closure as it is.
 
         ``extra_ticks`` folds the caller's preceding tick (the statement tick
         of an ``AssignStmt``, or the expression tick of an ``AssignExpr``)
@@ -836,8 +936,8 @@ class _Lowerer:
                 index_c = self._compile_expr(target.index, scope)
                 if not index_c.yields:
                     pslot = entry[0]
-                    ifn = index_c.fn
-                    vfn = value_c.fn
+                    ifn = _int_fn(index_c)
+                    vfn, convert = _dynamic_store(value_c)
                     entry_ticks = 1 + extra_ticks  # the _eval_lvalue tick
                     type_at_path = memory.type_at_path
                     store = memory._store
@@ -847,8 +947,7 @@ class _Lowerer:
                         limits.steps = s
                         if s > max_steps:
                             raise ExecutionTimeout(max_steps + 1)
-                        idx = ifn(rt)
-                        i = idx.value if idx.__class__ is _SV else ops.as_int(idx)
+                        i = ifn(rt)
                         s = limits.steps + 2  # pointer VarRef eval + lvalue ticks
                         limits.steps = s
                         if s > max_steps:
@@ -864,11 +963,7 @@ class _Lowerer:
                             cell = lv.cell
                             path = lv.path + (i,)
                         rhs = vfn(rt)
-                        element_type = type_at_path(cell.type, path)
-                        if rhs.__class__ is _SV and isinstance(element_type, ty.IntType):
-                            new = _mk_scalar(element_type, element_type.wrap(rhs.value))
-                        else:
-                            new = ops.convert_for_store(rhs, element_type)
+                        new = convert(rhs, type_at_path(cell.type, path))
                         hook = rt.hook
                         if hook is not None and cell.address_space in _SHARED_SPACES:
                             hook(cell, path, True, False)
@@ -901,9 +996,7 @@ class _Lowerer:
             ):
                 slot = entry[0]
                 fname = target.field
-                field_type = entry[1].field(fname).type
-                conv_field = self._make_convert(field_type)
-                vfn = value_c.fn
+                new_value = _store_fn(value_c, entry[1].field(fname).type)
                 # stmt/expr tick + FieldAccess lvalue tick + VarRef lvalue tick
                 entry_ticks = 2 + extra_ticks
                 store = memory._store
@@ -915,8 +1008,7 @@ class _Lowerer:
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
                     cell = rt.locals[slot]
-                    rhs = vfn(rt)
-                    new = conv_field(rhs)
+                    new = new_value(rt)
                     container = cell.value
                     if container.__class__ is vals.StructValue and fname in container.fields:
                         container.fields[fname] = new
@@ -940,10 +1032,7 @@ class _Lowerer:
             ):
                 slot = entry[0]
                 comp = target.component
-                element_type = entry[1].element
-                element_wrap = element_type.wrap
-                conv_elem = self._make_convert(element_type)
-                vfn = value_c.fn
+                new_value = _store_fn(value_c, entry[1].element)
                 # stmt/expr tick + component lvalue tick + VarRef lvalue tick
                 entry_ticks = 2 + extra_ticks
                 store = memory._store
@@ -955,11 +1044,10 @@ class _Lowerer:
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
                     cell = rt.locals[slot]
-                    rhs = vfn(rt)
-                    new = conv_elem(rhs)
+                    new = new_value(rt)  # a scalar of the element type
                     container = cell.value
-                    if container.__class__ is vals.VectorValue and new.__class__ is _SV:
-                        container.elements[comp] = element_wrap(new.value)
+                    if container.__class__ is vals.VectorValue:
+                        container.elements[comp] = new.value
                     else:
                         cell.value = store(container, path, new)
                     cell.initialised = True
@@ -970,37 +1058,20 @@ class _Lowerer:
             entry = scope.lookup(target.name)
             if entry is not None:
                 slot, decl_type = entry
-                vfn = value_c.fn
                 entry_ticks = 1 + extra_ticks  # the _eval_lvalue(VarRef) tick
-                int_type = decl_type if isinstance(decl_type, ty.IntType) else None
-                conv = self._make_convert(decl_type)
-                if base_op is None and int_type is not None:
-                    wrap = int_type.wrap
-
-                    def run_var_assign_int(rt):
-                        s = limits.steps + entry_ticks
-                        limits.steps = s
-                        if s > max_steps:
-                            raise ExecutionTimeout(max_steps + 1)
-                        cell = rt.locals[slot]
-                        rhs = vfn(rt)
-                        if rhs.__class__ is _SV:
-                            cell.value = _mk_scalar(int_type, wrap(rhs.value))
-                        else:
-                            cell.value = ops.convert_for_store(rhs, int_type)
-                        cell.initialised = True
-                    return _C(run_var_assign_int, False)
                 if base_op is None:
+                    new_value = _store_fn(value_c, decl_type)
+
                     def run_var_assign(rt):
                         s = limits.steps + entry_ticks
                         limits.steps = s
                         if s > max_steps:
                             raise ExecutionTimeout(max_steps + 1)
                         cell = rt.locals[slot]
-                        rhs = vfn(rt)
-                        cell.value = conv(rhs)
+                        cell.value = new_value(rt)
                         cell.initialised = True
                     return _C(run_var_assign, False)
+                value_fn = value_c.fn
 
                 def run_var_compound(rt):
                     s = limits.steps + entry_ticks
@@ -1008,32 +1079,48 @@ class _Lowerer:
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
                     cell = rt.locals[slot]
-                    rhs = vfn(rt)
+                    rhs = value_fn(rt)  # before the read: it may write the variable
                     rhs = ops.binary(base_op, cell.value, rhs)
-                    cell.value = conv(rhs)
+                    cell.value = ops.convert_for_store(rhs, decl_type)
                     cell.initialised = True
                 return _C(run_var_compound, False)
 
         lv_c, static_type = self._compile_lvalue(target, scope)
-        conv = self._make_convert(static_type)
         if not lv_c.yields and not value_c.yields:
-            lfn, vfn = lv_c.fn, value_c.fn
-            if base_op is None:
+            lfn = lv_c.fn
+            if base_op is None and static_type is not None:
+                new_value = _store_fn(value_c, static_type)
+
                 def run_assign(rt):
                     if extra_ticks:
                         tick(extra_ticks)
                     lv = lfn(rt)
-                    rhs = vfn(rt)
-                    lv.write(conv(rhs, lv), rt.hook)
+                    lv.write(new_value(rt), rt.hook)
                 return _C(run_assign, False)
+            if base_op is None:
+                vfn, convert = _dynamic_store(value_c)
+
+                def run_assign_dynamic(rt):
+                    if extra_ticks:
+                        tick(extra_ticks)
+                    lv = lfn(rt)
+                    rhs = vfn(rt)
+                    lv.write(convert(rhs, lv.type), rt.hook)
+                return _C(run_assign_dynamic, False)
+            value_fn = value_c.fn
 
             def run_compound(rt):
                 if extra_ticks:
                     tick(extra_ticks)
                 lv = lfn(rt)
-                rhs = vfn(rt)
+                rhs = value_fn(rt)
                 rhs = ops.binary(base_op, lv.read(rt.hook), rhs)
-                lv.write(conv(rhs, lv), rt.hook)
+                lv.write(
+                    ops.convert_for_store(
+                        rhs, static_type if static_type is not None else lv.type
+                    ),
+                    rt.hook,
+                )
             return _C(run_compound, False)
 
         def run_assign_gen(rt):
@@ -1043,7 +1130,12 @@ class _Lowerer:
             rhs = yield from _ev(value_c, rt)
             if base_op is not None:
                 rhs = ops.binary(base_op, lv.read(rt.hook), rhs)
-            lv.write(conv(rhs, lv), rt.hook)
+            lv.write(
+                ops.convert_for_store(
+                    rhs, static_type if static_type is not None else lv.type
+                ),
+                rt.hook,
+            )
         return _C(run_assign_gen, True)
 
     # ------------------------------------------------------------------
@@ -1054,18 +1146,16 @@ class _Lowerer:
         """Mirror of ``Interpreter._eval_initialiser`` (no tick of its own)."""
         if isinstance(init, ast.InitList):
             return self._compile_initlist(init, target_type, scope)
-        value_c = self._compile_expr(init, scope)
-        conv = self._make_convert(target_type)
+        return self._compile_converted(self._compile_expr(init, scope), target_type)
+
+    def _compile_converted(self, value_c: _C, target_type: ty.Type) -> _C:
+        """``value_c``'s value converted for a store into ``target_type``."""
         if not value_c.yields:
-            vfn = value_c.fn
+            return _C(_store_fn(value_c, target_type), False)
 
-            def run_init(rt):
-                return conv(vfn(rt))
-            return _C(run_init, False)
-
-        def run_init_gen(rt):
-            return conv((yield from value_c.fn(rt)))
-        return _C(run_init_gen, True)
+        def run_converted_gen(rt):
+            return ops.convert_for_store((yield from value_c.fn(rt)), target_type)
+        return _C(run_converted_gen, True)
 
     def _compile_initlist(self, init: ast.InitList, target_type: ty.Type, scope: _Scope) -> _C:
         if isinstance(target_type, ty.StructType):
@@ -1149,18 +1239,9 @@ class _Lowerer:
                 return self._raise_c(
                     0, UBKind.INVALID_FIELD, "scalar initialised with a list"
                 )
-            value_c = self._compile_expr(init.elements[0], scope)
-            conv = self._make_convert(target_type)
-            if not value_c.yields:
-                vfn = value_c.fn
-
-                def run_scalar_init(rt):
-                    return conv(vfn(rt))
-                return _C(run_scalar_init, False)
-
-            def run_scalar_init_gen(rt):
-                return conv((yield from value_c.fn(rt)))
-            return _C(run_scalar_init_gen, True)
+            return self._compile_converted(
+                self._compile_expr(init.elements[0], scope), target_type
+            )
         return self._raise_c(
             0, UBKind.INVALID_FIELD, f"cannot initialise {target_type} from a list"
         )
@@ -1211,19 +1292,7 @@ class _Lowerer:
         if isinstance(expr, ast.FieldAccess):
             fname = expr.field
             if expr.arrow:
-                base = self._compile_expr(expr.base, scope)
-                if not base.yields:
-                    bfn = base.fn
-
-                    def run_arrow_lv(rt):
-                        tick()
-                        return ops.pointer_target(bfn(rt)).member(fname)
-                    return _C(run_arrow_lv, False), None
-
-                def run_arrow_lv_gen(rt):
-                    tick()
-                    return ops.pointer_target((yield from base.fn(rt))).member(fname)
-                return _C(run_arrow_lv_gen, True), None
+                return self._arrow_lvalue(self._compile_expr(expr.base, scope), fname), None
             base_c, base_type = self._compile_lvalue(expr.base, scope)
             static = None
             if isinstance(base_type, (ty.StructType, ty.UnionType)) and base_type.has_field(fname):
@@ -1245,15 +1314,14 @@ class _Lowerer:
             if self._is_pointer_expr(expr.base, scope):
                 base = self._compile_expr(expr.base, scope)
                 if not index.yields and not base.yields:
-                    ifn, bfn = index.fn, base.fn
+                    ifn, bfn = _int_fn(index), base.fn
 
                     def run_ptr_index_lv(rt):
                         s = limits.steps + 1
                         limits.steps = s
                         if s > max_steps:
                             raise ExecutionTimeout(max_steps + 1)
-                        idx = ifn(rt)
-                        i = idx.value if idx.__class__ is _SV else ops.as_int(idx)
+                        i = ifn(rt)
                         ptr = bfn(rt)
                         if ptr.__class__ is _PV and ptr.cell is not None:
                             return memory.LValue(ptr.cell, ptr.path + (i,))
@@ -1268,11 +1336,11 @@ class _Lowerer:
             base_c, base_type = self._compile_lvalue(expr.base, scope)
             static = base_type.element if isinstance(base_type, ty.ArrayType) else None
             if not index.yields and not base_c.yields:
-                ifn, bfn = index.fn, base_c.fn
+                ifn, bfn = _int_fn(index), base_c.fn
 
                 def run_index_lv(rt):
                     tick()
-                    idx = ops.as_int(ifn(rt))
+                    idx = ifn(rt)
                     return bfn(rt).index(idx)
                 return _C(run_index_lv, False), static
 
@@ -1306,6 +1374,46 @@ class _Lowerer:
             None,
         )
 
+    def _arrow_lvalue(self, base: _C, fname: str) -> _C:
+        """The lvalue ``base->fname`` of a compiled pointer (own tick
+        included)."""
+        tick = self._tick
+        if not base.yields:
+            bfn = base.fn
+
+            def run_arrow_lv(rt):
+                tick()
+                return ops.pointer_target(bfn(rt)).member(fname)
+            return _C(run_arrow_lv, False)
+
+        def run_arrow_lv_gen(rt):
+            tick()
+            return ops.pointer_target((yield from base.fn(rt))).member(fname)
+        return _C(run_arrow_lv_gen, True)
+
+    def _read_lvalue(self, lv_c: _C) -> _C:
+        """The rvalue read of a compiled lvalue: the ``_eval`` tick, the
+        lvalue (which ticks itself), the read and the decay."""
+        limits = self.limits
+        max_steps = self._max_steps
+        if not lv_c.yields:
+            lfn = lv_c.fn
+
+            def run_access(rt):
+                s = limits.steps + 1
+                limits.steps = s
+                if s > max_steps:
+                    raise ExecutionTimeout(max_steps + 1)
+                return ops.decay(lfn(rt).read(rt.hook))
+            return _C(run_access, False)
+        tick = self._tick
+
+        def run_access_gen(rt):
+            tick()
+            lv = yield from lv_c.fn(rt)
+            return ops.decay(lv.read(rt.hook))
+        return _C(run_access_gen, True)
+
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
@@ -1315,7 +1423,9 @@ class _Lowerer:
         limits = self.limits
         max_steps = self._max_steps
         if isinstance(expr, ast.IntLiteral):
-            value = vals.ScalarValue.wrap(expr.type, expr.value)
+            itype = expr.type
+            raw_value = itype.wrap(expr.value)
+            value = _mk_scalar(itype, raw_value)
 
             def run_literal(rt):
                 s = limits.steps + 1
@@ -1323,7 +1433,14 @@ class _Lowerer:
                 if s > max_steps:
                     raise ExecutionTimeout(max_steps + 1)
                 return value
-            return _C(run_literal, False)
+
+            def run_literal_raw(rt):
+                s = limits.steps + 1
+                limits.steps = s
+                if s > max_steps:
+                    raise ExecutionTimeout(max_steps + 1)
+                return raw_value
+            return _typed(run_literal_raw, itype, run_literal)
         if isinstance(expr, ast.VarRef):
             entry = scope.lookup(expr.name)
             if entry is None:
@@ -1344,7 +1461,18 @@ class _Lowerer:
                 if s > max_steps:
                     raise ExecutionTimeout(max_steps + 1)
                 return rt.locals[slot].value
-            return _C(run_var, False)
+            if not isinstance(decl_type, ty.IntType):
+                return _C(run_var, False)
+
+            # Every writer of an int variable converts to its declared type,
+            # so the cell holds a scalar of exactly that type.
+            def run_var_raw(rt):
+                s = limits.steps + 2
+                limits.steps = s
+                if s > max_steps:
+                    raise ExecutionTimeout(max_steps + 1)
+                return rt.locals[slot].value.value
+            return _typed(run_var_raw, decl_type, run_var)
         if isinstance(expr, ast.WorkItemExpr):
             if expr.function not in ast.WORKITEM_FUNCTIONS:  # pragma: no cover
                 return self._raise_c(
@@ -1352,18 +1480,28 @@ class _Lowerer:
                 )
             index = self._wi_index(expr.function, expr.dimension)
 
-            def run_workitem(rt):
+            def run_workitem_raw(rt):
                 s = limits.steps + 1
                 limits.steps = s
                 if s > max_steps:
                     raise ExecutionTimeout(max_steps + 1)
                 return rt.wi[index]
-            return _C(run_workitem, False)
+            return _typed(run_workitem_raw, ty.SIZE_T)
         if isinstance(expr, ast.VectorLiteral):
             return self._compile_vector_literal(expr, scope)
         if isinstance(expr, ast.UnaryOp):
             op = expr.op
             operand = self._compile_expr(expr.operand, scope)
+            if operand.raw is not None:
+                oraw = operand.raw
+                # ops.unary: ``!`` yields int; the rest promote below int.
+                itype = ty.INT if op == "!" or operand.itype.bits < 32 else operand.itype
+                unary_scalar = ops.unary_scalar
+
+                def run_unary_raw(rt):
+                    tick()
+                    return unary_scalar(op, oraw(rt), itype)
+                return _typed(run_unary_raw, itype)
             if not operand.yields:
                 ofn = operand.fn
 
@@ -1413,17 +1551,27 @@ class _Lowerer:
             then = self._compile_expr(expr.then, scope)
             other = self._compile_expr(expr.otherwise, scope)
             if not (cond.yields or then.yields or other.yields):
-                cfn, tfn, ofn = cond.fn, then.fn, other.fn
+                truth = _truth_fn(cond)
+                # The value is the taken branch's, unconverted: typed only
+                # when both branches have the same static type.
+                if then.raw is not None and other.raw is not None and then.itype == other.itype:
+                    traw, oraw = then.raw, other.raw
+
+                    def run_conditional_raw(rt):
+                        s = limits.steps + 1
+                        limits.steps = s
+                        if s > max_steps:
+                            raise ExecutionTimeout(max_steps + 1)
+                        return traw(rt) if truth(rt) else oraw(rt)
+                    return _typed(run_conditional_raw, then.itype)
+                tfn, ofn = then.fn, other.fn
 
                 def run_conditional(rt):
                     s = limits.steps + 1
                     limits.steps = s
                     if s > max_steps:
                         raise ExecutionTimeout(max_steps + 1)
-                    c = cfn(rt)
-                    if c.value != 0 if c.__class__ is _SV else ops.truthy(c):
-                        return tfn(rt)
-                    return ofn(rt)
+                    return tfn(rt) if truth(rt) else ofn(rt)
                 return _C(run_conditional, False)
 
             def run_conditional_gen(rt):
@@ -1435,22 +1583,40 @@ class _Lowerer:
         if isinstance(expr, ast.Cast):
             target = expr.type
             operand = self._compile_expr(expr.operand, scope)
-            int_target = target if isinstance(target, ty.IntType) else None
-            if not operand.yields:
-                ofn = operand.fn
-                if int_target is not None:
-                    wrap = int_target.wrap
-
-                    def run_cast_int(rt):
+            if not operand.yields and isinstance(target, ty.IntType):
+                half, mask = target.half, target.mask
+                oraw = operand.raw
+                if oraw is not None and _fits(operand.itype, target):
+                    def run_cast_raw(rt):
                         s = limits.steps + 1
                         limits.steps = s
                         if s > max_steps:
                             raise ExecutionTimeout(max_steps + 1)
-                        value = ofn(rt)
-                        if value.__class__ is _SV:
-                            return _mk_scalar(int_target, wrap(value.value))
-                        return ops.cast_value(value, int_target)
-                    return _C(run_cast_int, False)
+                        return oraw(rt)
+                    return _typed(run_cast_raw, target)
+                if oraw is not None:
+                    def run_cast_wrap(rt):
+                        s = limits.steps + 1
+                        limits.steps = s
+                        if s > max_steps:
+                            raise ExecutionTimeout(max_steps + 1)
+                        return ((oraw(rt) + half) & mask) - half
+                    return _typed(run_cast_wrap, target)
+                # A boxed operand (a buffer or struct load, say) is unboxed here.
+                ofn = operand.fn
+
+                def run_cast_unbox(rt):
+                    s = limits.steps + 1
+                    limits.steps = s
+                    if s > max_steps:
+                        raise ExecutionTimeout(max_steps + 1)
+                    value = ofn(rt)
+                    if value.__class__ is _SV:
+                        return ((value.value + half) & mask) - half
+                    return ops.cast_value(value, target).value  # raises: non-scalar
+                return _typed(run_cast_unbox, target)
+            if not operand.yields:
+                ofn = operand.fn
 
                 def run_cast(rt):
                     tick()
@@ -1471,24 +1637,11 @@ class _Lowerer:
             vector_load = self._compile_vector_load(expr, scope)
             if vector_load is not None:
                 return vector_load
+            arrow_load = self._compile_arrow_load(expr, scope)
+            if arrow_load is not None:
+                return arrow_load
             if self._is_lvalue_shaped(expr, scope):
-                lv_c, _ = self._compile_lvalue(expr, scope)
-                if not lv_c.yields:
-                    lfn = lv_c.fn
-
-                    def run_access(rt):
-                        s = limits.steps + 1  # the _eval tick; the lvalue ticks itself
-                        limits.steps = s
-                        if s > max_steps:
-                            raise ExecutionTimeout(max_steps + 1)
-                        return ops.decay(lfn(rt).read(rt.hook))
-                    return _C(run_access, False)
-
-                def run_access_gen(rt):
-                    tick()
-                    lv = yield from lv_c.fn(rt)
-                    return ops.decay(lv.read(rt.hook))
-                return _C(run_access_gen, True)
+                return self._read_lvalue(self._compile_lvalue(expr, scope)[0])
             return self._compile_rvalue_access(expr, scope)
         if isinstance(expr, ast.Call):
             return self._compile_call(expr, scope)
@@ -1535,7 +1688,7 @@ class _Lowerer:
         if index_c.yields:
             return None
         pslot = entry[0]
-        ifn = index_c.fn
+        ifn = _int_fn(index_c)
         limits = self.limits
         max_steps = self._max_steps
         navigate = memory._navigate
@@ -1545,8 +1698,7 @@ class _Lowerer:
             limits.steps = s
             if s > max_steps:
                 raise ExecutionTimeout(max_steps + 1)
-            idx = ifn(rt)
-            i = idx.value if idx.__class__ is _SV else ops.as_int(idx)
+            i = ifn(rt)
             s = limits.steps + 2  # the pointer VarRef eval + lvalue ticks
             limits.steps = s
             if s > max_steps:
@@ -1614,6 +1766,52 @@ class _Lowerer:
                 return value
             return ops.decay(value)
         return _C(run_struct_load, False)
+
+    def _compile_arrow_load(self, expr: ast.Expr, scope: _Scope) -> Optional[_C]:
+        """Specialised closure for ``p->f`` reads: the generic path's ticks,
+        pointer-target checks, hook and navigation, without building the
+        LValue.  The field's value stays boxed (its type is the cell's).  A
+        yielding base takes the generic read of the same compiled base."""
+        if not isinstance(expr, ast.FieldAccess) or not expr.arrow:
+            return None
+        base = self._compile_expr(expr.base, scope)
+        fname = expr.field
+        if base.yields:
+            return self._read_lvalue(self._arrow_lvalue(base, fname))
+        bfn = base.fn
+        limits = self.limits
+        max_steps = self._max_steps
+        navigate = memory._navigate
+
+        def run_arrow_load(rt):
+            s = limits.steps + 2  # rvalue-access eval tick + FieldAccess lvalue tick
+            limits.steps = s
+            if s > max_steps:
+                raise ExecutionTimeout(max_steps + 1)
+            ptr = bfn(rt)
+            if ptr.__class__ is _PV and ptr.cell is not None:
+                cell = ptr.cell
+                path = ptr.path + (fname,)
+            else:
+                lv = ops.pointer_target(ptr).member(fname)  # raises: null, non-pointer
+                cell = lv.cell
+                path = lv.path
+            hook = rt.hook
+            if hook is not None and cell.address_space in _SHARED_SPACES:
+                hook(cell, path, False, False)
+            container = cell.value
+            if (
+                len(path) == 1
+                and container.__class__ is vals.StructValue
+                and fname in container.fields
+            ):
+                value = container.fields[fname]
+            else:
+                value = navigate(container, path)
+            if value.__class__ is _SV:
+                return value
+            return ops.decay(value)
+        return _C(run_arrow_load, False)
 
     def _compile_vector_load(self, expr: ast.Expr, scope: _Scope) -> Optional[_C]:
         """Specialised closure for ``var.x`` reads on a local vector."""
@@ -1698,22 +1896,24 @@ class _Lowerer:
         right = self._compile_expr(expr.right, scope)
         plain = not left.yields and not right.yields
         if op in ("&&", "||"):
-            is_and = op == "&&"
             if plain:
-                lfn, rfn = left.fn, right.fn
+                # An int 0 or 1 whatever the operands' types: always typed.
+                ltruth, rtruth = _truth_fn(left), _truth_fn(right)
+                if op == "&&":
+                    def run_and_raw(rt):
+                        tick()
+                        if not ltruth(rt):
+                            return 0
+                        return 1 if rtruth(rt) else 0
+                    return _typed(run_and_raw, ty.INT)
 
-                def run_logical(rt):
+                def run_or_raw(rt):
                     tick()
-                    lhs = lfn(rt)
-                    left_true = lhs.value != 0 if lhs.__class__ is _SV else ops.truthy(lhs)
-                    if is_and and not left_true:
-                        return _INT0
-                    if not is_and and left_true:
-                        return _INT1
-                    rhs = rfn(rt)
-                    right_true = rhs.value != 0 if rhs.__class__ is _SV else ops.truthy(rhs)
-                    return _INT1 if right_true else _INT0
-                return _C(run_logical, False)
+                    if ltruth(rt):
+                        return 1
+                    return 1 if rtruth(rt) else 0
+                return _typed(run_or_raw, ty.INT)
+            is_and = op == "&&"
 
             def run_logical_gen(rt):
                 tick()
@@ -1727,7 +1927,24 @@ class _Lowerer:
         if op == ",":
             comma_zero = self.comma_yields_zero
             if plain:
-                lfn, rfn = left.fn, right.fn
+                # The left operand runs for its effects only.
+                lfn = left.raw if left.raw is not None else left.fn
+                rraw = right.raw
+                if rraw is not None:
+                    if comma_zero:
+                        def run_comma_zero_raw(rt):
+                            tick()
+                            lfn(rt)
+                            rraw(rt)
+                            return 0  # Injected Oclgrind defect (Figure 2(f)).
+                        return _typed(run_comma_zero_raw, right.itype)
+
+                    def run_comma_raw(rt):
+                        tick()
+                        lfn(rt)
+                        return rraw(rt)
+                    return _typed(run_comma_raw, right.itype)
+                rfn = right.fn
                 if not comma_zero:
                     def run_comma(rt):
                         tick()
@@ -1755,6 +1972,28 @@ class _Lowerer:
                 return value
             return _C(run_comma_gen, True)
         is_comparison = op in ast.COMPARISON_OPERATORS
+        if plain and left.raw is not None and right.raw is not None:
+            lraw, rraw = left.raw, right.raw
+            if is_comparison:
+                compare_raw = ops.COMPARISONS[op]
+
+                def run_compare_raw(rt):
+                    s = limits.steps + 1
+                    limits.steps = s
+                    if s > max_steps:
+                        raise ExecutionTimeout(max_steps + 1)
+                    return compare_raw(lraw(rt), rraw(rt))
+                return _typed(run_compare_raw, ty.INT)
+            itype = ty.common_scalar_type(left.itype, right.itype)
+            scalar_arith = ops.scalar_arith
+
+            def run_arith_raw(rt):
+                s = limits.steps + 1
+                limits.steps = s
+                if s > max_steps:
+                    raise ExecutionTimeout(max_steps + 1)
+                return scalar_arith(op, lraw(rt), rraw(rt), itype)
+            return _typed(run_arith_raw, itype)
         if plain:
             lfn, rfn = left.fn, right.fn
             scalar_arith = ops.scalar_arith
@@ -1825,11 +2064,11 @@ class _Lowerer:
             index = self._compile_expr(expr.index, scope)
             base = self._compile_expr(expr.base, scope)
             if not index.yields and not base.yields:
-                ifn, bfn = index.fn, base.fn
+                ifn, bfn = _int_fn(index), base.fn
 
                 def run_rv_index(rt):
                     tick()
-                    idx = ops.as_int(ifn(rt))
+                    idx = ifn(rt)
                     return _rvalue_index(bfn(rt), idx)
                 return _C(run_rv_index, False)
 
@@ -1860,31 +2099,11 @@ class _Lowerer:
             spec = builtins.SCALAR_BUILTINS[name]
             args = [self._compile_expr(a, scope) for a in expr.args]
             if not any(c.yields for c in args):
+                if len(args) == 2:
+                    return self._compile_builtin2(spec, args)
                 fns = [c.fn for c in args]
                 limits = self.limits
                 max_steps = self._max_steps
-                raw_fn = spec.fn
-                if len(fns) == 2:
-                    f0, f1 = fns
-
-                    def run_builtin2(rt):
-                        s = limits.steps + 1
-                        limits.steps = s
-                        if s > max_steps:
-                            raise ExecutionTimeout(max_steps + 1)
-                        a = f0(rt)
-                        b = f1(rt)
-                        if a.__class__ is _SV and b.__class__ is _SV:
-                            scalar_type = a.type
-                            try:
-                                result = raw_fn(a.value, b.value, scalar_type)
-                            except builtins.BuiltinUndefined as exc:
-                                raise UndefinedBehaviourError(
-                                    UBKind.BUILTIN_UNDEFINED, str(exc)
-                                ) from exc
-                            return _mk_scalar(scalar_type, scalar_type.wrap(result))
-                        return ops.apply_scalar_builtin(spec, [a, b])
-                    return _C(run_builtin2, False)
 
                 def run_builtin(rt):
                     s = limits.steps + 1
@@ -1903,9 +2122,64 @@ class _Lowerer:
             return _C(run_builtin_gen, True)
         return self._compile_user_call(expr, scope)
 
+    def _compile_builtin2(self, spec: builtins.BuiltinSpec, args: List[_C]) -> _C:
+        """A plain 2-argument scalar builtin.  The result type is the first
+        argument's (``ops.builtin_result_type``), so the node is typed when
+        both arguments are."""
+        limits = self.limits
+        max_steps = self._max_steps
+        raw_fn = spec.fn
+        first, second = args
+        f1 = second.raw
+        if first.raw is not None and f1 is not None:
+            f0 = first.raw
+            itype = first.itype
+            half, mask = itype.half, itype.mask
+
+            def run_builtin2_raw(rt):
+                s = limits.steps + 1
+                limits.steps = s
+                if s > max_steps:
+                    raise ExecutionTimeout(max_steps + 1)
+                a = f0(rt)
+                b = f1(rt)
+                try:
+                    result = raw_fn(a, b, itype)
+                except builtins.BuiltinUndefined as exc:
+                    raise UndefinedBehaviourError(UBKind.BUILTIN_UNDEFINED, str(exc)) from exc
+                return ((result + half) & mask) - half
+            return _typed(run_builtin2_raw, itype)
+        f0, f1 = first.fn, second.fn
+
+        def run_builtin2(rt):
+            s = limits.steps + 1
+            limits.steps = s
+            if s > max_steps:
+                raise ExecutionTimeout(max_steps + 1)
+            a = f0(rt)
+            b = f1(rt)
+            if a.__class__ is _SV and b.__class__ is _SV:
+                scalar_type = a.type
+                try:
+                    result = raw_fn(a.value, b.value, scalar_type)
+                except builtins.BuiltinUndefined as exc:
+                    raise UndefinedBehaviourError(
+                        UBKind.BUILTIN_UNDEFINED, str(exc)
+                    ) from exc
+                return _mk_scalar(scalar_type, scalar_type.wrap(result))
+            return ops.apply_scalar_builtin(spec, [a, b])
+        return _C(run_builtin2, False)
+
     def _compile_atomic(self, expr: ast.Call, scope: _Scope) -> _C:
         tick = self._tick
         atomic_fn = ops.ATOMIC_OPS[expr.name]
+        target = expr.args[0] if expr.args else None
+        if (
+            isinstance(target, ast.AddressOf)
+            and isinstance(target.operand, ast.IndexAccess)
+            and self._is_pointer_expr(target.operand.base, scope)
+        ):
+            return self._compile_atomic_index(expr, scope, atomic_fn)
         pointer = self._compile_expr(expr.args[0], scope)
         operands = [self._compile_expr(a, scope) for a in expr.args[1:]]
 
@@ -1925,6 +2199,94 @@ class _Lowerer:
             target.write(vals.ScalarValue.wrap(result_type, new), rt.hook, atomic=True)
             return vals.ScalarValue.wrap(result_type, old)
         return _C(run_atomic, True)
+
+    def _compile_atomic_index(
+        self, expr: ast.Call, scope: _Scope, atomic_fn: Callable
+    ) -> _C:
+        """``atomic_op(&ptr[idx], ...)`` with ``ptr`` a pointer variable: the
+        generic path's ticks, UB points, scheduling point and hook calls,
+        without the LValue/PointerValue round trip."""
+        target = expr.args[0].operand
+        pslot = scope.lookup(target.base.name)[0]
+        index = self._compile_expr(target.index, scope)
+        operands = [self._compile_expr(a, scope) for a in expr.args[1:]]
+        # Plain children are called directly; a yielding one (an atomic in
+        # the index, say) is delegated to.
+        ifn = None if index.yields else _int_fn(index)
+        operand_fns = None
+        if not any(c.yields for c in operands):
+            operand_fns = [_int_fn(c) for c in operands]
+        limits = self.limits
+        max_steps = self._max_steps
+        type_at_path = memory.type_at_path
+        navigate = memory._navigate
+        store = memory._store
+
+        def run_atomic_index(rt):
+            # The call tick, the AddressOf tick and the index lvalue tick.
+            s = limits.steps + 3
+            limits.steps = s
+            if s > max_steps:
+                raise ExecutionTimeout(max_steps + 1)
+            if ifn is not None:
+                i = ifn(rt)
+            else:
+                i = ops.as_int((yield from index.fn(rt)))
+            s = limits.steps + 2  # the pointer VarRef eval + lvalue ticks
+            limits.steps = s
+            if s > max_steps:
+                raise ExecutionTimeout(max_steps + 1)
+            ptr = rt.locals[pslot].value
+            if ptr.__class__ is _PV and ptr.cell is not None:
+                cell = ptr.cell
+                path = ptr.path + (i,)
+            else:
+                lv = ops.pointer_target(ptr).index(i)  # raises: null, non-pointer
+                cell = lv.cell
+                path = lv.path
+            # Where taking the address computes the pointee type (and may
+            # raise for a path the cell's type cannot follow).
+            cell_type = cell.type
+            if len(path) == 1 and cell_type.__class__ is ty.ArrayType:
+                target_type = cell_type.element
+            else:
+                target_type = type_at_path(cell_type, path)
+            if operand_fns is not None:
+                values = [f(rt) for f in operand_fns]
+            else:
+                values = []
+                for c in operands:
+                    values.append(ops.as_int((yield from _ev(c, rt))))
+            # Scheduling point, as in run_atomic.
+            yield _ATOMIC_EVENT
+            hook = rt.hook
+            shared = hook is not None and cell.address_space in _SHARED_SPACES
+            if shared:
+                hook(cell, path, False, True)
+            container = cell.value
+            single = len(path) == 1 and container.__class__ is vals.ArrayValue
+            if single:
+                # Inline of _navigate (and below _store) for one index.
+                if not 0 <= i < container.type.length:
+                    raise UndefinedBehaviourError(
+                        UBKind.OUT_OF_BOUNDS,
+                        f"index {i} out of bounds for length {container.type.length}",
+                    )
+                old = container.elements[i]
+            else:
+                old = navigate(container, path)
+            old = old.value if old.__class__ is _SV else ops.as_int(old)
+            result_type = target_type if target_type.__class__ is ty.IntType else ty.UINT
+            new = _box_int(atomic_fn(old, values), result_type)
+            if shared:
+                hook(cell, path, True, True)
+            if single:
+                container.elements[i] = new
+            else:
+                cell.value = store(container, path, new)
+            cell.initialised = True
+            return _box_int(old, result_type)
+        return _C(run_atomic_index, True)
 
     def _compile_user_call(self, expr: ast.Call, scope: _Scope) -> _C:
         tick = self._tick
@@ -1954,13 +2316,14 @@ class _Lowerer:
             return _C(run_arity, False)
         record = self._function_record(name)
         callee_yields = name in self._yielding_fns
-        args = [self._compile_expr(a, scope) for a in expr.args]
-        params = [
-            (p.name, p.type, self._make_convert(p.type)) for p in decl.params
+        # Each argument is converted to its parameter's type: a fresh value
+        # (pass by value needs no further copy), boxed here if typed.
+        arg_steps = [
+            (self._compile_converted(self._compile_expr(a, scope), p.type), p.name, p.type)
+            for a, p in zip(expr.args, decl.params)
         ]
-        arg_steps = list(zip(args, params))
-        if not callee_yields and not any(c.yields for c in args):
-            plain_steps = [(c.fn, p) for c, p in arg_steps]
+        if not callee_yields and not any(c.yields for c, _, _ in arg_steps):
+            plain_steps = [(c.fn, pname, ptype) for c, pname, ptype in arg_steps]
 
             def run_call(rt):
                 tick()
@@ -1970,9 +2333,8 @@ class _Lowerer:
                     )
                 frame: List[Optional[memory.Cell]] = [None] * record.nslots
                 slot = 0
-                for afn, (pname, ptype, conv) in plain_steps:
-                    value = conv(afn(rt))
-                    frame[slot] = memory.Cell(pname, ptype, vals.copy_value(value))
+                for afn, pname, ptype in plain_steps:
+                    frame[slot] = memory.Cell(pname, ptype, afn(rt))
                     slot += 1
                 saved = rt.locals
                 rt.locals = frame
@@ -1993,9 +2355,8 @@ class _Lowerer:
                 )
             frame: List[Optional[memory.Cell]] = [None] * record.nslots
             slot = 0
-            for ac, (pname, ptype, conv) in arg_steps:
-                value = conv((yield from _ev(ac, rt)))
-                frame[slot] = memory.Cell(pname, ptype, vals.copy_value(value))
+            for ac, pname, ptype in arg_steps:
+                frame[slot] = memory.Cell(pname, ptype, (yield from _ev(ac, rt)))
                 slot += 1
             saved = rt.locals
             rt.locals = frame
@@ -2068,6 +2429,7 @@ _rvalue_component = ops.rvalue_component
 _rvalue_field = ops.rvalue_field
 _rvalue_index = ops.rvalue_index
 _workitem_raw = ops.workitem_raw
+_wrap_size_t = ty.SIZE_T.wrap
 
 
 # ---------------------------------------------------------------------------
@@ -2152,8 +2514,7 @@ class CompiledGroup(PreparedGroup):
         rt = _RT()
         rt.hook = access_hook
         rt.wi = [
-            vals.ScalarValue.wrap(ty.SIZE_T, _workitem_raw(fn, dim, context))
-            for fn, dim in lowered._wi_specs
+            _wrap_size_t(_workitem_raw(fn, dim, context)) for fn, dim in lowered._wi_specs
         ]
         nslots = lowered._nslots
         param_inits = self._param_inits

@@ -162,20 +162,23 @@ def unary(op: str, operand: vals.Value) -> vals.Value:
     raise UndefinedBehaviourError(UBKind.INVALID_FIELD, f"bad operand for unary {op}")
 
 
+#: The comparison operators on raw ints, each yielding 1 or 0.  The compiled
+#: engine picks an entry at lowering time; :func:`compare` dispatches here.
+COMPARISONS = {
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+}
+
+
 def compare(op: str, a: int, b: int) -> int:
-    if op == "==":
-        return 1 if a == b else 0
-    if op == "!=":
-        return 1 if a != b else 0
-    if op == "<":
-        return 1 if a < b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    if op == ">":
-        return 1 if a > b else 0
-    if op == ">=":
-        return 1 if a >= b else 0
-    raise UndefinedBehaviourError(UBKind.INVALID_FIELD, f"unknown comparison {op}")
+    fn = COMPARISONS.get(op)
+    if fn is None:
+        raise UndefinedBehaviourError(UBKind.INVALID_FIELD, f"unknown comparison {op}")
+    return fn(a, b)
 
 
 def scalar_arith(op: str, a: int, b: int, type_: ty.IntType) -> int:
@@ -514,6 +517,7 @@ __all__ = [
     "convert_for_store",
     "unary",
     "unary_scalar",
+    "COMPARISONS",
     "compare",
     "scalar_arith",
     "pointer_binary",

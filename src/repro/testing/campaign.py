@@ -196,7 +196,8 @@ def run_clsmith_campaign(
     large anomaly parallelises across the otherwise-idle pool -- with lazy
     accounting that keeps every dispatch path attaching byte-identical
     summaries.  ``reduce_budget`` caps the candidate evaluations per
-    anomaly.
+    anomaly; a budget below 1 raises ``ValueError`` before the store or the
+    worker pool is touched.
 
     ``auto_triage=True`` (implies ``auto_reduce``) additionally deduplicates
     the reduced reproducers into bug buckets, attributes each bucket to a
@@ -230,6 +231,7 @@ def run_clsmith_campaign(
     counters) is populated either way.
     """
     get_engine(engine)
+    _check_reduce_budget(reduce_budget)
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = serialise_configs(configs)
     result = ClsmithCampaignResult(kernels_per_mode)
@@ -335,6 +337,12 @@ def run_clsmith_campaign(
         _attach_worker_faults(result, pool)
     _finish_telemetry(telemetry, result, started)
     return result
+
+
+def _check_reduce_budget(reduce_budget: Optional[int]) -> None:
+    """Reject a budget below 1: it cannot pay for a single evaluation."""
+    if reduce_budget is not None and reduce_budget < 1:
+        raise ValueError(f"reduce_budget must be None or at least 1, got {reduce_budget!r}")
 
 
 @contextmanager
@@ -885,7 +893,8 @@ def run_emi_campaign(
 
     ``variants_per_base`` runs the first that many points of the pruning
     grid (``None``: all of them); a value outside ``1..len(PRUNING_GRID)``
-    raises ``ValueError``, again before the store or the pool is touched.
+    raises ``ValueError``, again before the store or the pool is touched,
+    and so does a ``reduce_budget`` below 1.
     """
     get_engine(engine)
     if variants_per_base is not None and not 1 <= variants_per_base <= len(PRUNING_GRID):
@@ -893,6 +902,7 @@ def run_emi_campaign(
             f"variants_per_base must be None or 1..{len(PRUNING_GRID)}, "
             f"got {variants_per_base!r}"
         )
+    _check_reduce_budget(reduce_budget)
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = serialise_configs(configs)
     family_job = dict(

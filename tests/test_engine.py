@@ -10,12 +10,15 @@ differential testing over a generated corpus -- to the repository's two
 execution engines.
 """
 
+import random
+
 import pytest
 
 from repro.compiler import compile_program
+from repro.emi import PRUNING_GRID, generate_variants, invert_dead_array
 from repro.generator import generate_kernel
 from repro.generator.options import GeneratorOptions, Mode
-from repro.kernel_lang import ast, types as ty
+from repro.kernel_lang import ast, builtins, types as ty
 from repro.kernel_lang.semantics import UBKind
 from repro.orchestration.cache import ResultCache, cached_run
 from repro.platforms import get_configuration
@@ -201,6 +204,52 @@ def _single_thread_program(statements):
             [ast.out_write(ast.var("nonexistent"))],
             UBKind.UNINITIALISED_READ,
         ),
+        # UB raised inside the compiled engine's typed integer closures.
+        (
+            [ast.out_write(ast.binop("-", ast.lit(-2**63, ty.LONG), ast.lit(1, ty.LONG)))],
+            UBKind.SIGNED_OVERFLOW,
+        ),
+        (
+            [ast.out_write(ast.binop("*", ast.lit(2**62, ty.LONG), ast.lit(2, ty.LONG)))],
+            UBKind.SIGNED_OVERFLOW,
+        ),
+        (
+            [ast.out_write(ast.UnaryOp("-", ast.lit(-2**31)))],
+            UBKind.SIGNED_OVERFLOW,
+        ),
+        (
+            [ast.out_write(ast.binop("%", ast.lit(1), ast.lit(0)))],
+            UBKind.DIVISION_BY_ZERO,
+        ),
+        (
+            [ast.out_write(ast.binop(">>", ast.lit(1), ast.lit(32)))],
+            UBKind.SHIFT_OUT_OF_RANGE,
+        ),
+        (
+            # ``out`` has one element; the read after the scheduling point fails.
+            [
+                ast.ExprStmt(
+                    ast.call(
+                        "atomic_inc",
+                        ast.AddressOf(ast.IndexAccess(ast.var("out"), ast.lit(3))),
+                    )
+                )
+            ],
+            UBKind.OUT_OF_BOUNDS,
+        ),
+        (
+            [
+                ast.DeclStmt(
+                    "p",
+                    ty.PointerType(
+                        ty.StructType("Pair", (ty.FieldDecl("f", ty.INT),))
+                    ),
+                    ast.lit(0),
+                ),
+                ast.out_write(ast.FieldAccess(ast.var("p"), "f", arrow=True)),
+            ],
+            UBKind.NULL_DEREFERENCE,
+        ),
     ],
 )
 def test_engines_agree_on_ub_kind(statements, kind):
@@ -380,3 +429,231 @@ def test_device_accepts_engine_instances():
     program = generate_kernel(Mode.BASIC, 3, options=CORPUS_OPTIONS)
     device = Device(engine=ReferenceEngine())
     assert device.run(program) == run_program(program, engine="compiled")
+
+
+# ---------------------------------------------------------------------------
+# Typed integer closures
+# ---------------------------------------------------------------------------
+
+#: The nine integer types, ``size_t`` included.
+INT_TYPES = ty.ALL_SCALAR_TYPES + (ty.SIZE_T,)
+ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^=")
+BUILTINS2 = sorted(n for n, spec in builtins.SCALAR_BUILTINS.items() if spec.arity == 2)
+PAIR = ty.StructType("Pair", (ty.FieldDecl("lo", ty.UCHAR), ty.FieldDecl("hi", ty.LONG)))
+
+
+class _IntKernels:
+    """Seeded random single-group, 2-work-item integer kernels.
+
+    They cover every integer type with boundary literals, every binary
+    operator (``,``, ``&&`` and ``||`` included), casts, unary operators,
+    ternaries whose branches differ in type, 2-argument builtins, compound
+    assignments (as statements and as expressions), struct fields read
+    directly and through a pointer, loops, atomics and a helper function
+    with integer parameters.
+    """
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.targets = []
+
+    def literal(self):
+        itype = self.rng.choice(INT_TYPES)
+        value = self.rng.choice((
+            itype.min_value, itype.max_value, itype.min_value + 1,
+            itype.max_value - 1, 0, 1, self.rng.randint(-9, 9),
+        ))
+        return ast.lit(itype.wrap(value), itype)
+
+    def leaf(self, reads):
+        pick = self.rng.random()
+        if pick < 0.35 or not reads:
+            return self.literal()
+        if pick < 0.9:
+            return self.rng.choice(reads)()
+        return ast.WorkItemExpr(self.rng.choice(("get_global_id", "get_linear_local_id")))
+
+    def expr(self, reads, depth):
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.2:
+            return self.leaf(reads)
+        kind = rng.randrange(8)
+        if kind == 7 and self.targets:
+            op = rng.choice(ASSIGN_OPS)
+            return ast.AssignExpr(
+                rng.choice(self.targets)(), self.operand(op, reads, depth - 1), op
+            )
+        if kind == 0:
+            return ast.Cast(rng.choice(INT_TYPES), self.expr(reads, depth - 1))
+        if kind == 1:
+            return ast.UnaryOp(rng.choice(ast.UNARY_OPERATORS), self.expr(reads, depth - 1))
+        if kind == 2:
+            return ast.Conditional(*(self.expr(reads, depth - 1) for _ in range(3)))
+        if kind == 3:
+            return ast.call(rng.choice(BUILTINS2), *(self.expr(reads, depth - 1) for _ in range(2)))
+        op = rng.choice(ast.BINARY_OPERATORS)
+        return ast.binop(op, self.expr(reads, depth - 1), self.operand(op, reads, depth - 1))
+
+    def operand(self, op, reads, depth):
+        """A right operand; mostly a small positive literal for ``/``, ``%``
+        and the shifts, so that most kernels run to completion."""
+        if op.rstrip("=") in ("/", "%", "<<", ">>") and self.rng.random() < 0.8:
+            return ast.lit(self.rng.randint(1, 7), self.rng.choice(INT_TYPES))
+        return self.expr(reads, depth)
+
+    def program(self):
+        rng = self.rng
+        gid = ast.WorkItemExpr("get_global_id")
+        body, reads, functions = [], [], []
+        targets = self.targets = []
+        if rng.random() < 0.3:
+            params = [ast.ParamDecl(f"a{i}", rng.choice(INT_TYPES)) for i in range(2)]
+            param_reads = [lambda name=p.name: ast.var(name) for p in params]
+            functions.append(ast.FunctionDecl(
+                "helper", rng.choice(INT_TYPES), params,
+                ast.Block([ast.ReturnStmt(self.expr(param_reads, 2))]),
+            ))
+        if rng.random() < 0.4:
+            body.append(ast.DeclStmt(
+                "s", PAIR, ast.InitList([self.expr(reads, 1), self.expr(reads, 1)])
+            ))
+            body.append(ast.DeclStmt(
+                "p", ty.PointerType(PAIR), ast.AddressOf(ast.var("s"))
+            ))
+            for field in ("lo", "hi"):
+                reads.append(lambda f=field: ast.FieldAccess(ast.var("s"), f))
+                reads.append(lambda f=field: ast.FieldAccess(ast.var("p"), f, arrow=True))
+                targets.append(lambda f=field: ast.FieldAccess(ast.var("s"), f))
+        for index in range(rng.randint(1, 3)):
+            name = f"v{index}"
+            body.append(ast.DeclStmt(name, rng.choice(INT_TYPES), self.expr(reads, 2)))
+            reads.append(lambda name=name: ast.var(name))
+            targets.append(lambda name=name: ast.var(name))
+        if functions:
+            reads.append(lambda: ast.call("helper", self.expr(reads[:-1], 1), self.leaf(reads[:-1])))
+        for _ in range(rng.randint(1, 4)):
+            pick = rng.random()
+            if pick < 0.15:
+                stmt = ast.ExprStmt(ast.call(
+                    rng.choice(("atomic_add", "atomic_xor", "atomic_max")),
+                    ast.AddressOf(ast.IndexAccess(ast.var("out"), gid)),
+                    self.expr(reads, 2),
+                ))
+            else:
+                op = rng.choice(ASSIGN_OPS)
+                stmt = ast.AssignStmt(rng.choice(targets)(), self.operand(op, reads, 3), op)
+            if pick > 0.85:
+                stmt = ast.ForStmt(
+                    ast.DeclStmt("i", ty.INT, ast.lit(0)),
+                    ast.binop("<", ast.var("i"), ast.lit(rng.randint(1, 3))),
+                    ast.AssignStmt(ast.var("i"), ast.lit(1), "+="),
+                    ast.Block([stmt]),
+                )
+            elif pick > 0.6:
+                stmt = ast.IfStmt(self.expr(reads, 2), ast.Block([stmt]))
+            body.append(stmt)
+        body.append(ast.AssignStmt(ast.IndexAccess(ast.var("out"), gid), self.expr(reads, 3)))
+        kernel = ast.FunctionDecl(
+            "entry", ty.VOID, [ast.ParamDecl("out", ty.PointerType(ty.ULONG, ty.GLOBAL))],
+            ast.Block(body), is_kernel=True,
+        )
+        return ast.Program(
+            structs=[PAIR],
+            functions=functions + [kernel],
+            buffers=[ast.BufferSpec("out", ty.ULONG, 2, is_output=True)],
+            launch=ast.LaunchSpec((2, 1, 1), (2, 1, 1)),
+        )
+
+
+def test_engines_agree_on_random_integer_kernels():
+    """Reference and compiled engines agree on 400 random integer kernels,
+    each run plain, under the comma defect and under a small step budget."""
+    kernels = _IntKernels(seed=17)
+    completed = 0
+    for index in range(400):
+        program = kernels.program()
+        plain = _observe(program, engine="reference")
+        # A budget that often runs out part-way through the kernel.
+        steps = plain[2] if plain[0] == "ok" else 40
+        for kwargs in (
+            {},
+            {"comma_yields_zero": True},
+            {"max_steps": kernels.rng.randint(4, 2 * steps)},
+        ):
+            reference = _observe(program, engine="reference", **kwargs)
+            assert _observe(program, engine="compiled", **kwargs) == reference, (
+                f"kernel {index} {kwargs}: {reference}"
+            )
+            completed += reference[0] == "ok"
+    # Most runs complete, so their outputs are compared, not just UB kinds.
+    assert completed > 600
+
+
+def test_engines_agree_when_atomic_and_arrow_children_yield():
+    """``atomic_op(&p[i], ...)`` and ``p->f`` reads have closures of their
+    own.  An atomic inside the index, an operand or the pointer expression
+    makes that child yield; the engines must still agree on ticks,
+    schedules, the comma defect and UB."""
+    gid = ast.WorkItemExpr("get_global_id")
+
+    def out(index):
+        return ast.IndexAccess(ast.var("out"), index)
+
+    def bump(slot):
+        return ast.call("atomic_inc", ast.AddressOf(out(ast.lit(slot))))
+
+    kernel = ast.FunctionDecl(
+        "entry", ty.VOID, [ast.ParamDecl("out", ty.PointerType(ty.ULONG, ty.GLOBAL))],
+        ast.Block([
+            ast.DeclStmt("s", PAIR, ast.InitList([ast.lit(3), gid])),
+            ast.DeclStmt("p", ty.PointerType(PAIR), ast.AddressOf(ast.var("s"))),
+            ast.ExprStmt(ast.call(
+                "atomic_add",
+                ast.AddressOf(out(ast.binop("%", bump(2), ast.lit(2)))),
+                ast.call("atomic_xor", ast.AddressOf(out(ast.lit(3))), gid),
+            )),
+            ast.AssignStmt(
+                out(ast.binop("+", gid, ast.lit(4))),
+                ast.FieldAccess(ast.binop(",", bump(3), ast.var("p")), "hi", arrow=True),
+            ),
+        ]),
+        is_kernel=True,
+    )
+    program = ast.Program(
+        structs=[PAIR],
+        functions=[kernel],
+        buffers=[ast.BufferSpec("out", ty.ULONG, 8, is_output=True)],
+        launch=ast.LaunchSpec((4, 1, 1), (4, 1, 1)),
+    )
+    for order in ScheduleOrder:
+        for comma in (False, True):
+            kwargs = dict(schedule_order=order, schedule_seed=5, comma_yields_zero=comma)
+            reference = _observe(program, engine="reference", **kwargs)
+            assert _observe(program, engine="compiled", **kwargs) == reference
+    plain = _observe(program, engine="reference")
+    assert plain[0] == "ok"
+    for max_steps in range(1, plain[2] + 1):
+        assert _observe(program, engine="compiled", max_steps=max_steps) == _observe(
+            program, engine="reference", max_steps=max_steps
+        )
+
+
+def test_engines_agree_on_emi_families():
+    """The benchmark's EMI program shapes: two bases at 64-128 threads, each
+    with its first five pruned variants and its inverted program, optimised,
+    observe identically on both engines."""
+    options = GeneratorOptions(
+        min_total_threads=64, max_total_threads=128, max_group_size=8, max_statements=8
+    )
+    for seed in (1, 101):
+        base = generate_kernel(Mode.ALL, seed, options=options, emi_blocks=3)
+        family = (
+            [base]
+            + generate_variants(base, PRUNING_GRID[:5], seed=seed)
+            + [invert_dead_array(base)]
+        )
+        for program in family:
+            optimised = compile_program(program, optimisations=True).program
+            assert _observe(optimised, engine="compiled", max_steps=400_000) == _observe(
+                optimised, engine="reference", max_steps=400_000
+            )

@@ -258,6 +258,17 @@ def test_emi_campaign_rejects_out_of_range_variants_per_base(tmp_path, variants_
     assert not path.exists()
 
 
+@pytest.mark.parametrize("entry", [run_clsmith_campaign, run_emi_campaign])
+@pytest.mark.parametrize("reduce_budget", [0, -5])
+def test_campaigns_reject_reduce_budget_below_one(tmp_path, entry, reduce_budget):
+    """The check fires before the store is opened or a kernel runs."""
+    path = tmp_path / "store.jsonl"
+    with pytest.raises(ValueError, match="reduce_budget must be None or at least 1"):
+        entry([get_configuration(1)], options=_FAST, max_steps=300_000,
+              auto_reduce=True, reduce_budget=reduce_budget, resume=str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("variants_per_base", [1, 40])
 def test_emi_campaign_accepts_both_ends_of_the_grid(variants_per_base):
     result = run_emi_campaign([get_configuration(1)], n_bases=1,

@@ -379,6 +379,20 @@ def test_cli_reduces_a_real_table1_anomaly(capsys):
     assert "kernel void entry" in captured.out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_rejects_budget_below_one_in_one_line(capsys, budget):
+    """Such a budget used to run one evaluation and report it exhausted."""
+    from repro.reduction.cli import main
+
+    code = main(["--mode", "BASIC", "--seed", "0", "--configs", "1",
+                 "--max-steps", "20000", "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("repro-reduce: --budget")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("configs", ["1,77", "1,x", ""])
 def test_cli_rejects_bad_configs_in_one_line(capsys, configs):
     from repro.reduction.cli import main

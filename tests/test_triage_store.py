@@ -16,11 +16,17 @@ These lock the store's contract (see TRIAGE.md):
   together through ``CampaignStore.reductions()``.
 """
 
+import base64
+import copyreg
+import io
 import json
+import pickle
 
 import pytest
 
+from repro.generator import generate_kernel
 from repro.generator.options import GeneratorOptions, Mode
+from repro.kernel_lang import types as ty
 from repro.orchestration.jobs import (
     CLSMITH_DIFFERENTIAL,
     CampaignJob,
@@ -28,6 +34,7 @@ from repro.orchestration.jobs import (
 )
 from repro.orchestration.pool import WorkerPool
 from repro.reduction.corpus import clean_config, wrong_code_config
+from repro.runtime.device import run_program
 from repro.testing.campaign import (
     generate_emi_bases,
     run_clsmith_campaign,
@@ -38,7 +45,9 @@ from repro.testing.outcomes import Outcome, OutcomeCounts
 from repro.triage import CampaignStore, StoreBackedPool, bucket_reductions
 from repro.triage.store import (
     decode_job_result,
+    decode_program,
     encode_job_result,
+    encode_program,
     job_identity,
 )
 
@@ -133,6 +142,55 @@ def test_reduction_summaries_round_trip_with_programs(tmp_path):
     assert stored.evaluations == original.evaluations
     assert context["config_ids"] == (911, 912, 901)
     assert context["optimisation_levels"] == (False, True)
+
+
+#: ``pickle.dumps(types.INT, protocol=4)`` as stores have always held it:
+#: the three dataclass fields and nothing else.
+_STORED_INT_PICKLE = (
+    b"\x80\x04\x95O\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.kernel_lang.types"
+    b"\x94\x8c\x07IntType\x94\x93\x94)\x81\x94}\x94(\x8c\x04name\x94\x8c\x03int"
+    b"\x94\x8c\x04bits\x94K \x8c\x06signed\x94\x88ub."
+)
+
+
+def _three_field_blob(program) -> str:
+    """``encode_program`` with every IntType pickled as its three fields,
+    whatever ``IntType`` itself pickles."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.dispatch_table = copyreg.dispatch_table.copy()
+    pickler.dispatch_table[ty.IntType] = lambda t: (
+        copyreg.__newobj__, (ty.IntType,),
+        {"name": t.name, "bits": t.bits, "signed": t.signed},
+    )
+    pickler.dump(program)
+    return base64.b64encode(buffer.getvalue()).decode("ascii")
+
+
+def test_program_blobs_keep_the_three_field_int_type_format():
+    """IntType caches its range and wrap masks on the instance, but a
+    stored program blob carries the three fields only: older stores load
+    into working types (reductions are re-run by bisection and resume), and
+    new blobs are byte for byte what older code wrote."""
+    stored_int = pickle.loads(_STORED_INT_PICKLE)
+    assert stored_int == ty.INT and hash(stored_int) == hash(ty.INT)
+    assert (stored_int.min_value, stored_int.max_value) == (-(2 ** 31), 2 ** 31 - 1)
+    assert stored_int.wrap(2 ** 31) == -(2 ** 31) and not stored_int.contains(2 ** 31)
+    assert pickle.dumps(ty.INT, protocol=4) == _STORED_INT_PICKLE
+    options = GeneratorOptions(
+        min_total_threads=4, max_total_threads=8, max_group_size=4,
+        max_statements=6, max_expr_depth=3,
+    )
+    for seed in range(3):
+        program = generate_kernel(Mode.ALL, seed, options)
+        blob = _three_field_blob(program)
+        assert encode_program(program) == blob
+        decoded = decode_program(blob)
+        expected = run_program(program, engine="reference", max_steps=300_000)
+        for engine in ("reference", "compiled"):
+            result = run_program(decoded, engine=engine, max_steps=300_000)
+            assert result.outputs == expected.outputs
+            assert result.steps == expected.steps
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit and property tests for the type system and the value model."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +50,19 @@ def test_two_complement_wrap_examples():
     assert ty.UCHAR.wrap(-1) == 255
     assert ty.INT.wrap(2**31) == -(2**31)
     assert ty.UINT.wrap(-1) == 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+def test_int_types_survive_copy_and_pickle(roundtrip):
+    """The process backend ships programs by pickle, and an IntType's range
+    and wrap masks live on the instance, not in its fields (nor in its
+    pickled state: tests/test_triage_store.py checks that format)."""
+    for t in ty.ALL_SCALAR_TYPES + (ty.SIZE_T,):
+        clone = roundtrip(t)
+        assert clone == t and hash(clone) == hash(t)
+        assert (clone.min_value, clone.max_value) == (t.min_value, t.max_value)
+        for value in (t.min_value - 1, t.min_value, -1, 0, t.max_value, t.max_value + 1):
+            assert clone.wrap(value) == t.wrap(value)
 
 
 def test_signed_unsigned_variants():

@@ -177,11 +177,6 @@ def safe_rotate(x: int, y: int, type_: ty.IntType) -> int:
     return cl_rotate(x, y, type_)
 
 
-def safe_div_by(x: int, y: int, type_: ty.IntType) -> int:  # pragma: no cover
-    """Alias kept for compatibility with older generator revisions."""
-    return safe_div(x, y, type_)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

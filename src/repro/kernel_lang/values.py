@@ -44,9 +44,6 @@ class ScalarValue:
         """Explicit conversion (always defined: two's-complement truncation)."""
         return ScalarValue.wrap(target, self.value)
 
-    def as_bool(self) -> bool:
-        return self.value != 0
-
     def copy(self) -> "ScalarValue":
         return ScalarValue(self.type, self.value)
 

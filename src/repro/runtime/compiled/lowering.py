@@ -50,10 +50,10 @@ timeout raise here carries that value -- the
 :class:`~repro.runtime.errors.ExecutionTimeout` payload is byte-identical
 across engines (regression-tested in ``tests/test_engine.py``).
 
-Lowering is launch-independent (the lower/bind split of
+Lowering is independent of any launch's buffers (the lower/bind split of
 :mod:`repro.runtime.engine`): global/constant buffer cells and the step
 counter bind per launch in :meth:`CompiledProgram.bind`, local buffers per
-group, so one lowering is reusable across launches.
+group.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from repro.runtime import memory, ops
 from repro.runtime.engine import (
     DEFAULT_MAX_STEPS,
     ExecutionEngine,
-    PreparedBatch,
     PreparedGroup,
     PreparedLaunch,
     PreparedProgram,
@@ -361,44 +360,12 @@ def yielding_functions(functions: Dict[str, ast.FunctionDecl]) -> FrozenSet[str]
 # ---------------------------------------------------------------------------
 
 
-class _FamilyLowering:
-    """Shared lowering state for one batched family of programs.
-
-    Spans every :class:`_Lowerer` of a :meth:`CompiledEngine.lower_batch`
-    family: one step counter (every member's closures tick it; bind resets
-    it per launch, and launches are strictly sequential), one work-item spec
-    table (so function records shared across members index a consistent
-    ``rt.wi``), and the base lowerer whose function records structurally
-    identical variants reuse instead of recompiling.
-    """
-
-    __slots__ = ("limits", "tick", "max_steps", "wi_map", "wi_specs", "base")
-
-    def __init__(self, max_steps: int) -> None:
-        self.limits = limits = ExecutionLimits(max_steps=max_steps)
-        self.max_steps = max_steps
-        self.wi_map: Dict[Tuple[str, int], int] = {}
-        self.wi_specs: List[Tuple[str, int]] = []
-        #: The family's first (base) lowerer; set by ``lower_batch`` once its
-        #: lowering completes, consulted by later members for record sharing.
-        self.base: Optional["_Lowerer"] = None
-
-        def tick(n: int = 1) -> None:
-            s = limits.steps + n
-            limits.steps = s
-            if s > max_steps:
-                raise ExecutionTimeout(max_steps + 1)
-
-        self.tick = tick
-
-
 class _Lowerer:
     def __init__(
         self,
         program: ast.Program,
         comma_yields_zero: bool,
         max_steps: int,
-        family: Optional[_FamilyLowering] = None,
     ) -> None:
         self.program = program
         self.comma_yields_zero = comma_yields_zero
@@ -407,30 +374,6 @@ class _Lowerer:
         }
         self._yielding_fns = yielding_functions(self._functions)
         self._fn_records: Dict[str, _FnRecord] = {}
-        self._family = family
-        #: Functions whose compiled records are reused from the family base:
-        #: structurally equal there (transitively) and already compiled.
-        #: Equal subgraphs have equal derived analyses, and the shared
-        #: closures tick the family-shared counter and index the
-        #: family-shared work-item table, so reuse is byte-identical.
-        self._shared_fns: set = set()
-        if family is not None:
-            self._wi_map = family.wi_map
-            self._wi_specs = family.wi_specs
-            self.limits = family.limits
-            self._max_steps = max_steps
-            self._tick = family.tick
-            if family.base is not None:
-                from repro.runtime.batch import shareable_functions
-
-                self._shared_fns = {
-                    name
-                    for name in shareable_functions(
-                        family.base._functions, self._functions
-                    )
-                    if name in family.base._fn_records
-                }
-            return
         self._wi_map: Dict[Tuple[str, int], int] = {}
         self._wi_specs: List[Tuple[str, int]] = []
 
@@ -445,7 +388,7 @@ class _Lowerer:
             if s > max_steps:
                 # The reference walker increments one step at a time, so the
                 # first crossing it can observe is exactly max_steps + 1;
-                # batched ticks report the same value for byte-identical
+                # multi-step ticks report the same value for byte-identical
                 # ExecutionTimeout payloads across engines.
                 raise ExecutionTimeout(max_steps + 1)
 
@@ -505,18 +448,12 @@ class _Lowerer:
                 )
 
         body = self._compile_block(kernel.body, scope)
-        # Family members share the *live* work-item spec list: records shared
-        # across the family index it with family-global indices, and later
-        # members may extend it after this member's program is built.
-        wi_specs = (
-            self._wi_specs if self._family is not None else list(self._wi_specs)
-        )
         return CompiledProgram(
             program=self.program,
             body=body,
             nslots=slots.count,
             param_specs=param_specs,
-            wi_specs=wi_specs,
+            wi_specs=list(self._wi_specs),
             limits=self.limits,
         )
 
@@ -2376,10 +2313,6 @@ class _Lowerer:
         record = self._fn_records.get(name)
         if record is not None:
             return record
-        if name in self._shared_fns:
-            record = self._family.base._fn_records[name]
-            self._fn_records[name] = record
-            return record
         record = _FnRecord()
         self._fn_records[name] = record
         decl = self._functions[name]
@@ -2438,7 +2371,7 @@ _wrap_size_t = ty.SIZE_T.wrap
 
 
 class CompiledProgram(PreparedProgram):
-    """A kernel lowered to closures, reusable across launches."""
+    """A kernel lowered to closures, independent of any launch's buffers."""
 
     def __init__(
         self,
@@ -2566,41 +2499,11 @@ class CompiledEngine(ExecutionEngine):
         programs: List[ast.Program],
         comma_yields_zero: bool = False,
         max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> PreparedBatch:
-        """Family lowering: compiled function records shared with the base.
-
-        Structurally identical members collapse first
-        (:func:`repro.runtime.batch.dedup_members`): each distinct program
-        is lowered once and duplicate members share its
-        :class:`CompiledProgram`.  Each distinct member is lowered by its
-        own :class:`_Lowerer`, but all of them share one
-        :class:`_FamilyLowering` -- one step counter, one work-item spec
-        table -- and members reuse the base's function records for helpers
-        that are structurally identical (transitively, per
-        :func:`repro.runtime.batch.shareable_functions`) instead of
-        recompiling their closure trees.
-        """
-        from repro.runtime.batch import dedup_members
-
-        programs = list(programs)
-        if len(programs) <= 1:
-            return super().lower_batch(
-                programs, comma_yields_zero=comma_yields_zero, max_steps=max_steps
-            )
-        distinct, slots = dedup_members(programs)
-        if len(distinct) == 1:
-            shared = self.lower(
-                distinct[0], comma_yields_zero=comma_yields_zero, max_steps=max_steps
-            )
-            return PreparedBatch(programs, [shared] * len(programs))
-        family = _FamilyLowering(max_steps)
-        prepared: List[CompiledProgram] = []
-        for program in distinct:
-            lowerer = _Lowerer(program, comma_yields_zero, max_steps, family=family)
-            prepared.append(lowerer.lower())
-            if family.base is None:
-                family.base = lowerer
-        return PreparedBatch(programs, [prepared[slot] for slot in slots])
+    ) -> List[CompiledProgram]:
+        """Lower each program alone.  Nothing calls this: it exists only
+        because ``perfbench/tracer.py`` patches ``CompiledEngine.lower_batch``
+        by name, and goes when the benchmark drops that target."""
+        return [self.lower(p, comma_yields_zero, max_steps) for p in programs]
 
 
 __all__ = ["CompiledEngine", "CompiledProgram", "CompiledLaunch", "CompiledGroup"]

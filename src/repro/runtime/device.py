@@ -23,7 +23,6 @@ from repro.runtime.engine import (
     DEFAULT_ENGINE,
     ExecutionEngine,
     PreparedLaunch,
-    PreparedProgram,
     get_engine,
 )
 from repro.runtime.errors import ExecutionTimeout, KernelRuntimeError
@@ -110,39 +109,29 @@ class Device:
 
     # ------------------------------------------------------------------
 
-    def run(
-        self, program: ast.Program, prepared: Optional[PreparedProgram] = None
-    ) -> KernelResult:
+    def run(self, program: ast.Program) -> KernelResult:
         """Execute ``program`` over its full NDRange and collect outputs.
 
-        ``prepared`` short-circuits the lowering step with an
-        already-lowered form of ``program`` (a batch launch member -- see
-        ENGINE.md): it must have been lowered by this device's engine with
-        this device's ``comma_yields_zero``/``max_steps``, and the engine's
-        ``lower`` is not called; only the per-launch bind runs.
+        Every call lowers ``program`` afresh with this device's engine,
+        ``comma_yields_zero`` and ``max_steps`` and binds that lowering once,
+        to this launch's buffers (ENGINE.md, "The lower/bind split").
 
         Telemetry: when an ambient collector is installed (see
         :mod:`repro.observability`) each execution records a ``run`` span
-        plus nested ``lower``/``bind`` spans (no ``lower`` span when
-        ``prepared`` is given); with no collector the only cost is one
-        module-global read.
+        plus nested ``lower``/``bind`` spans; with no collector the only
+        cost is one module-global read.
         """
         collector = current_collector()
         if collector is None:
-            return self._run_impl(program, prepared, None)
+            return self._run_impl(program, None)
         engine_name = (
             self.engine if isinstance(self.engine, str)
             else getattr(self.engine, "name", "engine")
         )
         with collector.span(SPAN_RUN, name=engine_name):
-            return self._run_impl(program, prepared, collector)
+            return self._run_impl(program, collector)
 
-    def _run_impl(
-        self,
-        program: ast.Program,
-        prepared: Optional[PreparedProgram],
-        collector,
-    ) -> KernelResult:
+    def _run_impl(self, program: ast.Program, collector) -> KernelResult:
         launch = program.launch
         global_memory = memory.GlobalMemory()
         for spec in program.buffers:
@@ -157,9 +146,7 @@ class Device:
         detector = (
             RaceDetector(throw_on_race=self.throw_on_race) if self.check_races else None
         )
-        if prepared is not None:
-            lowered = prepared
-        elif collector is None:
+        if collector is None:
             lowered = get_engine(self.engine).lower(
                 program,
                 comma_yields_zero=self.comma_yields_zero,
@@ -276,7 +263,6 @@ def run_program(
     max_steps: int = 2_000_000,
     comma_yields_zero: bool = False,
     engine: Union[str, ExecutionEngine] = DEFAULT_ENGINE,
-    prepared: Optional[PreparedProgram] = None,
 ) -> KernelResult:
     """Convenience wrapper: run ``program`` on a default device."""
     device = Device(
@@ -288,7 +274,7 @@ def run_program(
         comma_yields_zero=comma_yields_zero,
         engine=engine,
     )
-    return device.run(program, prepared=prepared)
+    return device.run(program)
 
 
 __all__ = ["Device", "KernelResult", "run_program"]

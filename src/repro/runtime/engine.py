@@ -26,14 +26,15 @@ UB / crash outcomes, and yield the same
 :class:`~repro.runtime.interpreter.SchedulerEvent` sequence at barriers and
 atomics so that scheduling decisions are engine-independent.
 
-Lifecycle -- preparation is split into a launch-independent and a per-launch
-step:
+Lifecycle -- preparation is split into a buffer-independent and a
+per-launch step, and :meth:`~repro.runtime.device.Device.run` takes both for
+every launch:
 
-1. :meth:`ExecutionEngine.lower` is called once per *program* (per engine,
-   ``comma_yields_zero`` setting and step budget -- all three are baked into
-   the lowered artefact) and returns a :class:`PreparedProgram`;
-2. :meth:`PreparedProgram.bind` is called once per *launch* (after global
-   buffers are allocated) and returns a :class:`PreparedLaunch`, which also
+1. :meth:`ExecutionEngine.lower` turns the program into a
+   :class:`PreparedProgram` (the device's ``comma_yields_zero`` setting and
+   step budget are lowering inputs, baked into the lowered artefact);
+2. :meth:`PreparedProgram.bind` binds that lowering once, to the launch's
+   global buffers, and returns a :class:`PreparedLaunch`, which also
    carries the launch's step counter;
 3. :meth:`PreparedLaunch.bind_group` once per work-group (binding that
    group's local memory);
@@ -98,48 +99,16 @@ class PreparedLaunch(ABC):
 
 
 class PreparedProgram(ABC):
-    """A program lowered by one engine, independent of any launch.
+    """A program lowered by one engine, independent of any launch's buffers.
 
-    Instances are reusable across launches (an engine-level batch member
-    is bound once per launch) but support only one *active* launch at a
-    time: :meth:`bind` resets the lowering's internal step counter.
+    The device lowers a program for one launch and binds that lowering
+    once; :meth:`bind` resets the lowering's internal step counter, so a
+    lowering carries one launch at a time.
     """
 
     @abstractmethod
     def bind(self, global_memory: memory.GlobalMemory) -> PreparedLaunch:
         """Bind this lowering to one launch's global/constant buffers."""
-
-
-class PreparedBatch:
-    """Lowerings of a variant set, aligned with the input programs.
-
-    Returned by :meth:`ExecutionEngine.lower_batch`: ``prepared[i]`` is the
-    :class:`PreparedProgram` for ``programs[i]``.  Members share lowering
-    work where the engine can prove it safe (shared function records on the
-    compiled engine -- see ENGINE.md), but each member is an
-    independent :class:`PreparedProgram`: binding and launching one member
-    is byte-identical to having lowered it alone.  Launches remain strictly
-    sequential -- a batch shares *lowering*, never a live launch.
-    """
-
-    def __init__(
-        self,
-        programs: List[ast.Program],
-        prepared: List[PreparedProgram],
-    ) -> None:
-        if len(programs) != len(prepared):
-            raise ValueError("programs and prepared lowerings must align")
-        self.programs = list(programs)
-        self.prepared = list(prepared)
-
-    def __len__(self) -> int:
-        return len(self.prepared)
-
-    def __getitem__(self, index: int) -> PreparedProgram:
-        return self.prepared[index]
-
-    def __iter__(self):
-        return iter(self.prepared)
 
 
 class ExecutionEngine(ABC):
@@ -160,30 +129,6 @@ class ExecutionEngine(ABC):
         ``comma_yields_zero`` and ``max_steps`` are lowering inputs: engines
         specialise comma-operator code and tick checks on them.
         """
-
-    def lower_batch(
-        self,
-        programs: List[ast.Program],
-        comma_yields_zero: bool = False,
-        max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> PreparedBatch:
-        """Lower a variant set together, sharing work where safe.
-
-        The default implementation simply loops :meth:`lower` -- correct for
-        every engine (the reference walker needs nothing more).  The compiled
-        engine overrides this to share function records across the batch;
-        the batch == sequential byte-identity property in
-        ``tests/test_batch_execution.py`` gates that fast path.
-        """
-        return PreparedBatch(
-            programs,
-            [
-                self.lower(
-                    program, comma_yields_zero=comma_yields_zero, max_steps=max_steps
-                )
-                for program in programs
-            ],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +264,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "DEFAULT_MAX_STEPS",
     "ExecutionEngine",
-    "PreparedBatch",
     "PreparedProgram",
     "PreparedLaunch",
     "PreparedGroup",

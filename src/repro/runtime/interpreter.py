@@ -735,9 +735,6 @@ class Interpreter:
     def _apply_scalar_builtin(self, name: str, args: List[vals.Value]) -> vals.Value:
         return ops.apply_scalar_builtin(builtins.SCALAR_BUILTINS[name], args)
 
-    def _builtin_result_type(self, args: List[vals.Value]) -> ty.IntType:
-        return ops.builtin_result_type(args)
-
     # ------------------------------------------------------------------
     # Operators
     # ------------------------------------------------------------------
@@ -756,9 +753,6 @@ class Interpreter:
 
     def _unary(self, op: str, operand: vals.Value) -> vals.Value:
         return ops.unary(op, operand)
-
-    def _unary_scalar(self, op: str, value: int, type_: ty.IntType) -> int:
-        return ops.unary_scalar(op, value, type_)
 
     def _eval_binary(
         self,
@@ -792,19 +786,6 @@ class Interpreter:
 
     def _binary(self, op: str, left: vals.Value, right: vals.Value) -> vals.Value:
         return ops.binary(op, left, right)
-
-    def _pointer_binary(self, op: str, left: vals.Value, right: vals.Value) -> vals.Value:
-        return ops.pointer_binary(op, left, right)
-
-    def _vector_binary(self, op: str, left: vals.Value, right: vals.Value) -> vals.Value:
-        return ops.vector_binary(op, left, right)
-
-    def _compare(self, op: str, a: int, b: int) -> int:
-        return ops.compare(op, a, b)
-
-    def _scalar_arith(self, op: str, a: int, b: int, type_: ty.IntType) -> int:
-        """Raw C-like arithmetic with UB detection for unsafe operators."""
-        return ops.scalar_arith(op, a, b, type_)
 
 
 __all__ = [

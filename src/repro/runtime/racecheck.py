@@ -82,10 +82,6 @@ class RaceDetector:
         self.reports: List[RaceReport] = []
         self._log: Dict[Tuple[int, Path], List[Access]] = {}
 
-    @property
-    def race_detected(self) -> bool:
-        return bool(self.reports)
-
     def record(
         self,
         cell: Cell,
@@ -110,17 +106,6 @@ class RaceDetector:
                     return
                 break
         previous.append(access)
-
-    def reset_group_epoch(self, group: int) -> None:
-        """Drop same-group history older than the current epoch.
-
-        Called is optional -- conflicts already compare epochs -- but trimming
-        keeps the log small for barrier-heavy kernels.
-        """
-        for key, accesses in self._log.items():
-            self._log[key] = [
-                a for a in accesses if a.group != group or a.is_write or True
-            ]
 
     def summary(self) -> str:
         if not self.reports:

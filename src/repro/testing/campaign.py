@@ -196,8 +196,8 @@ def run_clsmith_campaign(
     large anomaly parallelises across the otherwise-idle pool -- with lazy
     accounting that keeps every dispatch path attaching byte-identical
     summaries.  ``reduce_budget`` caps the candidate evaluations per
-    anomaly; a budget below 1 raises ``ValueError`` before the store or the
-    worker pool is touched.
+    anomaly.  A ``reduce_budget`` or a ``max_steps`` below 1 raises
+    ``ValueError`` before the store or the worker pool is touched.
 
     ``auto_triage=True`` (implies ``auto_reduce``) additionally deduplicates
     the reduced reproducers into bug buckets, attributes each bucket to a
@@ -232,6 +232,7 @@ def run_clsmith_campaign(
     """
     get_engine(engine)
     _check_reduce_budget(reduce_budget)
+    _check_max_steps(max_steps)
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = serialise_configs(configs)
     result = ClsmithCampaignResult(kernels_per_mode)
@@ -343,6 +344,13 @@ def _check_reduce_budget(reduce_budget: Optional[int]) -> None:
     """Reject a budget below 1: it cannot pay for a single evaluation."""
     if reduce_budget is not None and reduce_budget < 1:
         raise ValueError(f"reduce_budget must be None or at least 1, got {reduce_budget!r}")
+
+
+def _check_max_steps(max_steps: int) -> None:
+    """Reject a step budget below 1: every cell would time out before its
+    first step, which reads as a timeout on every configuration."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
 
 
 @contextmanager
@@ -798,9 +806,11 @@ def generate_emi_bases(
     check that EMI blocks were not all placed in already-dead code
     (section 7.4).  With ``parallelism`` > 1 the filter runs candidates in
     parallel worker processes; the accepted set is identical either way.
-    An unregistered ``engine`` raises before the pool starts.
+    An unregistered ``engine`` or a ``max_steps`` below 1 raises before the
+    pool starts.
     """
     get_engine(engine)
+    _check_max_steps(max_steps)
     base_options = options or GeneratorOptions()
     with WorkerPool(parallelism) as pool:
         specs, _ = _emi_base_specs(pool, n_bases, seed, options, max_steps,
@@ -894,7 +904,7 @@ def run_emi_campaign(
     ``variants_per_base`` runs the first that many points of the pruning
     grid (``None``: all of them); a value outside ``1..len(PRUNING_GRID)``
     raises ``ValueError``, again before the store or the pool is touched,
-    and so does a ``reduce_budget`` below 1.
+    and so does a ``reduce_budget`` or a ``max_steps`` below 1.
     """
     get_engine(engine)
     if variants_per_base is not None and not 1 <= variants_per_base <= len(PRUNING_GRID):
@@ -903,6 +913,7 @@ def run_emi_campaign(
             f"got {variants_per_base!r}"
         )
     _check_reduce_budget(reduce_budget)
+    _check_max_steps(max_steps)
     auto_reduce = auto_reduce or auto_triage
     config_ids, config_overrides = serialise_configs(configs)
     family_job = dict(

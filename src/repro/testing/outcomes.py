@@ -40,11 +40,6 @@ class Outcome(enum.Enum):
         return self in (Outcome.WRONG_CODE, Outcome.BUILD_FAILURE, Outcome.RUNTIME_CRASH,
                         Outcome.TIMEOUT)
 
-    @property
-    def produced_value(self) -> bool:
-        """True for outcomes where the test terminated with a computed value."""
-        return self in (Outcome.PASS, Outcome.WRONG_CODE)
-
 
 def classify_exception(error: BaseException) -> Outcome:
     """Map an exception raised during compile/run to an outcome class."""

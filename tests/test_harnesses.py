@@ -259,14 +259,37 @@ def test_emi_campaign_rejects_out_of_range_variants_per_base(tmp_path, variants_
 
 
 @pytest.mark.parametrize("entry", [run_clsmith_campaign, run_emi_campaign])
-@pytest.mark.parametrize("reduce_budget", [0, -5])
-def test_campaigns_reject_reduce_budget_below_one(tmp_path, entry, reduce_budget):
-    """The check fires before the store is opened or a kernel runs."""
+@pytest.mark.parametrize("budget, value", [
+    pytest.param("reduce_budget", 0, id="0"),
+    pytest.param("reduce_budget", -5, id="-5"),
+    pytest.param("max_steps", 0, id="max_steps=0"),
+    pytest.param("max_steps", -1, id="max_steps=-1"),
+])
+def test_campaigns_reject_reduce_budget_below_one(tmp_path, entry, budget, value):
+    """A reduction budget below 1 cannot pay for one evaluation, and a step
+    budget below 1 used to fill every clsmith cell with ``to`` and leave the
+    EMI table empty.  The check fires before the store is opened or a kernel
+    runs."""
     path = tmp_path / "store.jsonl"
-    with pytest.raises(ValueError, match="reduce_budget must be None or at least 1"):
-        entry([get_configuration(1)], options=_FAST, max_steps=300_000,
-              auto_reduce=True, reduce_budget=reduce_budget, resume=str(path))
+    kwargs = dict(max_steps=300_000, auto_reduce=True, resume=str(path))
+    kwargs[budget] = value
+    with pytest.raises(ValueError, match=f"{budget} must be (None or )?at least 1"):
+        entry([get_configuration(1)], options=_FAST, **kwargs)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_generate_emi_bases_rejects_max_steps_below_one(monkeypatch, max_steps):
+    """Every dead-placement check would time out, so no candidate could be
+    accepted.  The check fires before the worker pool starts."""
+    import repro.testing.campaign as campaign
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    monkeypatch.setattr(campaign, "WorkerPool", no_pool)
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        generate_emi_bases(2, options=_FAST, max_steps=max_steps)
 
 
 @pytest.mark.parametrize("variants_per_base", [1, 40])

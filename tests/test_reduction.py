@@ -379,17 +379,25 @@ def test_cli_reduces_a_real_table1_anomaly(capsys):
     assert "kernel void entry" in captured.out
 
 
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_cli_rejects_budget_below_one_in_one_line(capsys, budget):
-    """Such a budget used to run one evaluation and report it exhausted."""
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--budget", "0", id="0"),
+    pytest.param("--budget", "-5", id="-5"),
+    pytest.param("--max-steps", "0", id="max-steps=0"),
+    pytest.param("--max-steps", "-5", id="max-steps=-5"),
+])
+def test_cli_rejects_budget_below_one_in_one_line(capsys, flag, value):
+    """A budget below 1 used to run one evaluation and report it exhausted,
+    and a step budget below 1 reported a fake anomaly and reduced it."""
     from repro.reduction.cli import main
 
-    code = main(["--mode", "BASIC", "--seed", "0", "--configs", "1",
-                 "--max-steps", "20000", "--budget", budget])
+    argv = ["--mode", "BASIC", "--seed", "0", "--configs", "1",
+            "--max-steps", "20000", "--budget", "400"]
+    argv[argv.index(flag) + 1] = value
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("repro-reduce: --budget")
+    assert captured.err.startswith(f"repro-reduce: {flag}")
     assert captured.err.count("\n") == 1
 
 

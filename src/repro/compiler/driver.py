@@ -22,8 +22,9 @@ Validation and the default pipeline depend only on the program and the
 optimisation level, never on the configuration, so ``compile`` memoises the
 validation verdict and the optimised program on the program object
 (:meth:`~repro.kernel_lang.ast.Program.memoised`), as
-:func:`~repro.platforms.calibration.program_fingerprint` and the
-``analysis.uses_*`` flags the bug models query do.  That is sound because
+:func:`~repro.platforms.calibration.program_fingerprint`, the
+``analysis.uses_*`` flags and the named bug models' verdicts
+(:meth:`~repro.platforms.bugmodels.BugModel.triggers`) do.  That is sound because
 validation and the passes are deterministic, neither the passes nor the bug
 models edit their input, and a program is not edited once compiled (the
 contract in :mod:`repro.kernel_lang.ast`; copies start with an empty memo).

@@ -609,7 +609,8 @@ class Program(Node):
 
         The one lookup behind every fact compilation derives from a program
         whatever the configuration: its fingerprint, its validation verdict,
-        the default pipeline's output and its feature flags.  Sound because
+        the default pipeline's output, its feature flags and each named bug
+        model's verdict.  Sound because
         nodes are edited only in a fresh clone, before anything is derived
         from it (module docstring).
         """

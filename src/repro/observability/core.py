@@ -37,15 +37,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Whole campaign entry-point call (one per ``run_*_campaign``).
 SPAN_CAMPAIGN = "campaign"
-#: Campaign phase: curate / execute / reduce / triage (clsmith) or
-#: filter / execute / reduce / triage (emi).
+#: Campaign phase: execute / reduce / triage (clsmith, whose execute phase
+#: includes curation) or filter / execute / reduce / triage (emi).
 SPAN_PHASE = "phase"
 #: One ``WorkerPool.run`` batch of jobs (a shard of the campaign).
 SPAN_SHARD = "shard"
 #: One ``execute_job`` dispatch, measured inside the worker that ran it.
 SPAN_JOB = "job"
-#: One engine ``lower`` call (per launch, unless the launch was handed an
-#: already-lowered program).
+#: One engine ``lower`` call (every launch lowers afresh).
 SPAN_LOWER = "lower"
 #: One ``PreparedProgram.bind`` call (per launch).
 SPAN_BIND = "bind"

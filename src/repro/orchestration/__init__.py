@@ -35,7 +35,6 @@ from repro.orchestration.faults import (
     WorkerFault,
 )
 from repro.orchestration.jobs import (
-    CLSMITH_CURATE,
     CLSMITH_DIFFERENTIAL,
     EMI_BASE_FILTER,
     EMI_FAMILY,
@@ -61,7 +60,6 @@ __all__ = [
     "QuarantineRecord",
     "TornStoreWrite",
     "WorkerFault",
-    "CLSMITH_CURATE",
     "CLSMITH_DIFFERENTIAL",
     "EMI_BASE_FILTER",
     "EMI_FAMILY",

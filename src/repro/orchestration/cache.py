@@ -1,8 +1,8 @@
 """Bounded, fingerprint-keyed execution-result cache with hit/miss counters.
 
-Campaign-scale runs repeat many executions: curation compiles every candidate
-kernel on the curation configuration before the main run compiles it again,
-EMI variant families collapse onto few distinct compiled programs, and most
+Campaign-scale runs repeat many executions: a curated kernel's sweep runs its
+curation cell again (configuration 1+ in Table 4), EMI variant families
+collapse onto few distinct compiled programs, and most
 configurations compile most programs identically (the injected bug models
 fire only on matching programs).  The harnesses therefore cache execution
 results keyed on the fingerprint of the *compiled* program plus its execution

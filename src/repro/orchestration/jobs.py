@@ -8,17 +8,18 @@ pickle cheaply across process boundaries and workers regenerate kernels
 locally from the seed, which is both cheaper than shipping ASTs and
 guarantees that the serial and process backends execute byte-identical work.
 
-Four job kinds cover the campaigns of Tables 3-5:
+Three job kinds cover the campaigns of Tables 3-5:
 
 ``clsmith-differential``
     Generate one kernel from ``(mode, seed)`` and differential-test it across
     every ``(configuration, optimisation level)`` cell.  The whole kernel is
     one job because the majority vote of section 7.3 spans all cells of a
-    kernel; sharding below kernel granularity would change verdicts.
-``clsmith-curate``
-    Generate one candidate kernel and report whether it survives the paper's
-    test-curation step (build + run on the curation configuration with
-    optimisations on).
+    kernel; sharding below kernel granularity would change verdicts.  With
+    ``curate_on`` set the job first applies the paper's test-curation step
+    to the kernel (build + run on the curation configuration with
+    optimisations on) and reports ``accepted=False`` with no counts when it
+    fails to build or times out there; otherwise it sweeps the cells on the
+    same program object, so the sweep reuses what curation compiled.
 ``emi-base-filter``
     Generate one EMI base candidate and apply the dead-array-inversion
     filter of section 7.4; report acceptance.
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.emi.variants import (
     PRUNING_GRID,
@@ -109,9 +110,16 @@ def serialise_configs(
     return tuple(ids), tuple(configs) if needs_override else None
 
 
+def serialise_curation(config: DeviceConfig) -> Union[int, DeviceConfig]:
+    """A ``CampaignJob.curate_on`` value: the configuration's Table 1 id,
+    or the configuration itself when :func:`serialise_configs` would ship
+    it by value."""
+    ids, overrides = serialise_configs([config])
+    return ids[0] if overrides is None else overrides[0]
+
+
 #: Job kinds understood by :func:`execute_job`.
 CLSMITH_DIFFERENTIAL = "clsmith-differential"
-CLSMITH_CURATE = "clsmith-curate"
 EMI_BASE_FILTER = "emi-base-filter"
 EMI_FAMILY = "emi-family"
 REDUCE_CHECK = "reduce-check"
@@ -158,6 +166,11 @@ class CampaignJob:
     #: ``reduce-kernel`` only: override for the reducer's global
     #: candidate-evaluation budget (``None`` keeps the ReducerConfig default).
     reduce_max_evaluations: Optional[int] = None
+    #: ``clsmith-differential`` only: the test-curation configuration,
+    #: shipped like the swept ones -- its Table 1 id, or the DeviceConfig
+    #: itself when the registry cannot reconstruct it (see
+    #: :func:`serialise_configs`).  ``None`` sweeps without curating.
+    curate_on: Union[None, int, DeviceConfig] = None
 
     def resolve_configs(self) -> List[Optional[DeviceConfig]]:
         """The job's live configurations: the shipped overrides, or the
@@ -168,6 +181,12 @@ class CampaignJob:
             get_configuration(config_id) if config_id is not None else None
             for config_id in self.config_ids
         ]
+
+    def resolve_curation(self) -> Optional[DeviceConfig]:
+        """The live curation configuration, or ``None`` when uncurated."""
+        if self.curate_on is None or isinstance(self.curate_on, DeviceConfig):
+            return self.curate_on
+        return get_configuration(self.curate_on)
 
     def materialise_program(self) -> ast.Program:
         """The job's program: the shipped one, or regenerated from the seed."""
@@ -279,8 +298,6 @@ def execute_job(
 def _dispatch_job(job: CampaignJob, cache: ResultCache) -> JobResult:
     if job.kind == CLSMITH_DIFFERENTIAL:
         result = _execute_clsmith_differential(job, cache)
-    elif job.kind == CLSMITH_CURATE:
-        result = _execute_clsmith_curate(job, cache)
     elif job.kind == EMI_BASE_FILTER:
         result = _execute_emi_base_filter(job, cache)
     elif job.kind == EMI_FAMILY:
@@ -342,32 +359,27 @@ def _execute_job_timed(
 
 def _execute_clsmith_differential(job: CampaignJob, cache: ResultCache) -> JobResult:
     program = job.materialise_program()
-    harness = DifferentialHarness(
-        job.resolve_configs(),
-        optimisation_levels=job.optimisation_levels,
-        max_steps=job.max_steps,
-        cache=cache,
-        engine=job.engine,
-    )
+
+    def harness(configs, optimisation_levels) -> DifferentialHarness:
+        return DifferentialHarness(
+            configs,
+            optimisation_levels=optimisation_levels,
+            max_steps=job.max_steps,
+            cache=cache,
+            engine=job.engine,
+        )
+
+    curate_on = job.resolve_curation()
+    if curate_on is not None:
+        record = harness([curate_on], (True,)).run(program).records[0]
+        if record.outcome in (Outcome.BUILD_FAILURE, Outcome.TIMEOUT):
+            return JobResult(job.kind, job.seed, accepted=False)
     counts: Dict[Tuple[str, str, bool], OutcomeCounts] = {}
-    for record in harness.run(program).records:
+    sweep = harness(job.resolve_configs(), job.optimisation_levels)
+    for record in sweep.run(program).records:
         key = (job.mode, record.config_name, record.optimisations)
         counts.setdefault(key, OutcomeCounts()).add(record.outcome)
     return JobResult(job.kind, job.seed, counts=counts)
-
-
-def _execute_clsmith_curate(job: CampaignJob, cache: ResultCache) -> JobResult:
-    program = job.materialise_program()
-    harness = DifferentialHarness(
-        job.resolve_configs(),
-        optimisation_levels=job.optimisation_levels,
-        max_steps=job.max_steps,
-        cache=cache,
-        engine=job.engine,
-    )
-    record = harness.run(program).records[0]
-    accepted = record.outcome not in (Outcome.BUILD_FAILURE, Outcome.TIMEOUT)
-    return JobResult(job.kind, job.seed, accepted=accepted)
 
 
 def _execute_emi_base_filter(job: CampaignJob, cache: ResultCache) -> JobResult:
@@ -469,8 +481,8 @@ def _execute_triage_bisect(job: CampaignJob, cache: ResultCache) -> JobResult:
 
 __all__ = [
     "serialise_configs",
+    "serialise_curation",
     "CLSMITH_DIFFERENTIAL",
-    "CLSMITH_CURATE",
     "EMI_BASE_FILTER",
     "EMI_FAMILY",
     "REDUCE_CHECK",

@@ -10,7 +10,7 @@ units and executes them either
   backend, ``parallelism>1``).
   Each worker owns a process-local result cache created at spawn; workers
   persist across ``run()`` calls (a campaign issues several: curation
-  batches, then the main job list), which keeps the per-worker caches warm;
+  waves, reductions, bisections), which keeps the per-worker caches warm;
   call :meth:`WorkerPool.close` (or use the pool as a context manager) to
   release the workers.
 

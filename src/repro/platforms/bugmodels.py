@@ -35,7 +35,18 @@ EXECUTION = "execution"
 
 
 class BugModel:
-    """Base class for injected compiler defects."""
+    """Base class for injected compiler defects.
+
+    ``matches`` looks only at the program: whether the syntactic pattern the
+    real bug depended on occurs in it.  :meth:`triggers` adds the
+    optimisation-level requirement and asks ``matches`` at most once per
+    program object and model class -- the verdict is memoised on the
+    program (:meth:`~repro.kernel_lang.ast.Program.memoised`), so a
+    campaign compiling one program for many configurations and both levels
+    walks it once per model.  A model whose decision needs more than the
+    program (the calibrated models depend on the configuration and the
+    level) overrides ``triggers`` instead, and is never memoised.
+    """
 
     name = "bug"
     description = ""
@@ -48,11 +59,11 @@ class BugModel:
         if self.requires_optimisations is not None:
             if optimisations != self.requires_optimisations:
                 return False
-        return self.matches(program, optimisations, config)
+        return program.memoised(("bug-model", type(self)), lambda: self.matches(program))
 
     # -- to override -----------------------------------------------------
 
-    def matches(self, program: ast.Program, optimisations: bool, config) -> bool:
+    def matches(self, program: ast.Program) -> bool:
         raise NotImplementedError
 
     def apply(
@@ -228,7 +239,7 @@ class AmdCharFirstStructBug(BugModel):
     stage = MISCOMPILE
     requires_optimisations = True
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         affected = _structs_char_first(program)
         if not affected:
             return False
@@ -269,7 +280,7 @@ class AnonStructCopyBug(BugModel):
     stage = MISCOMPILE
     requires_optimisations = False
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         if program.launch.global_size[0] != 1:
             return False
         has_array_field = any(
@@ -309,7 +320,7 @@ class AlteraVectorInStructBug(BugModel):
     description = "vectors inside structs cause an internal LLVM IR generation error"
     stage = FRONTEND
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return bool(_structs_with_vector_field(program))
 
     def raise_failure(self, program, optimisations, config):
@@ -325,7 +336,7 @@ class AnonCpuBarrierStructBug(BugModel):
     description = "stores through struct pointers in helper functions are lost after a barrier"
     stage = MISCOMPILE
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         if not program.structs or not _kernel_uses_barrier(program):
             return False
         for fn in program.functions:
@@ -381,7 +392,7 @@ class IntelGpuCompileHangBug(BugModel):
     description = "compiler loops forever on long counted loops containing while(1)"
     stage = FRONTEND
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         for _, body in _program_nodes(program):
             for node in body.walk():
                 if isinstance(node, ast.ForStmt) and node.cond is not None:
@@ -403,7 +414,7 @@ class XeonPhiSlowCompileBug(BugModel):
     stage = FRONTEND
     requires_optimisations = True
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return _largest_struct_size(program) > 64 and _kernel_uses_barrier(program)
 
     def raise_failure(self, program, optimisations, config):
@@ -426,7 +437,7 @@ class NvidiaUnionInitBug(BugModel):
     stage = MISCOMPILE
     requires_optimisations = False
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return bool(_unions_uint_over_short(program))
 
     def apply(self, program, optimisations, config):
@@ -482,7 +493,7 @@ class IntelRotateConstFoldBug(BugModel):
     description = "rotate() with literal arguments is folded to 0xffffffff"
     stage = MISCOMPILE
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         for _, body in _program_nodes(program):
             for node in body.walk():
                 if isinstance(node, ast.Call) and node.name in ("rotate", "safe_rotate"):
@@ -520,7 +531,7 @@ class IntelBarrierFwdDeclMiscompile(BugModel):
     stage = MISCOMPILE
     requires_optimisations = False
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         if not _has_forward_declaration(program):
             return False
         for fn in program.functions:
@@ -563,8 +574,8 @@ class IntelBarrierFwdDeclCrash(BugModel):
     stage = EXECUTION
     requires_optimisations = False
 
-    def matches(self, program, optimisations, config):
-        return IntelBarrierFwdDeclMiscompile().matches(program, optimisations, config)
+    def matches(self, program):
+        return IntelBarrierFwdDeclMiscompile().matches(program)
 
     def apply(self, program, optimisations, config):
         return program, {"force_runtime_crash": True}
@@ -579,7 +590,7 @@ class IntelUnreachableLoopBarrierBug(BugModel):
     stage = MISCOMPILE
     requires_optimisations = False
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         for fn in program.functions:
             if fn.body is None:
                 continue
@@ -625,7 +636,7 @@ class AnonGpuGroupIdMiscompile(BugModel):
     stage = MISCOMPILE
     requires_optimisations = True
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return _group_id_in_condition_of_helper(program)
 
     def apply(self, program, optimisations, config):
@@ -666,7 +677,7 @@ class OclgrindCommaBug(BugModel):
     description = "the comma operator yields 0 instead of its right operand"
     stage = EXECUTION
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return _uses_comma_operator(program)
 
     def apply(self, program, optimisations, config):
@@ -686,7 +697,7 @@ class IntelSizeTMixRejection(BugModel):
     description = "legal int/size_t operand mixes are rejected by the front end"
     stage = FRONTEND
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return _mixes_size_t_and_int_bitwise(program)
 
     def raise_failure(self, program, optimisations, config):
@@ -701,7 +712,7 @@ class AlteraVectorLogicalRejection(BugModel):
     description = "logical operators on vector operands are rejected"
     stage = FRONTEND
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         for _, body in _program_nodes(program):
             for node in body.walk():
                 if isinstance(node, ast.BinaryOp) and node.op in ("&&", "||"):
@@ -725,7 +736,7 @@ class AmdIrreducibleControlFlowRejection(BugModel):
     stage = FRONTEND
     requires_optimisations = True
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         for _, body in _program_nodes(program):
             for node in body.walk():
                 if isinstance(node, (ast.ForStmt, ast.WhileStmt)):

@@ -185,7 +185,8 @@ class StochasticDefectModel(BugModel):
     # for every bug model with ``stage == "frontend"`` only, so the
     # DeviceConfig wires an auxiliary front-end shim (see registry).
 
-    def matches(self, program: ast.Program, optimisations: bool, config) -> bool:
+    def triggers(self, program: ast.Program, optimisations: bool, config) -> bool:
+        # Always considered; ``apply`` rolls per configuration and level.
         return True
 
     def apply(
@@ -269,7 +270,9 @@ class StochasticBuildFailureShim(BugModel):
     def __init__(self, model: StochasticDefectModel) -> None:
         self.model = model
 
-    def matches(self, program: ast.Program, optimisations: bool, config) -> bool:
+    def triggers(self, program: ast.Program, optimisations: bool, config) -> bool:
+        # The roll depends on the level and the configuration's profile, not
+        # on the program alone, so it is never memoised on the program.
         try:
             self.model.check_build(program, optimisations)
         except BuildFailure:

@@ -50,7 +50,7 @@ class XorOutStoreBug(BugModel):
     description = "flips the low bit of every result-buffer store"
     stage = MISCOMPILE
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         out_name = _result_buffer_name(program)
         if out_name is None:
             return False
@@ -98,7 +98,7 @@ class AlwaysCrashBug(BugModel):
     description = "kernel launch crashes unconditionally"
     stage = EXECUTION
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return True
 
     def apply(self, program, optimisations, config):
@@ -112,7 +112,7 @@ class AlwaysTimeoutBug(BugModel):
     description = "kernel execution never terminates in budget"
     stage = EXECUTION
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         return True
 
     def apply(self, program, optimisations, config):
@@ -131,10 +131,10 @@ class EmiParityBug(BugModel):
     description = "flips result stores when EMI statement count is odd"
     stage = MISCOMPILE
 
-    def matches(self, program, optimisations, config):
+    def matches(self, program):
         if count_emi_statements(program) % 2 != 1:
             return False
-        return XorOutStoreBug().matches(program, optimisations, config)
+        return XorOutStoreBug().matches(program)
 
     def apply(self, program, optimisations, config):
         return XorOutStoreBug().apply(program, optimisations, config)

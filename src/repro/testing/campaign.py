@@ -41,7 +41,6 @@ from repro.kernel_lang import ast
 from repro.orchestration.cache import CacheStats
 from repro.orchestration.faults import FaultPlan, QuarantineRecord
 from repro.orchestration.jobs import (
-    CLSMITH_CURATE,
     CLSMITH_DIFFERENTIAL,
     EMI_BASE_FILTER,
     EMI_FAMILY,
@@ -50,6 +49,7 @@ from repro.orchestration.jobs import (
     CampaignJob,
     JobResult,
     serialise_configs,
+    serialise_curation,
 )
 from repro.orchestration.pool import (
     PoolHealth,
@@ -172,11 +172,15 @@ def run_clsmith_campaign(
     ``curate_on`` reproduces the paper's test-curation step: generated kernels
     that fail to build (or time out) on that configuration with optimisations
     enabled are discarded and replaced, which is why Table 4 shows zero build
-    failures for configuration 1+.
+    failures for configuration 1+.  Each mode keeps its first
+    ``kernels_per_mode`` survivors in seed order, trying at most five
+    candidates per kernel.
 
-    One job covers one curated kernel across every (configuration,
-    optimisation level) cell — the majority vote of section 7.3 spans all
-    cells of a kernel, so kernels are the sharding granularity.
+    One job covers one kernel across every (configuration, optimisation
+    level) cell — the majority vote of section 7.3 spans all cells of a
+    kernel, so kernels are the sharding granularity.  A curated job curates
+    its candidate first and sweeps the same program object only if it
+    survives, so the sweep reuses curation's compile work.
     ``parallelism`` > 1 distributes kernels (and curation candidates) over
     that many worker processes; the aggregated table is identical to a serial
     run with the same seed.  ``engine`` selects the execution engine for
@@ -196,8 +200,9 @@ def run_clsmith_campaign(
     large anomaly parallelises across the otherwise-idle pool -- with lazy
     accounting that keeps every dispatch path attaching byte-identical
     summaries.  ``reduce_budget`` caps the candidate evaluations per
-    anomaly.  A ``reduce_budget`` or a ``max_steps`` below 1 raises
-    ``ValueError`` before the store or the worker pool is touched.
+    anomaly.  A ``kernels_per_mode``, ``reduce_budget`` or ``max_steps``
+    below 1 raises ``ValueError`` before the store or the worker pool is
+    touched.
 
     ``auto_triage=True`` (implies ``auto_reduce``) additionally deduplicates
     the reduced reproducers into bug buckets, attributes each bucket to a
@@ -231,6 +236,7 @@ def run_clsmith_campaign(
     counters) is populated either way.
     """
     get_engine(engine)
+    _check_campaign_size("kernels_per_mode", kernels_per_mode)
     _check_reduce_budget(reduce_budget)
     _check_max_steps(max_steps)
     auto_reduce = auto_reduce or auto_triage
@@ -261,30 +267,19 @@ def run_clsmith_campaign(
         pool = worker_pool if store is None else StoreBackedPool(
             worker_pool, store, campaign=store_key
         )
-        jobs: List[CampaignJob] = []
-        with maybe_span(SPAN_PHASE, "curate"):
-            for mode_index, mode in enumerate(modes):
-                kernel_seeds, curation_stats = _curated_seeds(
-                    pool, mode, kernels_per_mode, seed + mode_index * 10_000,
-                    options, curate_on, max_steps, engine,
-                )
-                result.cache_stats = result.cache_stats.merge(curation_stats)
-                jobs.extend(
-                    CampaignJob(
-                        kind=CLSMITH_DIFFERENTIAL,
-                        seed=kernel_seed,
-                        mode=mode.value,
-                        config_ids=config_ids,
-                        config_overrides=config_overrides,
-                        optimisation_levels=(False, True),
-                        options=options,
-                        max_steps=max_steps,
-                        engine=engine,
-                    )
-                    for kernel_seed in kernel_seeds
-                )
         with maybe_span(SPAN_PHASE, "execute"):
-            job_results = pool.run(jobs)
+            jobs, job_results, rejected_stats = _clsmith_kernels(
+                pool, modes, kernels_per_mode, seed, curate_on,
+                dict(
+                    config_ids=config_ids,
+                    config_overrides=config_overrides,
+                    optimisation_levels=(False, True),
+                    options=options,
+                    max_steps=max_steps,
+                    engine=engine,
+                ),
+            )
+        result.cache_stats = result.cache_stats.merge(rejected_stats)
         for job_result in job_results:
             for key, cell_counts in job_result.counts.items():
                 result.counts[key] = result.counts.get(key, OutcomeCounts()).merge(cell_counts)
@@ -338,6 +333,13 @@ def run_clsmith_campaign(
         _attach_worker_faults(result, pool)
     _finish_telemetry(telemetry, result, started)
     return result
+
+
+def _check_campaign_size(name: str, size: int) -> None:
+    """Reject a campaign size below 1: it would run an empty campaign, yet
+    record it in the store and report the size as if it had run."""
+    if size < 1:
+        raise ValueError(f"{name} must be at least 1, got {size!r}")
 
 
 def _check_reduce_budget(reduce_budget: Optional[int]) -> None:
@@ -699,40 +701,56 @@ def _scan_accepted(
     return accepted, stats
 
 
-def _curated_seeds(
+def _clsmith_kernels(
     pool: WorkerPool,
-    mode: Mode,
+    modes: Sequence[Mode],
     count: int,
     seed: int,
-    options: Optional[GeneratorOptions],
     curate_on: Optional[DeviceConfig],
-    max_steps: int,
-    engine: str = DEFAULT_ENGINE,
-) -> Tuple[List[int], CacheStats]:
-    """Seeds of the first ``count`` candidates that survive test curation.
+    job_fields: Dict[str, object],
+) -> Tuple[List[CampaignJob], List[JobResult], CacheStats]:
+    """The swept kernels' jobs and results in (mode, seed) order, plus the
+    merged result-cache delta of the candidates curation rejected.
 
-    Without curation every candidate survives and no jobs run.
+    Mode ``i`` draws its candidates from seed ``seed + 10_000 * i`` on, and
+    the scan goes in waves: a wave submits, per mode, exactly as many next
+    candidates as that mode still lacks, within its ``5 * count`` attempts.
+    So a mode's kernels are its first ``count`` survivors in seed order on
+    every backend, and no candidate past them is submitted at all.  A
+    curated job sweeps its candidate only if it survives curation; without
+    curation every candidate survives, so the first wave is the campaign.
+    A quarantined job keeps its kernel's slot, with no counts (it is
+    reported in ``worker_faults``).
     """
-    if curate_on is None:
-        seeds = [seed + attempt for attempt in range(count)]
-        return seeds, CacheStats()
-    curation_ids, curation_overrides = serialise_configs([curate_on])
+    curation = None if curate_on is None else serialise_curation(curate_on)
 
-    def job_for_attempt(attempt: int) -> CampaignJob:
+    def job_for(mode_index: int, attempt: int) -> CampaignJob:
         return CampaignJob(
-            kind=CLSMITH_CURATE,
-            seed=seed + attempt,
-            mode=mode.value,
-            config_ids=curation_ids,
-            config_overrides=curation_overrides,
-            optimisation_levels=(True,),
-            options=options,
-            max_steps=max_steps,
-            engine=engine,
+            kind=CLSMITH_DIFFERENTIAL,
+            seed=seed + mode_index * 10_000 + attempt,
+            mode=modes[mode_index].value,
+            curate_on=curation,
+            **job_fields,
         )
 
-    accepted, stats = _scan_accepted(pool, count, count * 5, job_for_attempt)
-    return [job_result.seed for job_result in accepted], stats
+    accepted: List[List[Tuple[CampaignJob, JobResult]]] = [[] for _ in modes]
+    attempts = [0] * len(modes)
+    rejected = CacheStats()
+    while True:
+        wave = []
+        for m in range(len(modes)):
+            wanted = min(count - len(accepted[m]), 5 * count - attempts[m])
+            wave.extend((m, job_for(m, attempts[m] + k)) for k in range(wanted))
+            attempts[m] += wanted
+        if not wave:
+            break
+        for (m, job), job_result in zip(wave, pool.run([job for _, job in wave])):
+            if job_result.accepted:
+                accepted[m].append((job, job_result))
+            else:
+                rejected = rejected.merge(job_result.cache)
+    kernels = [pair for per_mode in accepted for pair in per_mode]
+    return [job for job, _ in kernels], [jr for _, jr in kernels], rejected
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +922,8 @@ def run_emi_campaign(
     ``variants_per_base`` runs the first that many points of the pruning
     grid (``None``: all of them); a value outside ``1..len(PRUNING_GRID)``
     raises ``ValueError``, again before the store or the pool is touched,
-    and so does a ``reduce_budget`` or a ``max_steps`` below 1.
+    and so does a ``reduce_budget`` or a ``max_steps`` below 1, or an
+    ``n_bases`` below 1 when no ``bases`` are supplied.
     """
     get_engine(engine)
     if variants_per_base is not None and not 1 <= variants_per_base <= len(PRUNING_GRID):
@@ -912,6 +931,8 @@ def run_emi_campaign(
             f"variants_per_base must be None or 1..{len(PRUNING_GRID)}, "
             f"got {variants_per_base!r}"
         )
+    if bases is None:
+        _check_campaign_size("n_bases", n_bases)
     _check_reduce_budget(reduce_budget)
     _check_max_steps(max_steps)
     auto_reduce = auto_reduce or auto_triage

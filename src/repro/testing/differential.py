@@ -13,7 +13,8 @@ keeps campaign-scale runs tractable on the pure-Python interpreter without
 changing any outcome.  The cache is a bounded LRU
 (:class:`repro.orchestration.cache.ResultCache`) and can be shared between
 harnesses — the campaign engine hands every harness in a worker the same
-cache so curation, differential and EMI runs reuse each other's executions.
+cache, so a curated kernel's sweep reuses its curation run and reductions
+and bisections reuse the campaign's executions.
 """
 
 from __future__ import annotations

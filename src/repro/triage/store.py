@@ -140,7 +140,8 @@ def job_identity(job: CampaignJob) -> str:
 
     Two jobs with the same identity execute byte-identical work (kind, seed,
     mode, configurations by value, optimisation levels, budgets, engine,
-    predicate, and -- for by-value programs -- the program fingerprint), so
+    predicate, the curation configuration when there is one, and -- for
+    by-value programs -- the program fingerprint), so
     a recorded result can satisfy either.  Deliberately excludes the pool
     backend and the campaign that issued the job: results are
     backend-independent, and sharing them *across* campaigns is the store's
@@ -165,6 +166,10 @@ def job_identity(job: CampaignJob) -> str:
         _spec_identity(job.predicate_spec),
         job.reduce_max_evaluations,
     )
+    # Appended only when set, so uncurated jobs keep the identities older
+    # stores recorded them under.
+    if job.curate_on is not None:
+        parts += (("curate_on", config_identity(job.resolve_curation())),)
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 

@@ -2,10 +2,11 @@
 
 Compiling memoises what it derives from a program whatever the
 configuration -- fingerprint, validation verdict, optimised program, feature
-flags -- on the program object.  That is sound only if copies never inherit
-a memo, a caller-supplied pipeline is never answered from it, and no program
-is edited once compiled.  These tests check all three, the last by running
-whole campaigns with every memo hit recomputed and compared.
+flags, named bug-model verdicts -- on the program object.  That is sound
+only if copies never inherit a memo, a caller-supplied pipeline is never
+answered from it, and no program is edited once compiled.  These tests
+check all three, the last by running whole campaigns with every memo hit
+recomputed and compared.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from repro.emi.variants import invert_dead_array, mark_base_fingerprint
 from repro.generator import Mode, generate_kernel
 from repro.generator.options import GeneratorOptions
 from repro.kernel_lang import ast, printer
+from repro.observability import TelemetryCollector
 from repro.platforms import get_configuration
 from repro.platforms.calibration import hash_host_setup, program_fingerprint
 from repro.reduction.corpus import wrong_code_config
@@ -146,6 +148,21 @@ def _clsmith():
     )
 
 
+def _curated():
+    # Configuration 15 rejects this seed's first BARRIER candidate at opt+,
+    # so curation runs twice and the second candidate, curated and swept as
+    # one program object, is the kernel.
+    telemetry = TelemetryCollector(sink=None)
+    result = run_clsmith_campaign(
+        [get_configuration(i) for i in (1, 14, 15)],
+        kernels_per_mode=1, modes=(Mode.BARRIER,), options=_FAST,
+        max_steps=300_000, seed=2, curate_on=get_configuration(15),
+        telemetry=telemetry,
+    )
+    assert result.telemetry.jobs == 2
+    return result
+
+
 def _emi():
     return run_emi_campaign(
         [get_configuration(i) for i in (1, 9, 19)],
@@ -164,10 +181,13 @@ def _auto_triage():
     return result
 
 
-@pytest.mark.parametrize("campaign", [_clsmith, _emi, _auto_triage],
-                         ids=["clsmith", "emi", "auto_triage"])
+@pytest.mark.parametrize("campaign", [_clsmith, _curated, _emi, _auto_triage],
+                         ids=["clsmith", "curated", "emi", "auto_triage"])
 def test_campaign_renders_the_same_with_every_memo_hit_recomputed(campaign, monkeypatch):
     expected = _rendered(campaign())
     hits = _recompute_every_hit(monkeypatch)
     assert _rendered(campaign()) == expected
     assert hits["fingerprint"] and hits["validation"] and hits["optimised"]
+    # Named bug-model verdicts, asked again by every configuration and by
+    # both the front-end and the bug-model stage of each compile.
+    assert hits["bug-model"]

@@ -278,6 +278,39 @@ def test_campaigns_reject_reduce_budget_below_one(tmp_path, entry, budget, value
     assert not path.exists()
 
 
+@pytest.mark.parametrize("entry, size, value", [
+    pytest.param(run_clsmith_campaign, "kernels_per_mode", 0, id="kernels_per_mode=0"),
+    pytest.param(run_clsmith_campaign, "kernels_per_mode", -2, id="kernels_per_mode=-2"),
+    pytest.param(run_emi_campaign, "n_bases", 0, id="n_bases=0"),
+    pytest.param(run_emi_campaign, "n_bases", -1, id="n_bases=-1"),
+])
+def test_campaigns_reject_sizes_below_one(tmp_path, monkeypatch, entry, size, value):
+    """``kernels_per_mode=-2`` used to run an empty campaign, record it in
+    the store and report -2 kernels per mode, and ``n_bases=-1`` reported
+    ``n_bases == 0``.  The check fires before the store is opened or the
+    worker pool starts."""
+    import repro.testing.campaign as campaign
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    monkeypatch.setattr(campaign, "WorkerPool", no_pool)
+    path = tmp_path / "store.jsonl"
+    with pytest.raises(ValueError, match=f"{size} must be at least 1, got {value}"):
+        entry([get_configuration(1)], options=_FAST, max_steps=300_000,
+              resume=str(path), **{size: value})
+    assert not path.exists()
+
+
+def test_emi_campaign_with_supplied_bases_ignores_n_bases():
+    """``n_bases`` sizes only a generated batch; supplied bases set it."""
+    bases = generate_emi_bases(1, seed=0, options=_FAST)
+    result = run_emi_campaign([get_configuration(1)], n_bases=0, bases=bases,
+                              variants_per_base=1, optimisation_levels=(True,),
+                              options=_FAST, max_steps=300_000)
+    assert result.n_bases == 1
+
+
 @pytest.mark.parametrize("max_steps", [0, -1])
 def test_generate_emi_bases_rejects_max_steps_below_one(monkeypatch, max_steps):
     """Every dead-placement check would time out, so no candidate could be

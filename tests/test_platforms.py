@@ -1,5 +1,7 @@
 """Tests for device configurations, bug models, calibration and the driver."""
 
+from collections import Counter
+
 import pytest
 
 from repro.compiler import compile_program
@@ -14,7 +16,9 @@ from repro.platforms import (
 from repro.platforms.bugmodels import (
     AlteraVectorInStructBug,
     AmdCharFirstStructBug,
+    IntelBarrierFwdDeclCrash,
     IntelRotateConstFoldBug,
+    IntelUnreachableLoopBarrierBug,
     NvidiaUnionInitBug,
     OclgrindCommaBug,
 )
@@ -114,6 +118,57 @@ def test_oclgrind_comma_bug_sets_execution_flag():
     assert bug.triggers(program, False, config)
     _, flags = bug.apply(program, False, config)
     assert flags == {"comma_yields_zero": True}
+
+
+def test_named_model_verdicts_are_decided_once_per_program_and_class(monkeypatch):
+    """Configurations 14 and 15 share two named model classes.  Compiling
+    one program at both levels on both asks each shared model's ``matches``
+    once per program object, though every compile asks ``triggers`` from
+    the front-end and the bug-model stage alike: the verdict is memoised on
+    the program, keyed by model class."""
+    shared = (IntelBarrierFwdDeclCrash, IntelUnreachableLoopBarrierBug)
+    calls = Counter()
+    asked = []  # keeps every program alive, so no id() is reused
+    for cls in shared:
+        def counted(self, program, cls=cls, original=cls.matches):
+            asked.append(program)
+            calls[(cls, id(program))] += 1
+            return original(self, program)
+
+        monkeypatch.setattr(cls, "matches", counted)
+    program = figure_program("2d")
+    for config_id in (14, 15):
+        driver = CompilerDriver(get_configuration(config_id))
+        for optimisations in (False, True):
+            try:
+                driver.compile(program, optimisations=optimisations)
+            except (BuildFailure, CompileTimeout):
+                pass
+    assert {(cls, id(program)) for cls in shared} <= set(calls)
+    assert set(calls.values()) == {1}
+
+    # Two classes never share a verdict: the rotate model's memoised True
+    # must not answer for the crash model on the same program object.
+    config = get_configuration(14)
+    rotate, crash = IntelRotateConstFoldBug(), IntelBarrierFwdDeclCrash()
+    exemplar = figure_program("2b")
+    assert rotate.triggers(exemplar, True, config)
+    assert not crash.triggers(exemplar, False, config)
+    assert rotate.triggers(exemplar, False, config)
+
+
+def test_a_clone_decides_its_named_model_verdicts_afresh():
+    """An edited clone must not inherit its original's verdict: here the
+    edit removes the literal arguments the rotate model keys on."""
+    bug = IntelRotateConstFoldBug()
+    config = get_configuration(14)
+    program = figure_program("2b")
+    assert bug.triggers(program, True, config)
+    edited = program.clone()
+    call = next(n for n in edited.kernel().body.walk() if isinstance(n, ast.Call))
+    call.args[1] = ast.VarRef("out")
+    assert not bug.triggers(edited, True, config)
+    assert bug.triggers(program, True, config)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,15 @@ from repro.generator.options import GeneratorOptions, Mode
 from repro.kernel_lang import types as ty
 from repro.orchestration.jobs import (
     CLSMITH_DIFFERENTIAL,
+    EMI_FAMILY,
+    REDUCE_KERNEL,
     CampaignJob,
     JobResult,
 )
 from repro.orchestration.pool import WorkerPool
+from repro.platforms import get_configuration
 from repro.reduction.corpus import clean_config, wrong_code_config
+from repro.reduction.interestingness import PredicateSpec
 from repro.runtime.device import run_program
 from repro.testing.campaign import (
     generate_emi_bases,
@@ -83,6 +87,38 @@ def test_job_identity_hashes_work_not_origin():
     assert job_identity(_job(max_steps=400_000)) != base
     assert job_identity(_job(config_ids=(1,))) != base
     assert job_identity(_job(config_overrides=(wrong_code_config(), None))) != base
+
+
+def test_uncurated_job_identities_keep_their_recorded_digests():
+    """Stores recorded before curation moved into the differential job must
+    keep replaying, so these digests were pinned from that older code.  A
+    curated job is different work and never shares its uncurated twin's
+    identity."""
+    emi = _job(kind=EMI_FAMILY, seed=5, mode=Mode.ALL.value, config_ids=(1, 9, 19),
+               emi_blocks=2, variants_per_base=3, variant_seed=5)
+    reduce = _job(
+        kind=REDUCE_KERNEL, config_ids=(911, 912, 901),
+        config_overrides=(clean_config(911), clean_config(912), wrong_code_config()),
+        predicate_spec=PredicateSpec(
+            kind="differential", signature=(("config901+", "w"), ("config901-", "w"))
+        ),
+        reduce_max_evaluations=150,
+    )
+    assert job_identity(_job()) == (
+        "ef9ec406523ec091d84d12bb9f6891eb9d97c69e0e8bd219f4bd74df64110eef"
+    )
+    assert job_identity(emi) == (
+        "685425a2e7bb7d33916a97d041cafcf641be51eda5cbdbecb35f2402883f2be3"
+    )
+    assert job_identity(reduce) == (
+        "630169f09dbf005df2156b8eb40bb87dfa9d4a4f9fb08e6cc8698870a75048ff"
+    )
+    uncurated = job_identity(_job())
+    curated = {
+        job_identity(_job(curate_on=curation))
+        for curation in (1, 15, wrong_code_config())
+    }
+    assert len(curated) == 3 and uncurated not in curated
 
 
 def test_job_result_round_trips_through_the_codec():
@@ -396,6 +432,71 @@ def test_schema_1_store_resumes_as_a_full_replay(tmp_path, monkeypatch):
     assert second.render() == first.render()
     assert second.triage.render_markdown() == first.triage.render_markdown()
     assert second.cache_stats.as_dict() == first.cache_stats.as_dict()
+
+
+def test_curated_campaign_re_executes_a_store_of_separate_curation_jobs(
+    tmp_path, monkeypatch
+):
+    """Curation used to run as ``clsmith-curate`` jobs ahead of uncurated
+    ``clsmith-differential`` sweeps.  A curated campaign resumed from a
+    store of such records must re-execute every job -- its curated jobs
+    have other identities -- and render what a fresh run renders, although
+    the old records say every candidate survived curation and every sweep
+    found wrong code."""
+    import repro.orchestration.pool as pool_module
+
+    configs = [get_configuration(i) for i in (1, 14, 15)]
+    kwargs = dict(kernels_per_mode=1, modes=(Mode.BARRIER,), options=_FAST_OPTIONS,
+                  max_steps=300_000, seed=2, curate_on=get_configuration(15))
+    fresh = run_clsmith_campaign(configs, **kwargs)
+    path = str(tmp_path / "store.jsonl")
+    wrong = {(Mode.BARRIER.value, "config1", True): OutcomeCounts(wrong_code=1)}
+    with CampaignStore(path) as store:
+        for seed in range(2, 2 + 5):  # the mode's whole candidate budget
+            old = dict(seed=seed, mode=Mode.BARRIER.value, options=_FAST_OPTIONS,
+                       max_steps=300_000)
+            curate = CampaignJob(kind="clsmith-curate", config_ids=(15,),
+                                 optimisation_levels=(True,), **old)
+            sweep = CampaignJob(kind=CLSMITH_DIFFERENTIAL, config_ids=(1, 14, 15), **old)
+            store.record_job(job_identity(curate), JobResult(curate.kind, seed))
+            store.record_job(job_identity(sweep), JobResult(sweep.kind, seed, counts=wrong))
+        old_keys = {record["key"] for record in store.records("job")}
+
+    executed = []
+    execute_job = pool_module.execute_job
+
+    def counting_execute_job(job, **kw):
+        executed.append(job.kind)
+        return execute_job(job, **kw)
+
+    monkeypatch.setattr(pool_module, "execute_job", counting_execute_job)
+    resumed = run_clsmith_campaign(configs, resume=path, **kwargs)
+    assert resumed.render() == fresh.render()
+    with CampaignStore(path) as store:
+        new_keys = [r["key"] for r in store.records("job") if r["key"] not in old_keys]
+    # A rejected candidate and the kernel after it, both run, none replayed.
+    assert len(new_keys) == len(set(new_keys)) == 2
+    assert executed == [CLSMITH_DIFFERENTIAL] * 2
+
+
+def test_two_worker_curated_campaign_sweeps_only_the_kept_kernels(tmp_path):
+    """Each wave of the curated scan submits, per mode, only as many
+    candidates as the mode still lacks, so even on two workers the store
+    holds exactly one job record with counts per kept kernel: no candidate
+    past a mode's last kept kernel is curated and swept speculatively."""
+    configs = [get_configuration(i) for i in (1, 15)]
+    kwargs = dict(kernels_per_mode=2, modes=(Mode.BASIC, Mode.BARRIER),
+                  options=_FAST_OPTIONS, max_steps=300_000,
+                  curate_on=get_configuration(15))
+    path = str(tmp_path / "store.jsonl")
+    parallel = run_clsmith_campaign(configs, parallelism=2, resume=path, **kwargs)
+    assert parallel.render() == run_clsmith_campaign(configs, **kwargs).render()
+    with CampaignStore(path) as store:
+        results = [record["result"] for record in store.records("job")]
+    swept = [result for result in results if result["counts"]]
+    assert len(swept) == 2 * 2 and all(result["accepted"] for result in swept)
+    # Curation on configuration 15 rejected at least one candidate.
+    assert len(results) > len(swept)
 
 
 # ---------------------------------------------------------------------------

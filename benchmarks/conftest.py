@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures at a reduced
 scale (the paper uses 10 000 kernels per mode on real silicon; a pure-Python
 simulator cannot).  The scale knobs below can be raised for a longer, more
-faithful run; EXPERIMENTS.md records results for the defaults.
+faithful run.
 """
 
 import pytest
@@ -18,7 +18,7 @@ EMI_VARIANTS_PER_BASE = 10
 #: EMI variants per (benchmark, setting) for the Table 3 style campaign.
 TABLE3_VARIANTS = 3
 
-#: Generator scale used throughout the benchmarks (see DESIGN.md section 5).
+#: Generator scale used throughout the benchmarks.
 BENCH_OPTIONS = GeneratorOptions(
     min_total_threads=4,
     max_total_threads=24,

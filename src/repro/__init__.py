@@ -1,7 +1,7 @@
 """Reproduction of "Many-Core Compiler Fuzzing" (Lidbury, Lascu, Chong,
 Donaldson; PLDI 2015).
 
-The package provides, as documented in DESIGN.md:
+The package provides:
 
 * :mod:`repro.kernel_lang` -- an OpenCL-C-like kernel language (types,
   values, AST, builtins, printer, static checks);

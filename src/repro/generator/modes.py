@@ -16,7 +16,7 @@ not ordered with respect to the atomic sections of other threads; our variant
 preserves the structure of the mode (counter-guarded sections, hashes of
 section-local state, per-group aggregation) while being deterministic by
 construction under any interleaving, which the determinism property tests
-verify.  See DESIGN.md ("Scale substitutions") and EXPERIMENTS.md.
+(``benchmarks/test_determinism_modes.py``) verify.
 """
 
 from __future__ import annotations

@@ -344,24 +344,6 @@ class PointerType(Type):
 VOID = VoidType()
 
 
-def is_integer(t: Type) -> bool:
-    """Return True for scalar integer types."""
-    return isinstance(t, IntType)
-
-
-def is_vector(t: Type) -> bool:
-    return isinstance(t, VectorType)
-
-
-def is_arithmetic(t: Type) -> bool:
-    """Scalar or vector integer type."""
-    return isinstance(t, (IntType, VectorType))
-
-
-def is_aggregate(t: Type) -> bool:
-    return isinstance(t, (StructType, UnionType, ArrayType))
-
-
 def element_type(t: Type) -> IntType:
     """Return the scalar element type of a scalar or vector type."""
     if isinstance(t, IntType):
@@ -396,11 +378,6 @@ def common_scalar_type(a: IntType, b: IntType) -> IntType:
             (not a.signed and a.bits >= 32) or (not b.signed and b.bits >= 32)
         )
     return _SIGNED_OF[bits] if signed else _UNSIGNED_OF[bits]
-
-
-def vector_type(element: IntType, length: int) -> VectorType:
-    """Convenience constructor for vector types."""
-    return VectorType(element, length)
 
 
 def types_compatible_for_assignment(dst: Type, src: Type) -> bool:
@@ -449,12 +426,7 @@ __all__ = [
     "ADDRESS_SPACES",
     "SHARED_SPACES",
     "scalar_by_name",
-    "is_integer",
-    "is_vector",
-    "is_arithmetic",
-    "is_aggregate",
     "element_type",
     "common_scalar_type",
-    "vector_type",
     "types_compatible_for_assignment",
 ]

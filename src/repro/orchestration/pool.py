@@ -681,17 +681,6 @@ class WorkerPool:
         return multiprocessing.get_context()
 
 
-def speculation_width(pool) -> int:
-    """Jobs to submit at once when a scan stops at the first accepted one.
-
-    One on the serial backend, where nothing can run ahead; two per worker
-    on the process backend, so each worker has a job queued while the
-    parent reads results.  Scans take results in submission order, so the
-    width never changes which job is accepted.
-    """
-    return 1 if pool.backend == "serial" else 2 * pool.parallelism
-
-
 def _pop_eligible(pending: "deque[_Lease]", now: float) -> Optional[_Lease]:
     """Remove and return the first lease whose backoff has expired,
     preserving submission order for the rest."""
@@ -704,4 +693,4 @@ def _pop_eligible(pending: "deque[_Lease]", now: float) -> Optional[_Lease]:
     return None
 
 
-__all__ = ["PoolHealth", "SupervisionConfig", "WorkerPool", "speculation_width"]
+__all__ = ["PoolHealth", "SupervisionConfig", "WorkerPool"]

@@ -7,7 +7,7 @@ optimisation pipeline, so a buggy configuration genuinely produces a
 different executable program -- which is what random differential testing and
 EMI testing then detect through execution, exactly as in the paper.
 
-Fidelity notes (also summarised in EXPERIMENTS.md):
+Fidelity notes:
 
 * Wrong-code models reproduce the *observable symptom class* of the reported
   bug (a silently wrong value, a lost store, a crash, a hang).  Where the real

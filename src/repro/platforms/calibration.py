@@ -21,7 +21,8 @@ The rates below were set from Table 4 of the paper (per-configuration w%,
 and build-failure / crash / timeout counts out of ~10 000 tests) and from the
 initial-classification discussion in sections 6 and 7.1 for the
 below-threshold configurations.  They are inputs to the simulation, not
-measurements of it; EXPERIMENTS.md discusses the calibration in detail.
+measurements of it.  REDUCTION.md ("Calibrated residue is irreducible by
+construction") explains why these defects do not reduce.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ from repro.kernel_lang.printer import print_program
 from repro.observability import SPAN_REDUCE_ROUND, maybe_span
 from repro.orchestration.cache import CacheStats
 from repro.orchestration.jobs import REDUCE_CHECK, CampaignJob
-from repro.orchestration.pool import speculation_width
 from repro.reduction.interestingness import (
     InterestingnessPredicate,
     PredicateStats,
@@ -249,11 +248,11 @@ class PoolEvaluator:
     ``program``, so configurations, predicate, step budget and engine all
     travel with it.
 
-    The evaluator speculates: it submits up to ``speculation_width(pool)``
-    candidates at once (1 on the serial backend, two per worker on the
-    process backend) but charges evaluations, budget and predicate counters
-    only for the candidates up to and including the first accepted one,
-    exactly as the lazy :class:`LocalEvaluator` would.  A reduction driven through it is
+    The evaluator speculates: it submits up to :attr:`width` candidates at
+    once (1 on the serial backend, two per worker on the process backend)
+    but charges evaluations, budget and predicate counters only for the
+    candidates up to and including the first accepted one, exactly as the
+    lazy :class:`LocalEvaluator` would.  A reduction driven through it is
     therefore byte-identical (reduced kernel, trace, evaluation counts, pass
     attribution, predicate counters) to the in-process one.  Speculative
     candidates that did execute show up only in :attr:`cache_stats`, which
@@ -263,7 +262,12 @@ class PoolEvaluator:
     def __init__(self, pool, template: CampaignJob) -> None:
         self.pool = pool
         self.template = template
-        self.width = speculation_width(pool)
+        #: Candidates submitted at once.  One on the serial backend, where
+        #: nothing can run ahead; two per worker on the process backend, so
+        #: each worker has a job queued while the parent reads results.
+        #: Results come back in submission order, so the width never
+        #: changes which candidate is accepted.
+        self.width = 1 if pool.backend == "serial" else 2 * pool.parallelism
         #: Predicate counters summed over the charged candidate jobs.
         self.stats = PredicateStats()
         #: Cache deltas of every dispatched job, speculative ones included.

@@ -3,9 +3,26 @@
 The functions here generate workloads, run the differential / EMI harnesses
 at configurable scale, and aggregate the counts into the same row/column
 structure the paper reports.  The benchmark harnesses under ``benchmarks/``
-call these functions with small-but-meaningful sizes and print the resulting
-tables; EXPERIMENTS.md records the sizes used and compares the shapes with
-the paper.
+call these functions with small-but-meaningful sizes (set in
+``benchmarks/conftest.py``) and print the resulting tables.
+
+Tables 4 and 5 run the paper's one workflow (sections 7.3-7.4), and so one
+driver: generate kernels, curate them (Table 4) or filter EMI bases
+(Table 5), run every configuration at every optimisation level, then reduce
+and deduplicate whatever fails.  :func:`run_clsmith_campaign` and
+:func:`run_emi_campaign` differ only in how they pick and run their
+kernels; both are built from the same parts:
+
+* :func:`_job_fields` checks every input before anything runs and returns
+  the fields every job of the campaign carries (configurations,
+  optimisation levels, options, step budget and engine);
+* :func:`_campaign` opens the store (``resume=``), the worker pool and the
+  telemetry scope, and on exit surfaces faults, health and telemetry on
+  the result;
+* :func:`_scan` is the wave scan that picks the kernels, for CLsmith
+  curation and EMI base filtering alike;
+* :func:`_reduce_and_triage` reduces every anomaly and buckets and bisects
+  the reproducers.
 
 All campaign work is routed through the sharded execution engine of
 :mod:`repro.orchestration`: each campaign builds a list of serialisable
@@ -21,10 +38,11 @@ the same seed (see ORCHESTRATION.md and ``tests/test_orchestration.py``).
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.emi.variants import PRUNING_GRID, mark_base_fingerprint
 from repro.observability import (
@@ -51,12 +69,7 @@ from repro.orchestration.jobs import (
     serialise_configs,
     serialise_curation,
 )
-from repro.orchestration.pool import (
-    PoolHealth,
-    SupervisionConfig,
-    WorkerPool,
-    speculation_width,
-)
+from repro.orchestration.pool import PoolHealth, SupervisionConfig, WorkerPool
 from repro.platforms.calibration import program_fingerprint
 from repro.platforms.config import DeviceConfig
 from repro.reduction.interestingness import (
@@ -67,16 +80,440 @@ from repro.reduction.interestingness import (
 )
 from repro.reduction.reducer import PoolEvaluator, ReductionSummary, reduce_job
 from repro.runtime.engine import DEFAULT_ENGINE, get_engine
-from repro.testing.outcomes import Outcome, OutcomeCounts, cell_label
+from repro.testing.outcomes import Outcome, OutcomeCounts, cell_label, worst_code
 from repro.triage.bucketing import bucket_reductions
 from repro.triage.report import TriageResult
 from repro.triage.store import (
+    CampaignStore,
     StoreBackedPool,
     campaign_key,
     config_identity,
     job_identity,
     open_store,
 )
+
+
+# ---------------------------------------------------------------------------
+# The campaign driver shared by Tables 4 and 5
+# ---------------------------------------------------------------------------
+
+
+def _check_inputs(engine: str, reduce_budget: Optional[int] = None, **inputs) -> None:
+    """Reject a campaign's inputs before the store is opened or the worker
+    pool starts.
+
+    An unregistered ``engine`` raises the registry's ``KeyError``.  Each of
+    ``inputs`` is a size or a sequence, and a size below 1 or an empty
+    sequence raises ``ValueError``: the campaign would run nothing, yet
+    record itself in the store and report its sizes as if it had run (a
+    ``max_steps`` below 1 times every cell out before its first step, which
+    reads as a timeout on every configuration).  So does a ``reduce_budget``
+    below 1: it cannot pay for a single evaluation.
+    """
+    get_engine(engine)
+    for name, value in inputs.items():
+        if isinstance(value, int):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        elif not value:
+            raise ValueError(f"{name} must not be empty")
+    if reduce_budget is not None and reduce_budget < 1:
+        raise ValueError(f"reduce_budget must be None or at least 1, got {reduce_budget!r}")
+
+
+def _job_fields(
+    configs: Sequence[DeviceConfig],
+    optimisation_levels: Sequence[bool],
+    options: Optional[GeneratorOptions],
+    max_steps: int,
+    engine: str,
+    reduce_budget: Optional[int],
+    **inputs,
+) -> Dict[str, object]:
+    """Check a campaign's inputs (see :func:`_check_inputs`; ``inputs`` are
+    its own sizes and sequences) and return the fields every one of its
+    jobs carries: configurations, optimisation levels, the caller's
+    ``options``, step budget and engine."""
+    _check_inputs(
+        engine, reduce_budget, configs=configs,
+        optimisation_levels=optimisation_levels, **inputs, max_steps=max_steps,
+    )
+    config_ids, config_overrides = serialise_configs(configs)
+    return dict(
+        config_ids=config_ids,
+        config_overrides=config_overrides,
+        optimisation_levels=tuple(optimisation_levels),
+        options=options,
+        max_steps=max_steps,
+        engine=engine,
+    )
+
+
+@contextmanager
+def _campaign(
+    result,
+    name: str,
+    seed: int,
+    fields: Dict[str, object],
+    key_params: Dict[str, object],
+    resume,
+    parallelism: Optional[int],
+    fault_plan: Optional[FaultPlan],
+    supervision: Optional[SupervisionConfig],
+    telemetry: Optional[TelemetryCollector],
+):
+    """Run one campaign's body on its store, worker pool and telemetry.
+
+    Yields ``(pool, store, key)``.  With ``resume=`` the store is opened
+    and the campaign recorded under its key (the campaign's ``name``,
+    ``seed``, job ``fields`` and ``key_params``), and ``pool`` is a
+    :class:`~repro.triage.store.StoreBackedPool` that replays recorded jobs;
+    without it, ``store`` is ``None`` and ``key`` empty.
+
+    A campaign-opened store must release its append handle even when the
+    campaign body raises (the kill-mid-run scenario ``resume=`` exists
+    for); caller-owned stores stay open, since the caller may keep
+    appending campaigns to them.  The pool's context manager guarantees
+    worker teardown on every exit path too: a graceful ``close()`` on
+    success, a hard ``terminate()`` when the body raises (including
+    :exc:`KeyboardInterrupt` — an interrupted campaign must not leak
+    worker processes).  Campaign stores on the process backend default to
+    durable appends (fsync per record): those are the long overnight runs
+    where a *host* crash must lose at most the in-flight record.  An
+    explicit ``durable=`` choice on a caller-owned store is never
+    overridden.
+
+    On a normal exit the pool's quarantine log and health land on the
+    result.  Quarantined jobs become :class:`~repro.orchestration.faults.
+    QuarantineRecord` entries (submission order) on
+    ``result.worker_faults``, and a triage report (when present) lists
+    them alongside the buckets; the store already holds each as a
+    ``worker-fault`` record.  A fault-free campaign leaves the rendered
+    output byte-identical to the quarantine-unaware renderer, and
+    ``result.health`` never renders by default.  With ``telemetry`` the
+    collector is ambient for the whole campaign, which runs inside one
+    campaign span, and the aggregate lands on ``result.telemetry``; without
+    it this costs nothing beyond the ``None`` checks.
+    """
+    store = open_store(resume, fault_plan=fault_plan)
+    key = ""
+    if store is not None:
+        key = campaign_key(
+            name,
+            config_ids=fields["config_ids"],
+            options=fields["options"],
+            max_steps=fields["max_steps"],
+            seed=seed,
+            engine=fields["engine"],
+            **key_params,
+        )
+        store.begin_campaign(key, {"entry": f"run_{name}_campaign", "seed": seed})
+    started = time.perf_counter()
+    with ExitStack() as scope:
+        if telemetry is not None:
+            scope.enter_context(use_collector(telemetry))
+            scope.enter_context(telemetry.span(SPAN_CAMPAIGN, name=name))
+        if store is not None and not isinstance(resume, CampaignStore):
+            scope.callback(store.close)
+        worker_pool = scope.enter_context(WorkerPool(
+            parallelism, fault_plan=fault_plan, supervision=supervision,
+            telemetry=telemetry,
+        ))
+        if store is not None and store.durable is None:
+            store.durable = worker_pool.backend == "process"
+        pool = worker_pool if store is None else StoreBackedPool(
+            worker_pool, store, campaign=key
+        )
+        yield pool, store, key
+        result.health = pool.health.copy()
+        records = [
+            QuarantineRecord(
+                job_kind=job.kind, seed=job.seed, mode=job.mode, fault=fault,
+                identity=job_identity(job),
+            )
+            for job, fault in pool.quarantined
+        ]
+        if records:
+            result.worker_faults = records
+            if result.triage is not None:
+                result.triage.worker_faults = list(records)
+    if telemetry is not None:
+        registry = telemetry.registry
+        result.telemetry = CampaignTelemetry(
+            wall_s=time.perf_counter() - started,
+            jobs=registry.counters.get("event:job-finished", 0),
+            cells=registry.counters.get("cells", 0),
+            counters=dict(registry.counters),
+            durations=registry.durations(),
+            health=result.health.as_dict(),
+        )
+
+
+def _scan(
+    pool,
+    lanes: int,
+    count: int,
+    budget: int,
+    job_for: Callable[[int, int], CampaignJob],
+) -> Tuple[List[Tuple[CampaignJob, JobResult]], CacheStats]:
+    """The first ``count`` accepted candidates of each of ``lanes`` lanes,
+    in (lane, attempt) order, plus the merged result-cache delta of the
+    candidates that were not accepted.
+
+    ``job_for(lane, attempt)`` is a lane's candidate, and a lane tries at
+    most ``budget`` of them.  The scan goes in waves: a wave submits, per
+    lane, exactly as many next candidates as that lane still lacks.  So a
+    lane keeps its first ``count`` accepted candidates in attempt order on
+    every backend, and no candidate past them is submitted at all; when
+    every candidate is accepted, the first wave is the whole scan.  A
+    quarantined candidate is not accepted (it is reported in
+    ``worker_faults``), so its lane draws the next one.
+    """
+    accepted: List[List[Tuple[CampaignJob, JobResult]]] = [[] for _ in range(lanes)]
+    attempts = [0] * lanes
+    rejected = CacheStats()
+    while True:
+        wave = []
+        for lane in range(lanes):
+            wanted = min(count - len(accepted[lane]), budget - attempts[lane])
+            wave.extend((lane, job_for(lane, attempts[lane] + k)) for k in range(wanted))
+            attempts[lane] += wanted
+        if not wave:
+            break
+        for (lane, job), job_result in zip(wave, pool.run([job for _, job in wave])):
+            if job_result.accepted:
+                accepted[lane].append((job, job_result))
+            else:
+                rejected = rejected.merge(job_result.cache)
+    return [pair for per_lane in accepted for pair in per_lane], rejected
+
+
+def _reduce_and_triage(
+    pool,
+    store,
+    campaign: str,
+    result,
+    kernels: Iterable[Tuple[CampaignJob, JobResult]],
+    fields: Dict[str, object],
+    failure_signature: Callable[[JobResult], Signature],
+    predicate_kind: str,
+    reduce_budget: Optional[int],
+    auto_triage: bool,
+) -> None:
+    """Reduce the campaign's anomalies and, with ``auto_triage``, bucket
+    and bisect the reproducers into ``result.triage``.
+
+    ``kernels`` are the campaign's (job, result) pairs in job order.
+    ``failure_signature`` maps a result to the signature its reduction must
+    preserve, or ``()`` when there is nothing to reduce; each anomaly
+    becomes one ``reduce-kernel`` job with the campaign's job ``fields``
+    and a ``predicate_kind`` predicate.  Summaries are folded into
+    ``result.reductions`` and every cache delta into ``result.cache_stats``.
+
+    Serial backends run whole ``reduce-kernel`` jobs.  Process backends
+    pick the dispatch axis by saturation: with at least as many anomalies
+    as workers, whole ``reduce-kernel`` jobs already fill the pool (and
+    across-anomaly parallelism beats within-reduction parallelism, whose
+    accept chain is inherently sequential); with fewer anomalies than
+    workers, each reduction is instead driven in the parent through a
+    :class:`~repro.reduction.reducer.PoolEvaluator`, whose per-candidate
+    ``reduce-check`` jobs keep the idle workers busy.  Both axes run
+    :func:`~repro.reduction.reducer.reduce_job`, so summaries are
+    byte-identical whichever runs -- the choice depends only on the job
+    count and the pool width, never on timing.  Anomalies that turned out
+    not to be reducible (UB-vetoed originals) contribute cache deltas but no
+    summary.
+    With a store, each summary is also recorded as a ``reduction`` record
+    (keyed by campaign + reduce-job identity) together with the job context
+    `repro-triage` needs for later cross-campaign bucketing and bisection,
+    plus an ``anomaly`` record mapping the pre-reduction fingerprint to
+    that reduction.
+
+    With ``auto_triage`` and a store, jobs whose anomaly fingerprint
+    another campaign already reduced (see :func:`_stored_anomaly_summaries`)
+    are not reduced at all -- the stored reproducer is attached in the
+    job's position instead, contributing no cache traffic.
+    """
+    with maybe_span(SPAN_PHASE, "reduce"):
+        reduce_jobs = []
+        for job, job_result in kernels:
+            signature = failure_signature(job_result)
+            if not signature:
+                continue
+            reduce_jobs.append(
+                CampaignJob(
+                    kind=REDUCE_KERNEL,
+                    seed=job.seed,
+                    mode=job.mode,
+                    emi_blocks=job.emi_blocks,
+                    program=job.program,
+                    predicate_spec=PredicateSpec(kind=predicate_kind, signature=signature),
+                    reduce_max_evaluations=reduce_budget,
+                    **fields,
+                )
+            )
+        known_anomalies = _stored_anomaly_summaries(store, campaign) if auto_triage else {}
+        skipped: Dict[int, ReductionSummary] = {}
+        fingerprints: Dict[int, str] = {}
+        if store is not None or known_anomalies:
+            for index, job in enumerate(reduce_jobs):
+                fingerprints[index] = _anomaly_fingerprint(job)
+                stored_summary = known_anomalies.get(fingerprints[index])
+                if stored_summary is not None:
+                    skipped[index] = stored_summary
+        live = [
+            (index, job)
+            for index, job in enumerate(reduce_jobs)
+            if index not in skipped
+        ]
+        summaries: Dict[int, Tuple[CampaignJob, Optional[ReductionSummary], CacheStats]] = {}
+        if pool.backend == "process" and len(live) < pool.parallelism:
+            for index, job in live:
+                stored = (
+                    store.lookup_reduction(job_identity(job), campaign=campaign)
+                    if store else None
+                )
+                if stored is not None:
+                    # Replay the recorded cache deltas too, so a resumed
+                    # campaign's surfaced counters include the reduction phase
+                    # exactly like every job-record replay does.
+                    summary, cache_delta = stored
+                else:
+                    evaluator = PoolEvaluator(pool, job)
+                    summary = reduce_job(job, evaluator)
+                    cache_delta = evaluator.cache_stats
+                result.cache_stats = result.cache_stats.merge(cache_delta)
+                summaries[index] = (job, summary, cache_delta)
+        else:
+            for (index, job), job_result in zip(
+                live, pool.run([job for _, job in live])
+            ):
+                result.cache_stats = result.cache_stats.merge(job_result.cache)
+                summaries[index] = (job, job_result.reduction, job_result.cache)
+        for index in range(len(reduce_jobs)):
+            if index in skipped:
+                result.reductions.append(skipped[index])
+                continue
+            job, summary, cache_delta = summaries[index]
+            if summary is None:
+                continue
+            result.reductions.append(summary)
+            if store is not None:
+                reduction_key = job_identity(job)
+                store.record_reduction(
+                    reduction_key, summary, job, campaign=campaign, cache=cache_delta,
+                )
+                store.record_once(
+                    "anomaly", fingerprints[index],
+                    {"campaign": campaign, "reduction_key": reduction_key},
+                )
+    if auto_triage:
+        with maybe_span(SPAN_PHASE, "triage"):
+            result.triage = _run_triage(pool, result, fields, store, campaign)
+
+
+def _anomaly_fingerprint(job: CampaignJob) -> str:
+    """The bucket fingerprint of a reduce job's *unreduced* anomaly.
+
+    Same construction as the post-reduction bucket key (alpha-normalised
+    shape x failure signature x mode x predicate kind), but over the
+    anomalous program as generated -- computable before any reduction runs,
+    which is what lets bucket-aware scheduling skip work (see TRIAGE.md).
+    """
+    from repro.triage.bucketing import bug_fingerprint
+
+    return bug_fingerprint(
+        job.materialise_program(), job.predicate_spec.signature, job.mode,
+        job.predicate_spec.kind,
+    )
+
+
+def _stored_anomaly_summaries(store, campaign: str) -> Dict[str, ReductionSummary]:
+    """Anomaly fingerprint -> reduced reproducer, from *other* campaigns.
+
+    This is the input to bucket-aware scheduling: an anomaly whose
+    fingerprint appears here was already reduced by an earlier campaign
+    sharing the store, so re-reducing it would only rediscover a known
+    bucket.  Records written by ``campaign`` itself are excluded -- a
+    killed-and-resumed campaign must make exactly the decisions its
+    uninterrupted twin would, so its own partial progress never feeds
+    back into its scheduling (the resume byte-identity property).
+    """
+    if store is None:
+        return {}
+    known: Dict[str, ReductionSummary] = {}
+    for record in store.records("anomaly"):
+        if record.get("campaign") == campaign:
+            continue
+        stored = store.lookup_reduction(
+            record["reduction_key"], campaign=record.get("campaign", "")
+        )
+        if stored is not None and record["key"] not in known:
+            known[record["key"]] = stored[0]
+    return known
+
+
+def _run_triage(
+    pool, result, fields: Dict[str, object], store=None, campaign: str = ""
+) -> TriageResult:
+    """Bucket the campaign's reductions and bisect one culprit per bucket.
+
+    Bucketing is pure and happens in the parent; bisection ships as one
+    ``triage-bisect`` job per bucket (with the campaign's job ``fields``)
+    on the campaign's own pool (sharing the per-worker result caches), in
+    deterministic bucket order, so serial and process backends attach
+    identical attributions.
+    """
+    buckets = bucket_reductions(result.reductions)
+    jobs = [
+        CampaignJob(
+            kind=TRIAGE_BISECT,
+            seed=bucket.representative.seed,
+            mode=bucket.representative.mode,
+            program=bucket.representative.reduced_program,
+            predicate_spec=PredicateSpec(
+                kind=bucket.predicate_kind, signature=bucket.signature
+            ),
+            **fields,
+        )
+        for bucket in buckets
+    ]
+    for bucket, job_result in zip(buckets, pool.run(jobs)):
+        bucket.culprit = job_result.bisection
+        result.cache_stats = result.cache_stats.merge(job_result.cache)
+    triage = TriageResult(buckets)
+    if store is not None:
+        for bucket in buckets:
+            store.record_once(
+                "bucket",
+                f"{campaign}:{bucket.key}",
+                {
+                    "campaign": campaign,
+                    "fingerprint": bucket.key,
+                    "signature": [list(cell) for cell in bucket.signature],
+                    "mode": bucket.mode,
+                    "predicate_kind": bucket.predicate_kind,
+                    "worst_code": bucket.worst_code,
+                    "occurrences": bucket.occurrences,
+                    "members": [dataclasses.asdict(m) for m in bucket.members],
+                    "canonical_source": bucket.canonical_source,
+                    "culprit": (
+                        dataclasses.asdict(bucket.culprit)
+                        if bucket.culprit is not None
+                        else None
+                    ),
+                },
+            )
+    return triage
+
+
+def _render_worker_faults(records: List[QuarantineRecord]) -> List[str]:
+    """Extra render() lines for quarantined jobs ([] on fault-free runs)."""
+    if not records:
+        return []
+    lines = ["", f"quarantined jobs ({len(records)}):"]
+    lines.extend(f"  {record.render_line()}" for record in records)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +611,8 @@ def run_clsmith_campaign(
     enabled are discarded and replaced, which is why Table 4 shows zero build
     failures for configuration 1+.  Each mode keeps its first
     ``kernels_per_mode`` survivors in seed order, trying at most five
-    candidates per kernel.
+    candidates per kernel: mode ``i`` draws its candidates from seed
+    ``seed + 10_000 * i`` on, and all modes share one wave scan.
 
     One job covers one kernel across every (configuration, optimisation
     level) cell — the majority vote of section 7.3 spans all cells of a
@@ -201,8 +639,8 @@ def run_clsmith_campaign(
     accounting that keeps every dispatch path attaching byte-identical
     summaries.  ``reduce_budget`` caps the candidate evaluations per
     anomaly.  A ``kernels_per_mode``, ``reduce_budget`` or ``max_steps``
-    below 1 raises ``ValueError`` before the store or the worker pool is
-    touched.
+    below 1, or an empty ``configs`` or ``modes``, raises ``ValueError``
+    before the store or the worker pool is touched.
 
     ``auto_triage=True`` (implies ``auto_reduce``) additionally deduplicates
     the reduced reproducers into bug buckets, attributes each bucket to a
@@ -235,422 +673,43 @@ def run_clsmith_campaign(
     ``None`` default costs nothing.  ``result.health`` (supervisor
     counters) is populated either way.
     """
-    get_engine(engine)
-    _check_campaign_size("kernels_per_mode", kernels_per_mode)
-    _check_reduce_budget(reduce_budget)
-    _check_max_steps(max_steps)
-    auto_reduce = auto_reduce or auto_triage
-    config_ids, config_overrides = serialise_configs(configs)
+    fields = _job_fields(
+        configs, (False, True), options, max_steps, engine, reduce_budget,
+        modes=modes, kernels_per_mode=kernels_per_mode,
+    )
+    curation = None if curate_on is None else serialise_curation(curate_on)
     result = ClsmithCampaignResult(kernels_per_mode)
-    store = open_store(resume, fault_plan=fault_plan)
-    store_key = ""
-    if store is not None:
-        store_key = campaign_key(
-            "clsmith",
-            config_ids=config_ids,
+    with _campaign(
+        result, "clsmith", seed, fields,
+        dict(
             kernels_per_mode=kernels_per_mode,
             modes=tuple(mode.value for mode in modes),
-            options=options,
             curated=config_identity(curate_on),
-            max_steps=max_steps,
-            seed=seed,
-            engine=engine,
-        )
-        store.begin_campaign(
-            store_key, {"entry": "run_clsmith_campaign", "seed": seed}
-        )
-    started = time.perf_counter()
-    with _telemetry_scope(telemetry, "clsmith"), _campaign_resources(
-        parallelism, store, resume, fault_plan=fault_plan,
-        supervision=supervision, telemetry=telemetry,
-    ) as worker_pool:
-        pool = worker_pool if store is None else StoreBackedPool(
-            worker_pool, store, campaign=store_key
-        )
+        ),
+        resume, parallelism, fault_plan, supervision, telemetry,
+    ) as (pool, store, key):
         with maybe_span(SPAN_PHASE, "execute"):
-            jobs, job_results, rejected_stats = _clsmith_kernels(
-                pool, modes, kernels_per_mode, seed, curate_on,
-                dict(
-                    config_ids=config_ids,
-                    config_overrides=config_overrides,
-                    optimisation_levels=(False, True),
-                    options=options,
-                    max_steps=max_steps,
-                    engine=engine,
+            kernels, rejected = _scan(
+                pool, len(modes), kernels_per_mode, 5 * kernels_per_mode,
+                lambda m, attempt: CampaignJob(
+                    kind=CLSMITH_DIFFERENTIAL,
+                    seed=seed + m * 10_000 + attempt,
+                    mode=modes[m].value,
+                    curate_on=curation,
+                    **fields,
                 ),
             )
-        result.cache_stats = result.cache_stats.merge(rejected_stats)
-        for job_result in job_results:
-            for key, cell_counts in job_result.counts.items():
-                result.counts[key] = result.counts.get(key, OutcomeCounts()).merge(cell_counts)
+        result.cache_stats = result.cache_stats.merge(rejected)
+        for _, job_result in kernels:
+            for cell, cell_counts in job_result.counts.items():
+                result.counts[cell] = result.counts.get(cell, OutcomeCounts()).merge(cell_counts)
             result.cache_stats = result.cache_stats.merge(job_result.cache)
-        if auto_reduce:
-            with maybe_span(SPAN_PHASE, "reduce"):
-                reduce_jobs = []
-                for job, job_result in zip(jobs, job_results):
-                    signature = _clsmith_failure_signature(job_result)
-                    if not signature:
-                        continue
-                    reduce_jobs.append(
-                        CampaignJob(
-                            kind=REDUCE_KERNEL,
-                            seed=job.seed,
-                            mode=job.mode,
-                            config_ids=config_ids,
-                            config_overrides=config_overrides,
-                            optimisation_levels=(False, True),
-                            options=options,
-                            max_steps=max_steps,
-                            engine=engine,
-                            predicate_spec=PredicateSpec(
-                                kind="differential", signature=signature
-                            ),
-                            reduce_max_evaluations=reduce_budget,
-                        )
-                    )
-                _run_reduce_jobs(
-                    pool, reduce_jobs, result, store=store, campaign=store_key,
-                    known_anomalies=_stored_anomaly_summaries(
-                        store, store_key, enabled=auto_triage
-                    ),
-                )
-        if auto_triage:
-            with maybe_span(SPAN_PHASE, "triage"):
-                result.triage = _run_triage(
-                    pool,
-                    result,
-                    dict(
-                        config_ids=config_ids,
-                        config_overrides=config_overrides,
-                        optimisation_levels=(False, True),
-                        options=options,
-                        max_steps=max_steps,
-                        engine=engine,
-                    ),
-                    store=store,
-                    campaign=store_key,
-                )
-        _attach_worker_faults(result, pool)
-    _finish_telemetry(telemetry, result, started)
+        if auto_reduce or auto_triage:
+            _reduce_and_triage(
+                pool, store, key, result, kernels, fields,
+                _clsmith_failure_signature, "differential", reduce_budget, auto_triage,
+            )
     return result
-
-
-def _check_campaign_size(name: str, size: int) -> None:
-    """Reject a campaign size below 1: it would run an empty campaign, yet
-    record it in the store and report the size as if it had run."""
-    if size < 1:
-        raise ValueError(f"{name} must be at least 1, got {size!r}")
-
-
-def _check_reduce_budget(reduce_budget: Optional[int]) -> None:
-    """Reject a budget below 1: it cannot pay for a single evaluation."""
-    if reduce_budget is not None and reduce_budget < 1:
-        raise ValueError(f"reduce_budget must be None or at least 1, got {reduce_budget!r}")
-
-
-def _check_max_steps(max_steps: int) -> None:
-    """Reject a step budget below 1: every cell would time out before its
-    first step, which reads as a timeout on every configuration."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
-
-
-@contextmanager
-def _telemetry_scope(telemetry: Optional[TelemetryCollector], name: str):
-    """Install the campaign's collector as ambient and open its span.
-
-    A no-op (and no cost beyond the ``None`` check) when the campaign
-    runs without telemetry.
-    """
-    if telemetry is None:
-        yield
-        return
-    with use_collector(telemetry):
-        with telemetry.span(SPAN_CAMPAIGN, name=name):
-            yield
-
-
-def _finish_telemetry(
-    telemetry: Optional[TelemetryCollector], result, started: float
-) -> None:
-    """Attach the aggregated :class:`CampaignTelemetry` to the result."""
-    if telemetry is None:
-        return
-    registry = telemetry.registry
-    result.telemetry = CampaignTelemetry(
-        wall_s=time.perf_counter() - started,
-        jobs=registry.counters.get("event:job-finished", 0),
-        cells=registry.counters.get("cells", 0),
-        counters=dict(registry.counters),
-        durations=registry.durations(),
-        health=result.health.as_dict(),
-    )
-
-
-@contextmanager
-def _campaign_resources(
-    parallelism: Optional[int], store, resume,
-    fault_plan: Optional[FaultPlan] = None,
-    supervision: Optional[SupervisionConfig] = None,
-    telemetry: Optional[TelemetryCollector] = None,
-):
-    """One worker pool, plus store-close on every exit path.
-
-    A campaign-opened store must release its append handle even when the
-    campaign body raises (the kill-mid-run scenario ``resume=`` exists
-    for); caller-owned stores stay open, since the caller may keep
-    appending campaigns to them.  The pool's context manager guarantees
-    worker teardown on every exit path too: a graceful ``close()`` on
-    success, a hard ``terminate()`` when the body raises (including
-    :exc:`KeyboardInterrupt` — an interrupted campaign must not leak
-    worker processes).
-
-    Campaign stores on the process backend default to durable appends
-    (fsync per record): those are the long overnight runs where a *host*
-    crash must lose at most the in-flight record.  An explicit
-    ``durable=`` choice on a caller-owned store is never overridden.
-    """
-    from repro.triage.store import CampaignStore
-
-    try:
-        with WorkerPool(
-            parallelism, fault_plan=fault_plan, supervision=supervision,
-            telemetry=telemetry,
-        ) as pool:
-            if store is not None and store.durable is None:
-                store.durable = pool.backend == "process"
-            yield pool
-    finally:
-        if store is not None and not isinstance(resume, CampaignStore):
-            store.close()
-
-
-def _attach_worker_faults(result, pool) -> None:
-    """Surface the pool's quarantine log and health on the campaign result.
-
-    Quarantined jobs become :class:`~repro.orchestration.faults.
-    QuarantineRecord` entries (submission order) on
-    ``result.worker_faults``, and a triage report (when present) lists
-    them alongside the buckets.  The store side is already covered:
-    :class:`~repro.triage.store.StoreBackedPool` records each quarantine
-    as a ``worker-fault`` record the moment it happens.  A fault-free
-    campaign leaves the rendered output byte-identical to the
-    quarantine-unaware renderer; ``result.health`` (supervisor counters,
-    see OBSERVABILITY.md) is attached unconditionally — it never renders
-    by default.
-    """
-    result.health = pool.health.copy()
-    records = [
-        QuarantineRecord(
-            job_kind=job.kind, seed=job.seed, mode=job.mode, fault=fault,
-            identity=job_identity(job),
-        )
-        for job, fault in pool.quarantined
-    ]
-    if not records:
-        return
-    result.worker_faults = records
-    if result.triage is not None:
-        result.triage.worker_faults = list(records)
-
-
-def _render_worker_faults(records: List[QuarantineRecord]) -> List[str]:
-    """Extra render() lines for quarantined jobs ([] on fault-free runs)."""
-    if not records:
-        return []
-    lines = ["", f"quarantined jobs ({len(records)}):"]
-    lines.extend(f"  {record.render_line()}" for record in records)
-    return lines
-
-
-def _anomaly_fingerprint(job: CampaignJob) -> str:
-    """The bucket fingerprint of a reduce job's *unreduced* anomaly.
-
-    Same construction as the post-reduction bucket key (alpha-normalised
-    shape x failure signature x mode x predicate kind), but over the
-    anomalous program as generated -- computable before any reduction runs,
-    which is what lets bucket-aware scheduling skip work (see TRIAGE.md).
-    """
-    from repro.triage.bucketing import bug_fingerprint
-
-    program = job.program if job.program is not None else job.materialise_program()
-    return bug_fingerprint(
-        program, job.predicate_spec.signature, job.mode, job.predicate_spec.kind
-    )
-
-
-def _stored_anomaly_summaries(
-    store, campaign: str, enabled: bool = True
-) -> Dict[str, ReductionSummary]:
-    """Anomaly fingerprint -> reduced reproducer, from *other* campaigns.
-
-    This is the input to bucket-aware scheduling: an anomaly whose
-    fingerprint appears here was already reduced by an earlier campaign
-    sharing the store, so re-reducing it would only rediscover a known
-    bucket.  Records written by ``campaign`` itself are excluded -- a
-    killed-and-resumed campaign must make exactly the decisions its
-    uninterrupted twin would, so its own partial progress never feeds
-    back into its scheduling (the resume byte-identity property).
-    """
-    if store is None or not enabled:
-        return {}
-    known: Dict[str, ReductionSummary] = {}
-    for record in store.records("anomaly"):
-        if record.get("campaign") == campaign:
-            continue
-        stored = store.lookup_reduction(
-            record["reduction_key"], campaign=record.get("campaign", "")
-        )
-        if stored is not None and record["key"] not in known:
-            known[record["key"]] = stored[0]
-    return known
-
-
-def _run_reduce_jobs(
-    pool, reduce_jobs: List[CampaignJob], result, store=None, campaign: str = "",
-    known_anomalies: Optional[Dict[str, ReductionSummary]] = None,
-) -> None:
-    """Run campaign-issued reductions and fold their outcomes into a
-    campaign result (shared by the CLsmith and EMI auto-triage paths so the
-    merge policy cannot drift).
-
-    Serial backends run whole ``reduce-kernel`` jobs.  Process backends
-    pick the dispatch axis by saturation: with at least as many anomalies
-    as workers, whole ``reduce-kernel`` jobs already fill the pool (and
-    across-anomaly parallelism beats within-reduction parallelism, whose
-    accept chain is inherently sequential); with fewer anomalies than
-    workers, each reduction is instead driven in the parent through a
-    :class:`~repro.reduction.reducer.PoolEvaluator`, whose per-candidate
-    ``reduce-check`` jobs keep the idle workers busy.  Both axes run
-    :func:`~repro.reduction.reducer.reduce_job`, so summaries are
-    byte-identical whichever runs -- the choice depends only on the job
-    count and the pool width, never on timing.  Anomalies that turned out
-    not to be reducible (UB-vetoed originals) contribute cache deltas but no
-    summary.
-    With a store, each summary is also recorded as a ``reduction`` record
-    (keyed by campaign + reduce-job identity) together with the job context
-    `repro-triage` needs for later cross-campaign bucketing and bisection,
-    plus an ``anomaly`` record mapping the pre-reduction fingerprint to
-    that reduction.
-
-    ``known_anomalies`` (see :func:`_stored_anomaly_summaries`) is the
-    bucket-aware scheduling input: jobs whose anomaly fingerprint appears
-    there are not reduced at all -- the stored reproducer is attached in
-    the job's position instead, contributing no cache traffic.
-    """
-    known_anomalies = known_anomalies or {}
-    skipped: Dict[int, ReductionSummary] = {}
-    fingerprints: Dict[int, str] = {}
-    if store is not None or known_anomalies:
-        for index, job in enumerate(reduce_jobs):
-            fingerprints[index] = _anomaly_fingerprint(job)
-            stored_summary = known_anomalies.get(fingerprints[index])
-            if stored_summary is not None:
-                skipped[index] = stored_summary
-    live = [
-        (index, job)
-        for index, job in enumerate(reduce_jobs)
-        if index not in skipped
-    ]
-    summaries: Dict[int, Tuple[CampaignJob, Optional[ReductionSummary], CacheStats]] = {}
-    per_candidate = (
-        pool.backend == "process" and len(live) < pool.parallelism
-    )
-    if per_candidate:
-        for index, job in live:
-            stored = (
-                store.lookup_reduction(job_identity(job), campaign=campaign)
-                if store else None
-            )
-            if stored is not None:
-                # Replay the recorded cache deltas too, so a resumed
-                # campaign's surfaced counters include the reduction phase
-                # exactly like every job-record replay does.
-                summary, cache_delta = stored
-            else:
-                evaluator = PoolEvaluator(pool, job)
-                summary = reduce_job(job, evaluator)
-                cache_delta = evaluator.cache_stats
-            result.cache_stats = result.cache_stats.merge(cache_delta)
-            summaries[index] = (job, summary, cache_delta)
-    else:
-        for (index, job), job_result in zip(
-            live, pool.run([job for _, job in live])
-        ):
-            result.cache_stats = result.cache_stats.merge(job_result.cache)
-            summaries[index] = (job, job_result.reduction, job_result.cache)
-    for index in range(len(reduce_jobs)):
-        if index in skipped:
-            result.reductions.append(skipped[index])
-            continue
-        job, summary, cache_delta = summaries[index]
-        if summary is None:
-            continue
-        result.reductions.append(summary)
-        if store is not None:
-            reduction_key = job_identity(job)
-            store.record_reduction(
-                reduction_key, summary, job, campaign=campaign, cache=cache_delta,
-            )
-            store.record_once(
-                "anomaly", fingerprints[index],
-                {"campaign": campaign, "reduction_key": reduction_key},
-            )
-
-
-def _run_triage(
-    pool, result, job_template: Dict[str, object], store=None, campaign: str = ""
-) -> TriageResult:
-    """Bucket the campaign's reductions and bisect one culprit per bucket.
-
-    Bucketing is pure and happens in the parent; bisection ships as one
-    ``triage-bisect`` job per bucket on the campaign's own pool (sharing
-    the per-worker result caches), in deterministic bucket order,
-    so serial and process backends attach identical attributions.
-    """
-    buckets = bucket_reductions(result.reductions)
-    jobs = [
-        CampaignJob(
-            kind=TRIAGE_BISECT,
-            seed=bucket.representative.seed,
-            mode=bucket.representative.mode,
-            program=bucket.representative.reduced_program,
-            predicate_spec=PredicateSpec(
-                kind=bucket.predicate_kind, signature=bucket.signature
-            ),
-            **job_template,
-        )
-        for bucket in buckets
-    ]
-    for bucket, job_result in zip(buckets, pool.run(jobs)):
-        bucket.culprit = job_result.bisection
-        result.cache_stats = result.cache_stats.merge(job_result.cache)
-    triage = TriageResult(buckets)
-    if store is not None:
-        import dataclasses
-
-        for bucket in buckets:
-            store.record_once(
-                "bucket",
-                f"{campaign}:{bucket.key}",
-                {
-                    "campaign": campaign,
-                    "fingerprint": bucket.key,
-                    "signature": [list(cell) for cell in bucket.signature],
-                    "mode": bucket.mode,
-                    "predicate_kind": bucket.predicate_kind,
-                    "worst_code": bucket.worst_code,
-                    "occurrences": bucket.occurrences,
-                    "members": [dataclasses.asdict(m) for m in bucket.members],
-                    "canonical_source": bucket.canonical_source,
-                    "culprit": (
-                        dataclasses.asdict(bucket.culprit)
-                        if bucket.culprit is not None
-                        else None
-                    ),
-                },
-            )
-    return triage
 
 
 def _clsmith_failure_signature(job_result: JobResult) -> Signature:
@@ -669,88 +728,6 @@ def _clsmith_failure_signature(job_result: JobResult) -> Signature:
         for code in FAILURE_CODES:
             cells.extend([(label, code)] * as_dict[code])
     return tuple(sorted(cells))
-
-
-def _scan_accepted(
-    pool: WorkerPool,
-    count: int,
-    budget: int,
-    job_for_attempt,
-) -> Tuple[List[JobResult], CacheStats]:
-    """The first ``count`` accepted candidates of at most ``budget`` attempts.
-
-    Candidates are evaluated in attempt order (``speculation_width`` at a
-    time), so the accepted set is independent of the backend.  Returns the
-    accepted job results plus the merged result-cache delta of every
-    candidate evaluated.
-    """
-    chunk = speculation_width(pool)
-    accepted: List[JobResult] = []
-    stats = CacheStats()
-    attempt = 0
-    while len(accepted) < count and attempt < budget:
-        batch = [
-            job_for_attempt(attempt + offset)
-            for offset in range(min(chunk, budget - attempt))
-        ]
-        for job_result in pool.run(batch):
-            attempt += 1
-            stats = stats.merge(job_result.cache)
-            if job_result.accepted and len(accepted) < count:
-                accepted.append(job_result)
-    return accepted, stats
-
-
-def _clsmith_kernels(
-    pool: WorkerPool,
-    modes: Sequence[Mode],
-    count: int,
-    seed: int,
-    curate_on: Optional[DeviceConfig],
-    job_fields: Dict[str, object],
-) -> Tuple[List[CampaignJob], List[JobResult], CacheStats]:
-    """The swept kernels' jobs and results in (mode, seed) order, plus the
-    merged result-cache delta of the candidates curation rejected.
-
-    Mode ``i`` draws its candidates from seed ``seed + 10_000 * i`` on, and
-    the scan goes in waves: a wave submits, per mode, exactly as many next
-    candidates as that mode still lacks, within its ``5 * count`` attempts.
-    So a mode's kernels are its first ``count`` survivors in seed order on
-    every backend, and no candidate past them is submitted at all.  A
-    curated job sweeps its candidate only if it survives curation; without
-    curation every candidate survives, so the first wave is the campaign.
-    A quarantined job keeps its kernel's slot, with no counts (it is
-    reported in ``worker_faults``).
-    """
-    curation = None if curate_on is None else serialise_curation(curate_on)
-
-    def job_for(mode_index: int, attempt: int) -> CampaignJob:
-        return CampaignJob(
-            kind=CLSMITH_DIFFERENTIAL,
-            seed=seed + mode_index * 10_000 + attempt,
-            mode=modes[mode_index].value,
-            curate_on=curation,
-            **job_fields,
-        )
-
-    accepted: List[List[Tuple[CampaignJob, JobResult]]] = [[] for _ in modes]
-    attempts = [0] * len(modes)
-    rejected = CacheStats()
-    while True:
-        wave = []
-        for m in range(len(modes)):
-            wanted = min(count - len(accepted[m]), 5 * count - attempts[m])
-            wave.extend((m, job_for(m, attempts[m] + k)) for k in range(wanted))
-            attempts[m] += wanted
-        if not wave:
-            break
-        for (m, job), job_result in zip(wave, pool.run([job for _, job in wave])):
-            if job_result.accepted:
-                accepted[m].append((job, job_result))
-            else:
-                rejected = rejected.merge(job_result.cache)
-    kernels = [pair for per_mode in accepted for pair in per_mode]
-    return [job for job, _ in kernels], [jr for _, jr in kernels], rejected
 
 
 # ---------------------------------------------------------------------------
@@ -824,15 +801,16 @@ def generate_emi_bases(
     check that EMI blocks were not all placed in already-dead code
     (section 7.4).  With ``parallelism`` > 1 the filter runs candidates in
     parallel worker processes; the accepted set is identical either way.
-    An unregistered ``engine`` or a ``max_steps`` below 1 raises before the
-    pool starts.
+    An unregistered ``engine``, or an ``n_bases`` or ``max_steps`` below 1,
+    raises before the pool starts.
     """
-    get_engine(engine)
-    _check_max_steps(max_steps)
+    _check_inputs(engine, n_bases=n_bases, max_steps=max_steps)
+    if filter_dead_placement:
+        with WorkerPool(parallelism) as pool:
+            specs, _ = _emi_base_specs(pool, n_bases, seed, options, max_steps, engine)
+    else:
+        specs = [(seed + attempt, 1 + (attempt % 5)) for attempt in range(n_bases)]
     base_options = options or GeneratorOptions()
-    with WorkerPool(parallelism) as pool:
-        specs, _ = _emi_base_specs(pool, n_bases, seed, options, max_steps,
-                                   filter_dead_placement, engine)
     return [
         mark_base_fingerprint(
             generate_kernel(Mode.ALL, base_seed, options=base_options, emi_blocks=emi_blocks)
@@ -847,21 +825,15 @@ def _emi_base_specs(
     seed: int,
     options: Optional[GeneratorOptions],
     max_steps: int,
-    filter_dead_placement: bool,
-    engine: str = DEFAULT_ENGINE,
+    engine: str,
 ) -> Tuple[List[Tuple[int, int]], CacheStats]:
-    """(seed, emi_blocks) pairs of the first ``count`` accepted candidates.
-
-    Without the dead-placement filter every candidate is accepted and no
-    jobs run.
-    """
+    """(seed, emi_blocks) pairs of the first ``count`` candidates that pass
+    the dead-placement filter, within ``6 * count`` attempts in one wave
+    scan, plus the merged result-cache delta of every candidate run."""
     base_options = options or GeneratorOptions()
-    if not filter_dead_placement:
-        specs = [(seed + attempt, 1 + (attempt % 5)) for attempt in range(count)]
-        return specs, CacheStats()
-
-    def job_for_attempt(attempt: int) -> CampaignJob:
-        return CampaignJob(
+    kept, stats = _scan(
+        pool, 1, count, 6 * count,
+        lambda _, attempt: CampaignJob(
             kind=EMI_BASE_FILTER,
             seed=seed + attempt,
             mode=Mode.ALL.value,
@@ -869,10 +841,11 @@ def _emi_base_specs(
             emi_blocks=1 + (attempt % 5),
             max_steps=max_steps,
             engine=engine,
-        )
-
-    accepted, stats = _scan_accepted(pool, count, count * 6, job_for_attempt)
-    return [(jr.seed, jr.emi_blocks) for jr in accepted], stats
+        ),
+    )
+    for _, job_result in kept:
+        stats = stats.merge(job_result.cache)
+    return [(jr.seed, jr.emi_blocks) for _, jr in kept], stats
 
 
 def run_emi_campaign(
@@ -922,47 +895,33 @@ def run_emi_campaign(
     ``variants_per_base`` runs the first that many points of the pruning
     grid (``None``: all of them); a value outside ``1..len(PRUNING_GRID)``
     raises ``ValueError``, again before the store or the pool is touched,
-    and so does a ``reduce_budget`` or a ``max_steps`` below 1, or an
-    ``n_bases`` below 1 when no ``bases`` are supplied.
+    and so does a ``reduce_budget`` or a ``max_steps`` below 1, an empty
+    ``configs``, ``optimisation_levels`` or ``bases``, or an ``n_bases``
+    below 1 when no ``bases`` are supplied.
     """
-    get_engine(engine)
+    fields = _job_fields(
+        configs, optimisation_levels, options, max_steps, engine, reduce_budget,
+        **(dict(n_bases=n_bases) if bases is None else dict(bases=bases)),
+    )
     if variants_per_base is not None and not 1 <= variants_per_base <= len(PRUNING_GRID):
         raise ValueError(
             f"variants_per_base must be None or 1..{len(PRUNING_GRID)}, "
             f"got {variants_per_base!r}"
         )
-    if bases is None:
-        _check_campaign_size("n_bases", n_bases)
-    _check_reduce_budget(reduce_budget)
-    _check_max_steps(max_steps)
-    auto_reduce = auto_reduce or auto_triage
-    config_ids, config_overrides = serialise_configs(configs)
+    fields.update(variant_seed=seed, variants_per_base=variants_per_base)
+    # Family jobs run the default generator options when the caller gave
+    # none; reduce and triage jobs (and the campaign key) keep the caller's
+    # ``options``, which job identities hash as given.
     family_job = dict(
-        kind=EMI_FAMILY,
-        mode=Mode.ALL.value,
-        config_ids=config_ids,
-        config_overrides=config_overrides,
-        optimisation_levels=tuple(optimisation_levels),
-        options=options or GeneratorOptions(),
-        max_steps=max_steps,
-        variants_per_base=variants_per_base,
-        variant_seed=seed,
-        engine=engine,
+        fields, kind=EMI_FAMILY, mode=Mode.ALL.value, options=options or GeneratorOptions()
     )
-    filter_stats = CacheStats()
-    store = open_store(resume, fault_plan=fault_plan)
-    store_key = ""
-    if store is not None:
-        store_key = campaign_key(
-            "emi",
-            config_ids=config_ids,
+    result = EmiCampaignResult(n_bases, 0)
+    with _campaign(
+        result, "emi", seed, fields,
+        dict(
             n_bases=n_bases,
             variants_per_base=variants_per_base,
-            optimisation_levels=tuple(optimisation_levels),
-            options=options,
-            max_steps=max_steps,
-            seed=seed,
-            engine=engine,
+            optimisation_levels=fields["optimisation_levels"],
             # Caller-supplied bases feed the key by content (mirroring
             # job_identity), so two different base batches with otherwise
             # identical parameters are two campaigns, not one.
@@ -971,100 +930,51 @@ def run_emi_campaign(
                 if bases is not None
                 else None
             ),
-        )
-        store.begin_campaign(store_key, {"entry": "run_emi_campaign", "seed": seed})
-    started = time.perf_counter()
-    with _telemetry_scope(telemetry, "emi"), _campaign_resources(
-        parallelism, store, resume, fault_plan=fault_plan,
-        supervision=supervision, telemetry=telemetry,
-    ) as worker_pool:
-        pool = worker_pool if store is None else StoreBackedPool(
-            worker_pool, store, campaign=store_key
-        )
+        ),
+        resume, parallelism, fault_plan, supervision, telemetry,
+    ) as (pool, store, key):
         with maybe_span(SPAN_PHASE, "filter"):
             if bases is not None:
-                jobs = [
-                    CampaignJob(seed=seed, program=base, **family_job)
-                    for base in bases
-                ]
+                jobs = [CampaignJob(seed=seed, program=base, **family_job) for base in bases]
             else:
                 specs, filter_stats = _emi_base_specs(
-                    pool, n_bases, seed, options, max_steps,
-                    filter_dead_placement=True, engine=engine,
+                    pool, n_bases, seed, options, max_steps, engine
                 )
+                result.cache_stats = result.cache_stats.merge(filter_stats)
                 jobs = [
                     CampaignJob(seed=base_seed, emi_blocks=emi_blocks, **family_job)
                     for base_seed, emi_blocks in specs
                 ]
-        result = EmiCampaignResult(len(jobs), 0)
-        result.cache_stats = result.cache_stats.merge(filter_stats)
+        result.n_bases = len(jobs)
         with maybe_span(SPAN_PHASE, "execute"):
             job_results = pool.run(jobs)
         _merge_emi_job_results(result, job_results)
-        if auto_reduce:
-            with maybe_span(SPAN_PHASE, "reduce"):
-                reduce_jobs = []
-                for job, job_result in zip(jobs, job_results):
-                    signature = emi_family_signature(job_result.emi_cells)
-                    if not any(code in FAILURE_CODES for _, code in signature):
-                        continue
-                    # Mirror the CLsmith path's UB skip: the predicate's hard
-                    # UB guard would veto the original anyway, so don't ship a
-                    # doomed reduce job (UB tests are discarded, never
-                    # triaged).
-                    if any(
-                        Outcome.UNDEFINED_BEHAVIOUR in cell.variant_outcomes
-                        for cell in job_result.emi_cells
-                    ):
-                        continue
-                    reduce_jobs.append(
-                        CampaignJob(
-                            kind=REDUCE_KERNEL,
-                            seed=job.seed,
-                            mode=job.mode,
-                            emi_blocks=job.emi_blocks,
-                            program=job.program,
-                            config_ids=config_ids,
-                            config_overrides=config_overrides,
-                            optimisation_levels=tuple(optimisation_levels),
-                            options=options,
-                            max_steps=max_steps,
-                            engine=engine,
-                            variant_seed=seed,
-                            variants_per_base=variants_per_base,
-                            predicate_spec=PredicateSpec(
-                                kind="emi-family", signature=signature
-                            ),
-                            reduce_max_evaluations=reduce_budget,
-                        )
-                    )
-                _run_reduce_jobs(
-                    pool, reduce_jobs, result, store=store, campaign=store_key,
-                    known_anomalies=_stored_anomaly_summaries(
-                        store, store_key, enabled=auto_triage
-                    ),
-                )
-        if auto_triage:
-            with maybe_span(SPAN_PHASE, "triage"):
-                result.triage = _run_triage(
-                    pool,
-                    result,
-                    dict(
-                        config_ids=config_ids,
-                        config_overrides=config_overrides,
-                        optimisation_levels=tuple(optimisation_levels),
-                        options=options,
-                        max_steps=max_steps,
-                        engine=engine,
-                        variant_seed=seed,
-                        variants_per_base=variants_per_base,
-                    ),
-                    store=store,
-                    campaign=store_key,
-                )
-        _attach_worker_faults(result, pool)
-    _finish_telemetry(telemetry, result, started)
+        if auto_reduce or auto_triage:
+            _reduce_and_triage(
+                pool, store, key, result, zip(jobs, job_results), fields,
+                _emi_failure_signature, "emi-family", reduce_budget, auto_triage,
+            )
     return result
+
+
+def _emi_failure_signature(job_result: JobResult) -> Signature:
+    """The per-cell worst-outcome signature of one EMI family's job, or
+    ``()`` when the family induced no failure.
+
+    Mirrors the CLsmith path's UB skip: the predicate's hard UB guard would
+    veto the original anyway, so a family with an undefined-behaviour
+    variant ships no doomed reduce job (UB tests are discarded, never
+    triaged).
+    """
+    signature = emi_family_signature(job_result.emi_cells)
+    if not any(code in FAILURE_CODES for _, code in signature):
+        return ()
+    if any(
+        Outcome.UNDEFINED_BEHAVIOUR in cell.variant_outcomes
+        for cell in job_result.emi_cells
+    ):
+        return ()
+    return signature
 
 
 def _merge_emi_job_results(result: EmiCampaignResult, job_results: Sequence[JobResult]) -> None:
@@ -1128,21 +1038,6 @@ class BenchmarkEmiResult:
             )
             lines.append(row)
         return "\n".join(lines)
-
-
-#: Table 3 outcome codes ranked from most to least severe:
-#: wrong code (w) > build failure (bf) > runtime crash (c) > timeout (to) >
-#: cannot-build-or-run (ng) > clean pass (ok).  Wrong code outranks
-#: everything because a silently wrong result is the paper's headline defect
-#: class; a build failure dominates every outcome of a test that at least
-#: built (crash, timeout, pass) because nothing at all could be observed on
-#: the configuration, matching the Table 3 legend.
-_OUTCOME_SEVERITY = {"w": 5, "bf": 4, "c": 3, "to": 2, "ng": 1, "ok": 0, "?": -1}
-
-
-def worst_code(codes: Sequence[str]) -> str:
-    """The paper's 'worst outcome' aggregation for Table 3."""
-    return max(codes, key=lambda c: _OUTCOME_SEVERITY.get(c, -1)) if codes else "?"
 
 
 __all__ = [

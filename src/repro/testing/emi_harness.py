@@ -26,7 +26,7 @@ from repro.platforms.config import DeviceConfig
 from repro.runtime.device import KernelResult
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
 from repro.testing.harness_base import ExecutionHarnessBase
-from repro.testing.outcomes import Outcome, classify_exception
+from repro.testing.outcomes import Outcome, classify_exception, worst_code
 
 
 @dataclass
@@ -46,20 +46,17 @@ class EmiBaseResult:
 
     @property
     def worst_outcome(self) -> str:
-        """The Table 3 style worst-case code for this base, following the
-        severity order of ``repro.testing.campaign._OUTCOME_SEVERITY``:
-        w > bf > c > to > ng > ok."""
-        if self.wrong_code:
-            return "w"
-        if self.induced_build_failure:
-            return "bf"
-        if self.induced_crash:
-            return "c"
-        if self.induced_timeout:
-            return "to"
-        if self.bad_base:
-            return "ng"
-        return "ok"
+        """The Table 3 style worst-case code for this base: the most severe
+        of its flags under :data:`~repro.testing.outcomes.OUTCOME_SEVERITY`
+        (``ng`` for a bad base, ``ok`` when no flag is set)."""
+        flags = (
+            ("w", self.wrong_code),
+            ("bf", self.induced_build_failure),
+            ("c", self.induced_crash),
+            ("to", self.induced_timeout),
+            ("ng", self.bad_base),
+        )
+        return worst_code(["ok"] + [code for code, flag in flags if flag])
 
 
 class EmiHarness(ExecutionHarnessBase):

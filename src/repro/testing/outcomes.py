@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.runtime.device import KernelResult
 from repro.runtime.errors import (
@@ -58,6 +58,24 @@ def classify_exception(error: BaseException) -> Outcome:
     if isinstance(error, KernelRuntimeError):
         return Outcome.RUNTIME_CRASH
     raise error
+
+
+#: Table 3 outcome codes ranked from most to least severe:
+#: wrong code (w) > build failure (bf) > runtime crash (c) > timeout (to) >
+#: cannot-build-or-run (ng) > clean pass (ok), with the "?" placeholder (no
+#: outcome) below them all.  Wrong code outranks everything because a
+#: silently wrong result is the paper's headline defect class; a build
+#: failure dominates every outcome of a test that at least built (crash,
+#: timeout, pass) because nothing at all could be observed on the
+#: configuration, matching the Table 3 legend.  The one ranking: Table 3
+#: cells, EMI worst outcomes, bug buckets and bisection targets all read it.
+OUTCOME_SEVERITY = {"w": 5, "bf": 4, "c": 3, "to": 2, "ng": 1, "ok": 0, "?": -1}
+
+
+def worst_code(codes: Sequence[str]) -> str:
+    """The paper's 'worst outcome' aggregation for Table 3 (``"?"`` for no
+    codes; unknown codes rank with ``"?"``)."""
+    return max(codes, key=lambda c: OUTCOME_SEVERITY.get(c, -1)) if codes else "?"
 
 
 def cell_label(config_name: str, optimisations: bool) -> str:
@@ -156,5 +174,5 @@ class OutcomeCounts:
         )
 
 
-__all__ = ["Outcome", "classify_exception", "cell_label", "TestRecord",
-           "OutcomeCounts"]
+__all__ = ["Outcome", "classify_exception", "OUTCOME_SEVERITY", "worst_code",
+           "cell_label", "TestRecord", "OutcomeCounts"]

@@ -61,11 +61,12 @@ from repro.kernel_lang.printer import print_program
 from repro.platforms.calibration import hash_host_setup
 from repro.reduction.interestingness import FAILURE_CODES, Signature
 from repro.reduction.reducer import ReductionSummary
+from repro.testing.outcomes import OUTCOME_SEVERITY
 
-#: Severity rank of signature outcome codes, worst first (the Table 3 order
-#: ``w > bf > c > to``; ``ng`` only appears in EMI signatures and ranks
-#: below every induced failure, mirroring ``EmiBaseResult.worst_outcome``).
-_CODE_SEVERITY = {"w": 5, "bf": 4, "c": 3, "to": 2, "ng": 1}
+#: Severity rank of signature outcome codes: the failures of the Table 3
+#: order ``w > bf > c > to > ng`` (``ng`` only appears in EMI signatures).
+#: ``ok`` and any other code rank 0, below every failure.
+_CODE_SEVERITY = {code: rank for code, rank in OUTCOME_SEVERITY.items() if rank > 0}
 
 
 def worst_signature_code(signature: Signature) -> str:

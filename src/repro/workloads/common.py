@@ -86,10 +86,6 @@ def gid(dim: int = 0) -> ast.Expr:
     return WorkItemExpr("get_global_id", dim)
 
 
-def lid(dim: int = 0) -> ast.Expr:
-    return WorkItemExpr("get_local_id", dim)
-
-
 def tlinear() -> ast.Expr:
     return WorkItemExpr("get_linear_global_id")
 
@@ -161,7 +157,6 @@ __all__ = [
     "in_param",
     "local_param",
     "gid",
-    "lid",
     "tlinear",
     "llinear",
     "counted_loop",

@@ -302,6 +302,48 @@ def test_campaigns_reject_sizes_below_one(tmp_path, monkeypatch, entry, size, va
     assert not path.exists()
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a campaign starts its worker pool."""
+    import repro.testing.campaign as campaign
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    monkeypatch.setattr(campaign, "WorkerPool", fail)
+
+
+@pytest.mark.parametrize("entry, empty", [
+    pytest.param(run_clsmith_campaign, dict(configs=[]), id="clsmith-configs=[]"),
+    pytest.param(run_clsmith_campaign, dict(modes=()), id="modes=()"),
+    pytest.param(run_emi_campaign, dict(configs=[]), id="emi-configs=[]"),
+    pytest.param(run_emi_campaign, dict(optimisation_levels=()),
+                 id="optimisation_levels=()"),
+    pytest.param(run_emi_campaign, dict(bases=[]), id="bases=[]"),
+])
+def test_campaigns_reject_empty_inputs(tmp_path, no_pool, entry, empty):
+    """Each of these used to run an empty campaign: a header-only table
+    recorded in the store as a campaign (and ``optimisation_levels=()``
+    reported ``n_bases == 1``).  The check fires before the store is opened
+    or the worker pool starts."""
+    [(name, _)] = empty.items()
+    path = tmp_path / "store.jsonl"
+    kwargs = dict(configs=[get_configuration(1)], options=_FAST, max_steps=300_000,
+                  resume=str(path))
+    kwargs.update(empty)
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        entry(**kwargs)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_bases", [0, -1])
+def test_generate_emi_bases_rejects_n_bases_below_one(no_pool, n_bases):
+    """``generate_emi_bases(0)`` used to return ``[]``.  The check fires
+    before the worker pool starts."""
+    with pytest.raises(ValueError, match=f"n_bases must be at least 1, got {n_bases}"):
+        generate_emi_bases(n_bases, options=_FAST)
+
+
 def test_emi_campaign_with_supplied_bases_ignores_n_bases():
     """``n_bases`` sizes only a generated batch; supplied bases set it."""
     bases = generate_emi_bases(1, seed=0, options=_FAST)

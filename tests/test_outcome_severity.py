@@ -10,7 +10,8 @@ reduction signatures built on top of it.
 
 import itertools
 
-from repro.testing.campaign import _OUTCOME_SEVERITY, worst_code
+from repro.testing.campaign import worst_code
+from repro.testing.outcomes import OUTCOME_SEVERITY as _OUTCOME_SEVERITY
 from repro.testing.emi_harness import EmiBaseResult
 
 #: The paper's Table 3 legend, most severe first.

@@ -121,6 +121,35 @@ def test_uncurated_job_identities_keep_their_recorded_digests():
     assert len(curated) == 3 and uncurated not in curated
 
 
+def test_campaign_keys_keep_their_recorded_digests(tmp_path):
+    """A store written by older code must resume as the same campaign, so
+    these keys were pinned from the code before both campaign entry points
+    shared one driver.  Both campaigns triage, and every job record they
+    leave, phase by phase, carries the campaign's key."""
+    from repro.reduction.corpus import emi_parity_config
+
+    curated = str(tmp_path / "curated.jsonl")
+    run_clsmith_campaign(
+        [get_configuration(i) for i in (1, 15)], kernels_per_mode=1,
+        modes=(Mode.BASIC,), options=_FAST_OPTIONS, max_steps=300_000, seed=2,
+        curate_on=get_configuration(15), auto_triage=True, reduce_budget=20,
+        resume=curated,
+    )
+    emi = str(tmp_path / "emi.jsonl")
+    run_emi_campaign(
+        [emi_parity_config()], n_bases=1, variants_per_base=3,
+        optimisation_levels=(False,), options=_FAST_OPTIONS, max_steps=300_000,
+        seed=2, auto_triage=True, reduce_budget=20, resume=emi,
+    )
+    for path, key in (
+        (curated, "2fef3f84b0e6f7352994f383b475365fe28ce4a8146b73297f77f0a174519d84"),
+        (emi, "c399be4a7de32b522c5356846593a424676dcfa3f4527b6440760d52d144a7d5"),
+    ):
+        with CampaignStore(path) as store:
+            assert [record["key"] for record in store.records("campaign")] == [key]
+            assert {record["campaign"] for record in store.records("job")} == {key}
+
+
 def test_job_result_round_trips_through_the_codec():
     counts = {("BASIC", "config1", True): OutcomeCounts(wrong_code=2, passed=3)}
     cell = EmiBaseResult(
@@ -497,6 +526,29 @@ def test_two_worker_curated_campaign_sweeps_only_the_kept_kernels(tmp_path):
     assert len(swept) == 2 * 2 and all(result["accepted"] for result in swept)
     # Curation on configuration 15 rejected at least one candidate.
     assert len(results) > len(swept)
+
+
+def test_two_worker_emi_campaign_filters_only_the_candidates_it_keeps(tmp_path):
+    """The EMI base filter runs the same wave scan as curation: a wave
+    submits only as many candidates as bases are still lacking, so two
+    workers leave exactly the ``emi-base-filter`` records of a serial run
+    instead of filtering candidates past the kept base speculatively."""
+    kwargs = dict(n_bases=1, variants_per_base=2, optimisation_levels=(False,),
+                  options=_FAST_OPTIONS, max_steps=300_000)
+    filtered, rendered = [], []
+    for parallelism in (None, 2):
+        path = str(tmp_path / f"store-{parallelism}.jsonl")
+        result = run_emi_campaign([get_configuration(1)], parallelism=parallelism,
+                                  resume=path, **kwargs)
+        rendered.append(result.render())
+        with CampaignStore(path) as store:
+            filtered.append([
+                (record["key"], record["result"]["accepted"])
+                for record in store.records("job")
+                if record["result"]["kind"] == "emi-base-filter"
+            ])
+    assert filtered[0] and filtered[1] == filtered[0]
+    assert rendered[1] == rendered[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ validation and the passes are deterministic, neither the passes nor the bug
 models edit their input, and a program is not edited once compiled (the
 contract in :mod:`repro.kernel_lang.ast`; copies start with an empty memo).
 A caller-supplied ``pipeline=`` (pass bisection) bypasses the memo.
+
+The memoised optimised program may be the input object itself: a pass that
+changes nothing returns its input (:mod:`repro.compiler.rewrite`), so when
+the whole pipeline changes nothing, opt+ compiles the very program object
+opt- does and shares its memo.  A bug model that changes nothing likewise
+returns the program it was given.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ class Pass:
     """An AST-to-AST transformation.
 
     Subclasses implement :meth:`run`; they must not mutate the input program
-    (use :mod:`repro.compiler.rewrite` which rebuilds nodes).
+    (use :mod:`repro.compiler.rewrite`, which rebuilds only what changes),
+    and return the input itself when they change nothing.
     """
 
     #: Human-readable pass name (used in pipeline descriptions and reports).

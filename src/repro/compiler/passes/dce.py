@@ -5,8 +5,11 @@ Removes:
 * statements that are unreachable because they follow a ``return``, ``break``
   or ``continue`` in the same block;
 * ``if`` statements whose condition is a literal (replacing them with the
-  taken branch, if any);
-* loops whose condition is literally false;
+  taken branch, if any -- spliced into the enclosing block, or kept as a
+  nested block when it declares a variable at its top level, so the
+  declaration stays in its own scope);
+* loops whose condition is literally false (a declaring init clause is kept,
+  in a block of its own for the same reason);
 * declarations of variables that are never read and never have their address
   taken anywhere in the enclosing function, provided their initialiser has no
   side effects;
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.compiler import analysis
-from repro.kernel_lang import ast
+from repro.compiler import analysis, rewrite
 from repro.compiler.passes.base import Pass
+from repro.kernel_lang import ast
 
 
 def _is_terminator(stmt: ast.Stmt) -> bool:
@@ -36,19 +39,9 @@ class DeadCodeEliminationPass(Pass):
     name = "dce"
 
     def run(self, program: ast.Program) -> ast.Program:
-        new_functions = []
-        for fn in program.functions:
-            if fn.body is None:
-                new_functions.append(fn)
-                continue
-            new_functions.append(self._clean_function(fn))
-        return ast.Program(
-            structs=list(program.structs),
-            functions=new_functions,
-            kernel_name=program.kernel_name,
-            buffers=list(program.buffers),
-            launch=program.launch,
-            metadata=dict(program.metadata),
+        return rewrite.replace_functions(
+            program,
+            [fn if fn.body is None else self._clean_function(fn) for fn in program.functions],
         )
 
     # ------------------------------------------------------------------
@@ -57,14 +50,16 @@ class DeadCodeEliminationPass(Pass):
         body = fn.body
         assert body is not None
         # Iterate to a fixed point (bounded): removing an assignment can make
-        # another variable unused.
+        # another variable unused.  The cleaners return what they were given
+        # when they change nothing, so the fixed point is an identity test.
         for _ in range(4):
             read = self._read_or_escaping(fn, body)
             new_body = self._clean_block(body, read)
-            if _blocks_equal(new_body, body):
-                body = new_body
+            if new_body is body:
                 break
             body = new_body
+        if body is fn.body:
+            return fn
         return ast.FunctionDecl(fn.name, fn.return_type, list(fn.params), body, fn.is_kernel)
 
     def _read_or_escaping(self, fn: ast.FunctionDecl, body: ast.Block) -> Set[str]:
@@ -131,11 +126,16 @@ class DeadCodeEliminationPass(Pass):
 
     def _clean_block(self, blk: ast.Block, read: Set[str]) -> ast.Block:
         out: List[ast.Stmt] = []
+        changed = False
         for stmt in blk.statements:
             cleaned = self._clean_stmt(stmt, read)
+            if len(cleaned) != 1 or cleaned[0] is not stmt:
+                changed = True
             out.extend(cleaned)
             if out and _is_terminator(out[-1]):
                 break  # everything after is unreachable
+        if not changed and len(out) == len(blk.statements):
+            return blk
         return ast.Block(out)
 
     def _clean_stmt(self, stmt: ast.Stmt, read: Set[str]) -> List[ast.Stmt]:
@@ -162,7 +162,8 @@ class DeadCodeEliminationPass(Pass):
         if isinstance(stmt, ast.WhileStmt):
             if isinstance(stmt.cond, ast.IntLiteral) and stmt.cond.value == 0:
                 return []
-            return [ast.WhileStmt(stmt.cond, self._clean_block(stmt.body, read))]
+            body = self._clean_block(stmt.body, read)
+            return [stmt] if body is stmt.body else [ast.WhileStmt(stmt.cond, body)]
         return [stmt]
 
     def _clean_if(self, stmt: ast.IfStmt, read: Set[str]) -> List[ast.Stmt]:
@@ -171,11 +172,16 @@ class DeadCodeEliminationPass(Pass):
             self._clean_block(stmt.else_block, read) if stmt.else_block is not None else None
         )
         if isinstance(stmt.cond, ast.IntLiteral):
-            if stmt.cond.value != 0:
-                return list(then_block.statements)
-            return list(else_block.statements) if else_block is not None else []
+            taken = then_block if stmt.cond.value != 0 else else_block
+            if taken is None:
+                return []
+            if any(isinstance(s, ast.DeclStmt) for s in taken.statements):
+                return [taken]  # its declarations must not leak into our scope
+            return list(taken.statements)
         if else_block is not None and not else_block.statements:
             else_block = None
+        if then_block is stmt.then_block and else_block is stmt.else_block:
+            return [stmt]
         return [
             ast.IfStmt(
                 stmt.cond,
@@ -187,20 +193,22 @@ class DeadCodeEliminationPass(Pass):
         ]
 
     def _clean_for(self, stmt: ast.ForStmt, read: Set[str]) -> List[ast.Stmt]:
-        body = self._clean_block(stmt.body, read)
         if (
             stmt.cond is not None
             and isinstance(stmt.cond, ast.IntLiteral)
             and stmt.cond.value == 0
         ):
-            # The body never executes; only the init clause remains observable.
-            return [stmt.init] if stmt.init is not None else []
+            # The body never executes; only the init clause remains
+            # observable, and a declaration there is scoped to the loop.
+            if stmt.init is None:
+                return []
+            if isinstance(stmt.init, ast.DeclStmt):
+                return [ast.Block([stmt.init])]
+            return [stmt.init]
+        body = self._clean_block(stmt.body, read)
+        if body is stmt.body:
+            return [stmt]
         return [ast.ForStmt(stmt.init, stmt.cond, stmt.update, body)]
-
-
-def _blocks_equal(a: ast.Block, b: ast.Block) -> bool:
-    """Cheap structural comparison used for fixed-point detection."""
-    return ast.count_nodes(a) == ast.count_nodes(b)
 
 
 __all__ = ["DeadCodeEliminationPass"]

@@ -20,9 +20,17 @@ This was found by the test-case reducer dogfooding itself on the
 
 from __future__ import annotations
 
+import functools
+from typing import Callable
+
 from repro.compiler import analysis, rewrite
 from repro.compiler.passes.base import Pass
 from repro.kernel_lang import ast, types as ty
+
+
+#: A function's variable types (:func:`repro.compiler.analysis.scope_types`),
+#: computed on the first call.
+Scope = Callable[[], dict]
 
 
 def _is_zero(e: ast.Expr) -> bool:
@@ -37,7 +45,7 @@ def _pure(e: ast.Expr) -> bool:
     return not analysis.expr_has_side_effects(e)
 
 
-def _keeps_type(kept: ast.Expr, dropped: ast.Expr, env: dict) -> bool:
+def _keeps_type(kept: ast.Expr, dropped: ast.Expr, scope: Scope) -> bool:
     """True when dropping ``dropped`` from a binary identity provably leaves
     the expression's dynamic value type unchanged.
 
@@ -46,6 +54,7 @@ def _keeps_type(kept: ast.Expr, dropped: ast.Expr, env: dict) -> bool:
     scalar operands the kept type must be known and already equal to the
     usual-arithmetic-conversion result.
     """
+    env = scope()
     kept_type = analysis.static_value_type(kept, env)
     if kept_type is None:
         return False
@@ -67,17 +76,20 @@ class SimplifyPass(Pass):
         for fn in program.functions:
             # Scope-aware typing: parameter/local declarations resolve
             # variable references so identities on variables stay available.
-            env = analysis.scope_types(fn)
+            # Built on first need: most functions offer no identity to check.
+            scope = functools.cache(functools.partial(analysis.scope_types, fn))
             functions.append(
-                rewrite.rewrite_function(fn, expr_fn=lambda e, env=env: self._simplify(e, env))
+                rewrite.rewrite_function(
+                    fn, expr_fn=lambda e, scope=scope: self._simplify(e, scope)
+                )
             )
         return rewrite.replace_functions(program, functions)
 
-    def _simplify(self, expr: ast.Expr, env: dict) -> ast.Expr:
+    def _simplify(self, expr: ast.Expr, scope: Scope) -> ast.Expr:
         if isinstance(expr, ast.BinaryOp):
-            return self._simplify_binary(expr, env)
+            return self._simplify_binary(expr, scope)
         if isinstance(expr, ast.Call):
-            return self._simplify_call(expr, env)
+            return self._simplify_call(expr, scope)
         if isinstance(expr, ast.UnaryOp):
             # Unary plus is the identity only for operands that already have
             # promoted (>= int) width -- on narrower operands it widens the
@@ -85,7 +97,7 @@ class SimplifyPass(Pass):
             # are vectors (element-wise identity, type preserved).
             # !!x is NOT simplified to x because the values differ.
             if expr.op == "+":
-                operand_type = analysis.static_value_type(expr.operand, env)
+                operand_type = analysis.static_value_type(expr.operand, scope())
                 if isinstance(operand_type, ty.VectorType):
                     return expr.operand
                 if isinstance(operand_type, ty.IntType) and operand_type.bits >= 32:
@@ -98,28 +110,28 @@ class SimplifyPass(Pass):
                 return expr.then
         return expr
 
-    def _simplify_binary(self, expr: ast.BinaryOp, env: dict) -> ast.Expr:
+    def _simplify_binary(self, expr: ast.BinaryOp, scope: Scope) -> ast.Expr:
         op, left, right = expr.op, expr.left, expr.right
         if op == "+":
-            if _is_zero(right) and _keeps_type(left, right, env):
+            if _is_zero(right) and _keeps_type(left, right, scope):
                 return left
-            if _is_zero(left) and _keeps_type(right, left, env):
+            if _is_zero(left) and _keeps_type(right, left, scope):
                 return right
         elif op == "-":
-            if _is_zero(right) and _keeps_type(left, right, env):
+            if _is_zero(right) and _keeps_type(left, right, scope):
                 return left
         elif op == "*":
-            if _is_one(right) and _keeps_type(left, right, env):
+            if _is_one(right) and _keeps_type(left, right, scope):
                 return left
-            if _is_one(left) and _keeps_type(right, left, env):
+            if _is_one(left) and _keeps_type(right, left, scope):
                 return right
         elif op in ("|", "^"):
-            if _is_zero(right) and _keeps_type(left, right, env):
+            if _is_zero(right) and _keeps_type(left, right, scope):
                 return left
-            if _is_zero(left) and _keeps_type(right, left, env):
+            if _is_zero(left) and _keeps_type(right, left, scope):
                 return right
         elif op in ("<<", ">>"):
-            if _is_zero(right) and _keeps_type(left, right, env):
+            if _is_zero(right) and _keeps_type(left, right, scope):
                 return left
         elif op == ",":
             # The comma's value and type are exactly the right operand's.
@@ -127,7 +139,7 @@ class SimplifyPass(Pass):
                 return right
         return expr
 
-    def _simplify_call(self, expr: ast.Call, env: dict) -> ast.Expr:
+    def _simplify_call(self, expr: ast.Call, scope: Scope) -> ast.Expr:
         """Safe-wrapper identities.
 
         The wrappers compute in (and wrap to) the type of their *first*
@@ -140,12 +152,12 @@ class SimplifyPass(Pass):
         if name in ("safe_add", "safe_sub", "safe_lshift", "safe_rshift") and len(args) == 2:
             if _is_zero(args[1]):
                 return args[0]
-            if name == "safe_add" and _is_zero(args[0]) and self._first_arg_type_kept(args, env):
+            if name == "safe_add" and _is_zero(args[0]) and self._first_arg_type_kept(args, scope):
                 return args[1]
         if name == "safe_mul" and len(args) == 2:
             if _is_one(args[1]):
                 return args[0]
-            if _is_one(args[0]) and self._first_arg_type_kept(args, env):
+            if _is_one(args[0]) and self._first_arg_type_kept(args, scope):
                 return args[1]
         if name in ("safe_div", "safe_mod") and len(args) == 2:
             # Dividing by zero returns the dividend under safe semantics.
@@ -163,11 +175,12 @@ class SimplifyPass(Pass):
         return expr
 
     @staticmethod
-    def _first_arg_type_kept(args, env: dict) -> bool:
+    def _first_arg_type_kept(args, scope: Scope) -> bool:
         """For ``safe_op(literal, x) -> x``: the wrapper's result type was the
         literal's; the rewrite is only sound when ``x`` provably has it too,
         or when ``x`` is a vector (the wrapper then computes component-wise
         in the vector's element type and returns the vector unchanged)."""
+        env = scope()
         other_type = analysis.static_value_type(args[1], env)
         if isinstance(other_type, ty.VectorType):
             return True

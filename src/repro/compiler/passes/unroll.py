@@ -7,10 +7,12 @@ Fully unrolls counted ``for`` loops of the shape the generator produces::
 when the trip count is small (``max_trip_count``), the induction variable is
 not written inside the body, and the body contains no ``break``/``continue``
 or barriers (barriers could legally be unrolled, but keeping them out keeps
-the divergence argument trivial).  The loop variable is re-declared with the
-iteration's constant value in front of each unrolled copy, so semantics --
-including the variable being out of scope afterwards when the original loop
-declared it -- are preserved.
+the divergence argument trivial).  The loop variable is re-declared, at its
+declared type, with the iteration's constant value in front of each unrolled
+copy, so semantics -- including the variable being out of scope afterwards
+-- are preserved.  Only loops that declare their induction variable are
+unrolled: a loop over an outer variable (``for (i = 0; ...)``) would need
+that variable's type, and its exit value stored back.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class LoopUnrollPass(Pass):
         plan = self._analyse(loop)
         if plan is None:
             return None
-        var_name, var_type, declares, values = plan
+        var_name, var_type, values = plan
         body_template = loop.body
         if analysis.contains_loop_control(body_template) or analysis.contains_barrier(
             body_template
@@ -56,45 +58,26 @@ class LoopUnrollPass(Pass):
             return None
         if var_name in analysis.variables_assigned(body_template):
             return None
-        out: List[ast.Stmt] = []
-        for value in values:
-            iteration = ast.Block(
+        return [
+            ast.Block(
                 [ast.DeclStmt(var_name, var_type, ast.IntLiteral(value, var_type))]
                 + [s.clone() for s in body_template.statements]
             )
-            out.append(iteration)
-        if not declares:
-            # The variable outlives the loop: give it its final value.
-            final = values[-1] + self._step_of(loop) if values else self._start_of(loop)
-            exit_value = final if values else self._start_of(loop)
-            out.append(
-                ast.AssignStmt(ast.VarRef(var_name), ast.IntLiteral(exit_value, var_type))
-            )
-        return out
+            for value in values
+        ]
 
-    def _analyse(
-        self, loop: ast.ForStmt
-    ) -> Optional[Tuple[str, ty.IntType, bool, List[int]]]:
-        # init: either "T i = start" or "i = start"
-        if isinstance(loop.init, ast.DeclStmt) and isinstance(loop.init.init, ast.IntLiteral):
-            if not isinstance(loop.init.type, ty.IntType):
-                return None
-            name = loop.init.name
-            var_type = loop.init.type
-            start = loop.init.init.value
-            declares = True
-        elif (
-            isinstance(loop.init, ast.AssignStmt)
-            and loop.init.op == "="
-            and isinstance(loop.init.target, ast.VarRef)
-            and isinstance(loop.init.value, ast.IntLiteral)
+    def _analyse(self, loop: ast.ForStmt) -> Optional[Tuple[str, ty.IntType, List[int]]]:
+        # init: "T i = start"
+        init = loop.init
+        if (
+            not isinstance(init, ast.DeclStmt)
+            or not isinstance(init.init, ast.IntLiteral)
+            or not isinstance(init.type, ty.IntType)
         ):
-            name = loop.init.target.name
-            var_type = ty.INT
-            start = loop.init.value.value
-            declares = False
-        else:
             return None
+        name = init.name
+        var_type = init.type
+        start = init.init.value
         # cond: "i < bound" or "i <= bound"
         cond = loop.cond
         if (
@@ -127,18 +110,11 @@ class LoopUnrollPass(Pass):
             if len(values) > self.max_trip_count:
                 return None
             i += step
-        # Guard against exit-value overflow for declared-outside variables.
+        # The final update must stay in range: an increment that wraps or
+        # overflows the variable's type would change the trip count.
         if values and not var_type.contains(values[-1] + step):
             return None
-        self._cached_step = step
-        self._cached_start = start
-        return name, var_type, declares, values
-
-    def _step_of(self, loop: ast.ForStmt) -> int:
-        return getattr(self, "_cached_step", 1)
-
-    def _start_of(self, loop: ast.ForStmt) -> int:
-        return getattr(self, "_cached_start", 0)
+        return name, var_type, values
 
 
 __all__ = ["LoopUnrollPass"]

@@ -1,17 +1,26 @@
 """Generic AST rewriting utilities shared by the optimisation passes and
 the bug models.
 
-The rewriters are *pure*: they never mutate their input.  They rebuild the
-statements and expressions they walk bottom-up and reuse every node they do
-not rebuild, so a rewritten program shares subtrees with its input -- as EMI
-variants share theirs with their base (:mod:`repro.emi.pruning`).  Neither
-may therefore be edited in place (the contract in
-:mod:`repro.kernel_lang.ast`).
+The rewriters are *pure*: they never mutate their input.  They walk
+bottom-up and rebuild a node only when one of its children came back as a
+different object (path copying), so a rewritten program shares every
+unchanged subtree with its input -- as EMI variants share theirs with their
+base (:mod:`repro.emi.pruning`).  Neither may therefore be edited in place
+(the contract in :mod:`repro.kernel_lang.ast`).
+
+Identity contract: a rewrite that changes nothing returns its input -- the
+very expression, statement, block or function it was given, and, from
+:func:`replace_functions` and :func:`rewrite_program`, the input
+:class:`~repro.kernel_lang.ast.Program` when every function came back
+unchanged.  A pass or bug model with nothing to do therefore allocates
+nothing.  Callbacks keep the contract by returning their argument
+(``expr_fn``) or ``None`` (``stmt_fn``) when they have nothing to change.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import dataclasses
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel_lang import ast
 
@@ -19,43 +28,55 @@ ExprRewriter = Callable[[ast.Expr], ast.Expr]
 StmtRewriter = Callable[[ast.Stmt], Optional[List[ast.Stmt]]]
 
 
+def _map_exprs(exprs: Sequence[ast.Expr], fn: ExprRewriter) -> Sequence[ast.Expr]:
+    """``exprs`` mapped; the list itself when every element came back as
+    the same object."""
+    mapped = [map_expr(x, fn) for x in exprs]
+    for new, old in zip(mapped, exprs):
+        if new is not old:
+            return mapped
+    return exprs
+
+
+#: The expression-valued fields of each expression class that has any, in
+#: visit order (IntLiteral, VarRef and WorkItemExpr have none).  A field
+#: that is not an expression holds a list of them.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
+    ast.VectorLiteral: ("elements",),
+    ast.UnaryOp: ("operand",),
+    ast.BinaryOp: ("left", "right"),
+    ast.Conditional: ("cond", "then", "otherwise"),
+    ast.Cast: ("operand",),
+    ast.FieldAccess: ("base",),
+    ast.IndexAccess: ("base", "index"),
+    ast.VectorComponent: ("base",),
+    ast.AddressOf: ("operand",),
+    ast.Deref: ("operand",),
+    ast.Call: ("args",),
+    ast.InitList: ("elements",),
+    ast.AssignExpr: ("target", "value"),
+}
+
+
 def map_expr(expr: ast.Expr, fn: ExprRewriter) -> ast.Expr:
-    """Rebuild ``expr`` bottom-up, applying ``fn`` to every sub-expression.
+    """Rewrite ``expr`` bottom-up, applying ``fn`` to every sub-expression.
 
     ``fn`` receives an expression whose children have already been rewritten
-    and returns its replacement (possibly the same object).
+    and returns its replacement (possibly the same object).  A node is
+    rebuilt only when a child came back as a different object, so
+    ``map_expr`` returns ``expr`` itself when ``fn`` changes nothing.
     """
-    e = expr
-    if isinstance(e, ast.VectorLiteral):
-        e = ast.VectorLiteral(e.type, [map_expr(x, fn) for x in e.elements])
-    elif isinstance(e, ast.UnaryOp):
-        e = ast.UnaryOp(e.op, map_expr(e.operand, fn))
-    elif isinstance(e, ast.BinaryOp):
-        e = ast.BinaryOp(e.op, map_expr(e.left, fn), map_expr(e.right, fn))
-    elif isinstance(e, ast.Conditional):
-        e = ast.Conditional(
-            map_expr(e.cond, fn), map_expr(e.then, fn), map_expr(e.otherwise, fn)
-        )
-    elif isinstance(e, ast.Cast):
-        e = ast.Cast(e.type, map_expr(e.operand, fn))
-    elif isinstance(e, ast.FieldAccess):
-        e = ast.FieldAccess(map_expr(e.base, fn), e.field, e.arrow)
-    elif isinstance(e, ast.IndexAccess):
-        e = ast.IndexAccess(map_expr(e.base, fn), map_expr(e.index, fn))
-    elif isinstance(e, ast.VectorComponent):
-        e = ast.VectorComponent(map_expr(e.base, fn), e.component)
-    elif isinstance(e, ast.AddressOf):
-        e = ast.AddressOf(map_expr(e.operand, fn))
-    elif isinstance(e, ast.Deref):
-        e = ast.Deref(map_expr(e.operand, fn))
-    elif isinstance(e, ast.Call):
-        e = ast.Call(e.name, [map_expr(a, fn) for a in e.args])
-    elif isinstance(e, ast.InitList):
-        e = ast.InitList([map_expr(x, fn) for x in e.elements])
-    elif isinstance(e, ast.AssignExpr):
-        e = ast.AssignExpr(map_expr(e.target, fn), map_expr(e.value, fn), e.op)
-    # IntLiteral, VarRef, WorkItemExpr have no expression children.
-    return fn(e)
+    changes = None
+    for name in _CHILD_FIELDS.get(type(expr), ()):
+        child = getattr(expr, name)
+        new = map_expr(child, fn) if isinstance(child, ast.Expr) else _map_exprs(child, fn)
+        if new is not child:
+            if changes is None:
+                changes = {}
+            changes[name] = new
+    if changes:
+        expr = dataclasses.replace(expr, **changes)
+    return fn(expr)
 
 
 def map_stmt(
@@ -63,55 +84,76 @@ def map_stmt(
     expr_fn: Optional[ExprRewriter] = None,
     stmt_fn: Optional[StmtRewriter] = None,
 ) -> List[ast.Stmt]:
-    """Rebuild ``stmt`` applying ``expr_fn`` to embedded expressions and
+    """Rewrite ``stmt`` applying ``expr_fn`` to embedded expressions and
     ``stmt_fn`` to statements (bottom-up).
 
     ``stmt_fn`` returns ``None`` to keep the statement, ``[]`` to delete it,
-    or a replacement list.  Returns the list of statements replacing ``stmt``.
+    or a replacement list.  Returns the list of statements replacing
+    ``stmt``: ``[stmt]`` itself when nothing under it changed.
     """
 
-    def fe(e: ast.Expr) -> ast.Expr:
-        return map_expr(e, expr_fn) if expr_fn is not None else e
+    def fe(e: Optional[ast.Expr]) -> Optional[ast.Expr]:
+        if e is None or expr_fn is None:
+            return e
+        return map_expr(e, expr_fn)
 
     s: ast.Stmt = stmt
     if isinstance(s, ast.Block):
-        s = ast.Block(_map_block(s, expr_fn, stmt_fn))
+        s = _map_block(s, expr_fn, stmt_fn)
     elif isinstance(s, ast.DeclStmt):
-        s = ast.DeclStmt(
-            s.name,
-            s.type,
-            fe(s.init) if s.init is not None else None,
-            s.address_space,
-            s.volatile,
-        )
+        init = fe(s.init)
+        if init is not s.init:
+            s = ast.DeclStmt(s.name, s.type, init, s.address_space, s.volatile)
     elif isinstance(s, ast.AssignStmt):
-        s = ast.AssignStmt(fe(s.target), fe(s.value), s.op)
+        target, value = fe(s.target), fe(s.value)
+        if target is not s.target or value is not s.value:
+            s = ast.AssignStmt(target, value, s.op)
     elif isinstance(s, ast.ExprStmt):
-        s = ast.ExprStmt(fe(s.expr))
+        expr = fe(s.expr)
+        if expr is not s.expr:
+            s = ast.ExprStmt(expr)
     elif isinstance(s, ast.IfStmt):
-        else_block = None
-        if s.else_block is not None:
-            else_block = ast.Block(_map_block(s.else_block, expr_fn, stmt_fn))
-        s = ast.IfStmt(
-            fe(s.cond),
-            ast.Block(_map_block(s.then_block, expr_fn, stmt_fn)),
-            else_block,
-            emi_marker=s.emi_marker,
-            atomic_section=s.atomic_section,
-        )
+        # The visit order -- else, cond, then here; init, update, cond, body
+        # below -- is the order stateful callbacks observe (the calibrated
+        # miscompile perturbs the first result store it meets).
+        else_block = s.else_block
+        if else_block is not None:
+            else_block = _map_block(else_block, expr_fn, stmt_fn)
+        cond = fe(s.cond)
+        then_block = _map_block(s.then_block, expr_fn, stmt_fn)
+        if (
+            cond is not s.cond
+            or then_block is not s.then_block
+            or else_block is not s.else_block
+        ):
+            s = ast.IfStmt(
+                cond,
+                then_block,
+                else_block,
+                emi_marker=s.emi_marker,
+                atomic_section=s.atomic_section,
+            )
     elif isinstance(s, ast.ForStmt):
         init = _map_single(s.init, expr_fn, stmt_fn)
         update = _map_single(s.update, expr_fn, stmt_fn)
-        s = ast.ForStmt(
-            init,
-            fe(s.cond) if s.cond is not None else None,
-            update,
-            ast.Block(_map_block(s.body, expr_fn, stmt_fn)),
-        )
+        cond = fe(s.cond)
+        body = _map_block(s.body, expr_fn, stmt_fn)
+        if (
+            init is not s.init
+            or update is not s.update
+            or cond is not s.cond
+            or body is not s.body
+        ):
+            s = ast.ForStmt(init, cond, update, body)
     elif isinstance(s, ast.WhileStmt):
-        s = ast.WhileStmt(fe(s.cond), ast.Block(_map_block(s.body, expr_fn, stmt_fn)))
+        cond = fe(s.cond)
+        body = _map_block(s.body, expr_fn, stmt_fn)
+        if cond is not s.cond or body is not s.body:
+            s = ast.WhileStmt(cond, body)
     elif isinstance(s, ast.ReturnStmt):
-        s = ast.ReturnStmt(fe(s.value) if s.value is not None else None)
+        value = fe(s.value)
+        if value is not s.value:
+            s = ast.ReturnStmt(value)
     # Break/Continue/Barrier carry no children.
 
     if stmt_fn is not None:
@@ -141,11 +183,17 @@ def _map_block(
     blk: ast.Block,
     expr_fn: Optional[ExprRewriter],
     stmt_fn: Optional[StmtRewriter],
-) -> List[ast.Stmt]:
+) -> ast.Block:
+    """``blk`` with every statement mapped; ``blk`` itself when each came
+    back as ``[the same statement]``."""
     out: List[ast.Stmt] = []
+    changed = False
     for s in blk.statements:
-        out.extend(map_stmt(s, expr_fn, stmt_fn))
-    return out
+        mapped = map_stmt(s, expr_fn, stmt_fn)
+        if not changed and (len(mapped) != 1 or mapped[0] is not s):
+            changed = True
+        out.extend(mapped)
+    return ast.Block(out) if changed else blk
 
 
 def rewrite_function(
@@ -153,24 +201,35 @@ def rewrite_function(
     expr_fn: Optional[ExprRewriter] = None,
     stmt_fn: Optional[StmtRewriter] = None,
 ) -> ast.FunctionDecl:
-    """Rewrite a function's body, preserving its signature."""
+    """Rewrite a function's body, preserving its signature; ``fn`` itself
+    when the body came back unchanged."""
     if fn.body is None:
         return fn
-    new_body = ast.Block(_map_block(fn.body, expr_fn, stmt_fn))
-    return ast.FunctionDecl(fn.name, fn.return_type, list(fn.params), new_body, fn.is_kernel)
+    body = _map_block(fn.body, expr_fn, stmt_fn)
+    if body is fn.body:
+        return fn
+    return ast.FunctionDecl(fn.name, fn.return_type, list(fn.params), body, fn.is_kernel)
 
 
-def replace_functions(program: ast.Program, functions) -> ast.Program:
-    """A copy of ``program`` with ``functions`` swapped in.
+def replace_functions(
+    program: ast.Program, functions: Sequence[ast.FunctionDecl]
+) -> ast.Program:
+    """A copy of ``program`` with ``functions`` swapped in, or ``program``
+    itself when ``functions`` are its own function objects in order.
 
     The single place that knows how to rebuild a Program around a new
     function list (structs/buffers shallow-copied, launch shared, metadata
-    copied) -- rewriters and reduction passes all go through it, so adding a
-    Program field only requires updating this helper.
+    copied) -- rewriters, bug models and reduction passes all go through
+    it, so adding a Program field only requires updating this helper.
     """
+    functions = list(functions)
+    if len(functions) == len(program.functions) and all(
+        new is old for new, old in zip(functions, program.functions)
+    ):
+        return program
     return ast.Program(
         structs=list(program.structs),
-        functions=list(functions),
+        functions=functions,
         kernel_name=program.kernel_name,
         buffers=list(program.buffers),
         launch=program.launch,
@@ -183,7 +242,8 @@ def rewrite_program(
     expr_fn: Optional[ExprRewriter] = None,
     stmt_fn: Optional[StmtRewriter] = None,
 ) -> ast.Program:
-    """Rewrite every function of ``program`` (launch/buffers are shared)."""
+    """Rewrite every function of ``program`` (launch/buffers are shared);
+    ``program`` itself when no function changed."""
     return replace_functions(
         program, [rewrite_function(f, expr_fn, stmt_fn) for f in program.functions]
     )

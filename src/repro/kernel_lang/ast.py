@@ -6,16 +6,19 @@ bug of Figure 2(f)), address-of/dereference, and calls to builtins or
 user-defined functions; statements include barriers and the structured
 control flow constructs that CLsmith emits.
 
-Every node supports :meth:`clone` (a deep copy, used by the EMI injector, the
-test-case reducer and triage, which edit the copy in place) and
+Every node supports :meth:`clone` (a deep copy, used by the EMI injector and
+the test-case reducer, which edit the copy in place; triage no longer
+clones, it builds its renamed copy with the rewrite helpers) and
 :meth:`children` (generic traversal used by analyses and the printer tests).
 
-Programs may share subtrees.  The optimisation passes and bug models return
-programs that share nodes with their input (:mod:`repro.compiler.rewrite`).
-EMI variants are path copies that share every subtree outside their pruned
-EMI blocks with their base (:func:`repro.emi.pruning.prune_program`), and
-``invert_dead_array`` and ``mark_base_fingerprint`` results share all of
-their input's functions.
+Programs may share subtrees.  The optimisation passes, the bug models and
+triage's canonical renaming return programs that share nodes with their
+input (:mod:`repro.compiler.rewrite`): a rewrite rebuilds only the path to
+what it changes, and one that changes nothing returns its input -- the very
+node, function or program object it was given.  EMI variants are path
+copies that share every subtree outside their pruned EMI blocks with their
+base (:func:`repro.emi.pruning.prune_program`), and ``invert_dead_array``
+and ``mark_base_fingerprint`` results share all of their input's functions.
 
 Contract: never edit a node that is reachable from a program you did not
 clone yourself -- clone the program and edit the clone.  An edit to a shared
@@ -52,7 +55,9 @@ class Node:
     """Base class of all AST nodes."""
 
     def clone(self) -> "Node":
-        """Return a deep copy of this node."""
+        """Return a deep copy of this node, for the EMI injector and the
+        reducer to edit (triage no longer clones; a rewrite that changes
+        nothing returns its input rather than a copy)."""
         return copy.deepcopy(self)
 
     def children(self) -> Iterator["Node"]:

@@ -373,15 +373,7 @@ class AnonCpuBarrierStructBug(BugModel):
                 return None
 
             new_functions.append(rewrite.rewrite_function(fn, stmt_fn=stmt_fn))
-        out = ast.Program(
-            structs=list(program.structs),
-            functions=new_functions,
-            kernel_name=program.kernel_name,
-            buffers=list(program.buffers),
-            launch=program.launch,
-            metadata=dict(program.metadata),
-        )
-        return out, {}
+        return rewrite.replace_functions(program, new_functions), {}
 
 
 class IntelGpuCompileHangBug(BugModel):
@@ -554,15 +546,7 @@ class IntelBarrierFwdDeclMiscompile(BugModel):
                 return None
 
             new_functions.append(rewrite.rewrite_function(fn, stmt_fn=stmt_fn))
-        out = ast.Program(
-            structs=list(program.structs),
-            functions=new_functions,
-            kernel_name=program.kernel_name,
-            buffers=list(program.buffers),
-            launch=program.launch,
-            metadata=dict(program.metadata),
-        )
-        return out, {}
+        return rewrite.replace_functions(program, new_functions), {}
 
 
 class IntelBarrierFwdDeclCrash(BugModel):
@@ -658,15 +642,7 @@ class AnonGpuGroupIdMiscompile(BugModel):
                 return None
 
             new_functions.append(rewrite.rewrite_function(fn, stmt_fn=stmt_fn))
-        out = ast.Program(
-            structs=list(program.structs),
-            functions=new_functions,
-            kernel_name=program.kernel_name,
-            buffers=list(program.buffers),
-            launch=program.launch,
-            metadata=dict(program.metadata),
-        )
-        return out, {}
+        return rewrite.replace_functions(program, new_functions), {}
 
 
 class OclgrindCommaBug(BugModel):

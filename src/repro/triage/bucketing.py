@@ -52,10 +52,12 @@ corpus.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.compiler import rewrite
 from repro.kernel_lang import ast
 from repro.kernel_lang.printer import print_program
 from repro.platforms.calibration import hash_host_setup
@@ -113,47 +115,76 @@ def _scope_name_map(fn: ast.FunctionDecl) -> Dict[str, str]:
     return names
 
 
-def canonical_program(program: ast.Program) -> ast.Program:
-    """An alpha-renamed clone of ``program`` with generator metadata dropped.
+def _renamed_function(
+    fn: ast.FunctionDecl, scope: Dict[str, str], fn_names: Dict[str, str]
+) -> ast.FunctionDecl:
+    """``fn`` with its name, parameters, locals and calls renamed."""
 
-    The clone is for fingerprinting only -- it prints and hashes, it is
+    def rename_expr(expr: ast.Expr) -> ast.Expr:
+        if isinstance(expr, ast.VarRef):
+            name = scope.get(expr.name, expr.name)
+            return expr if name == expr.name else ast.VarRef(name)
+        if isinstance(expr, ast.Call):
+            name = fn_names.get(expr.name, expr.name)
+            return expr if name == expr.name else ast.Call(name, list(expr.args))
+        return expr
+
+    def rename_decl(stmt: ast.Stmt) -> Optional[List[ast.Stmt]]:
+        if isinstance(stmt, ast.DeclStmt) and scope[stmt.name] != stmt.name:
+            return [
+                ast.DeclStmt(
+                    scope[stmt.name], stmt.type, stmt.init, stmt.address_space, stmt.volatile
+                )
+            ]
+        return None
+
+    return ast.FunctionDecl(
+        fn_names[fn.name],
+        fn.return_type,
+        [dataclasses.replace(param, name=scope[param.name]) for param in fn.params],
+        rewrite.rewrite_function(fn, rename_expr, rename_decl).body,
+        fn.is_kernel,
+    )
+
+
+def canonical_program(program: ast.Program) -> ast.Program:
+    """An alpha-renamed copy of ``program`` with generator metadata dropped.
+
+    The copy is for fingerprinting only -- it prints and hashes, it is
     never executed -- but the renaming is nevertheless scope-correct:
     variable maps are per-function (a parameter ``x`` in two helpers is two
     different variables), function names are program-wide, and host buffers
     follow the kernel's parameter map so the program stays self-consistent.
+    It is built with the rewrite helpers (:mod:`repro.compiler.rewrite`), not
+    by cloning and renaming in place: it shares every node the renaming
+    leaves alone with ``program``, which is left untouched, memo included.
     """
-    clone = program.clone()
-    fn_names = _function_name_map(clone)
-
+    fn_names = _function_name_map(program)
     kernel_scope: Dict[str, str] = {}
-    for fn in clone.functions:
+    functions = []
+    for fn in program.functions:
         scope = _scope_name_map(fn)
-        if fn.name == clone.kernel_name and fn.body is not None:
+        if fn.name == program.kernel_name and fn.body is not None:
             kernel_scope = scope
-        for param in fn.params:
-            param.name = scope[param.name]
-        if fn.body is not None:
-            for node in fn.body.walk():
-                if isinstance(node, ast.DeclStmt):
-                    node.name = scope[node.name]
-                elif isinstance(node, ast.VarRef):
-                    node.name = scope.get(node.name, node.name)
-                elif isinstance(node, ast.Call):
-                    node.name = fn_names.get(node.name, node.name)
-        fn.name = fn_names[fn.name]
-    clone.kernel_name = fn_names.get(clone.kernel_name, clone.kernel_name)
+        functions.append(_renamed_function(fn, scope, fn_names))
 
-    for buf in clone.buffers:
-        buf.name = kernel_scope.get(buf.name, buf.name)
-
-    scalar_args = clone.metadata.get("scalar_args")
-    clone.metadata = {}
+    metadata: Dict[str, object] = {}
+    scalar_args = program.metadata.get("scalar_args")
     if isinstance(scalar_args, dict) and scalar_args:
-        clone.metadata["scalar_args"] = {
+        metadata["scalar_args"] = {
             kernel_scope.get(name, name): value
             for name, value in scalar_args.items()
         }
-    return clone
+    return dataclasses.replace(
+        program,
+        functions=functions,
+        kernel_name=fn_names.get(program.kernel_name, program.kernel_name),
+        buffers=[
+            dataclasses.replace(buf, name=kernel_scope.get(buf.name, buf.name))
+            for buf in program.buffers
+        ],
+        metadata=metadata,
+    )
 
 
 def canonical_forms(program: ast.Program) -> Tuple[str, str]:
@@ -161,7 +192,7 @@ def canonical_forms(program: ast.Program) -> Tuple[str, str]:
 
     The shape hash mirrors :func:`repro.platforms.calibration.
     program_fingerprint` (source alone cannot distinguish two kernels whose
-    buffers initialise differently) but on the canonical clone, so
+    buffers initialise differently) but on the canonical copy, so
     identifier spelling and generator metadata cannot split buckets.
     Alpha-normalisation is the dominant cost, so callers needing both forms
     (bucketing does, per representative) get them from one normalisation.

@@ -1,6 +1,9 @@
 """Unit tests for the individual optimisation passes and AST rewriting."""
 
+import pytest
+
 from repro.compiler import analysis, rewrite
+from repro.compiler.driver import compile_program
 from repro.compiler.passes import (
     ConstantFoldPass,
     DeadCodeEliminationPass,
@@ -238,6 +241,64 @@ def test_dce_folds_literal_true_if_into_branch():
     assert cleaned[0].value.value == 7
 
 
+def _out0():
+    return ast.IndexAccess(ast.var("out"), ast.lit(0))
+
+
+def _opt_levels_agree(program):
+    """opt- and opt+ of the conformant compiler give the same result on
+    both engines."""
+    for engine in ("reference", "compiled"):
+        outputs = [
+            compile_program(program, optimisations=level).run(engine=engine).outputs
+            for level in (False, True)
+        ]
+        assert outputs[0] == outputs[1], engine
+
+
+def _shadowing_branch():
+    return ast.Block([
+        ast.DeclStmt("x", ty.ULONG, ast.lit(1, ty.ULONG)),
+        ast.AssignStmt(_out0(), ast.var("x")),
+    ])
+
+
+def _taken_branch_shadows(cond, then_block, else_block):
+    """``ulong x = 5; if (cond) {...} else {...} out[0] = out[0] + x;``"""
+    return _wrap([
+        ast.DeclStmt("x", ty.ULONG, ast.lit(5, ty.ULONG)),
+        ast.IfStmt(ast.lit(cond), then_block, else_block),
+        ast.AssignStmt(_out0(), ast.BinaryOp("+", _out0(), ast.var("x"))),
+    ])
+
+
+def _false_for_declares_outer_name():
+    """``ulong i = 7; for (ulong i = 0; 0; i += 1) {} out[0] = i;``"""
+    return _wrap([
+        ast.DeclStmt("i", ty.ULONG, ast.lit(7, ty.ULONG)),
+        ast.ForStmt(
+            ast.DeclStmt("i", ty.ULONG, ast.lit(0, ty.ULONG)),
+            ast.lit(0),
+            ast.AssignStmt(ast.var("i"), ast.lit(1), "+="),
+            ast.Block([]),
+        ),
+        ast.AssignStmt(_out0(), ast.var("i")),
+    ])
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        _taken_branch_shadows(1, _shadowing_branch(), None),
+        _taken_branch_shadows(0, ast.Block([]), _shadowing_branch()),
+        _false_for_declares_outer_name(),
+    ],
+    ids=["if-1-declares", "if-0-else-declares", "false-for-declares"],
+)
+def test_dce_keeps_declarations_in_their_scope(program):
+    _opt_levels_agree(program)
+
+
 # ---------------------------------------------------------------------------
 # Inlining and unrolling
 # ---------------------------------------------------------------------------
@@ -295,6 +356,24 @@ def test_unroll_skips_loops_with_barriers_or_large_trip_counts():
     program = _wrap([barrier_loop, big_loop, ast.out_write(ast.lit(0))])
     unrolled = LoopUnrollPass().run(program)
     assert sum(isinstance(s, ast.ForStmt) for s in _kernel_stmts(unrolled)) == 2
+
+
+def test_unroll_leaves_loops_over_an_outer_variable_alone():
+    """``uchar i = 0; for (i = 1; i < 3; i += 1) out[0] = safe_lshift(i, 9);``
+    -- unrolling with ``int i`` copies would shift by 9, not by 9 % 8."""
+    loop = ast.ForStmt(
+        ast.AssignStmt(ast.var("i"), ast.lit(1)),
+        ast.BinaryOp("<", ast.var("i"), ast.lit(3)),
+        ast.AssignStmt(ast.var("i"), ast.lit(1), "+="),
+        ast.Block([
+            ast.AssignStmt(
+                _out0(), ast.Cast(ty.ULONG, ast.Call("safe_lshift", [ast.var("i"), ast.lit(9)]))
+            ),
+        ]),
+    )
+    program = _wrap([ast.DeclStmt("i", ty.UCHAR, ast.lit(0, ty.UCHAR)), loop])
+    _opt_levels_agree(program)
+    assert LoopUnrollPass().run(program) is program
 
 
 # ---------------------------------------------------------------------------

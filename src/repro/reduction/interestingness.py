@@ -33,6 +33,19 @@ error rejects the candidate rather than aborting the reduction, so the
 reducer is robust against passes producing semantically-nonsensical (but
 well-formed) programs.
 
+The two signature predicates are **lazy**: nearly every candidate fails,
+so they evaluate one cell at a time -- the signature's ``bf`` cells first
+(decided by compiling alone: a cell that builds cannot be a build failure),
+then its ``c``/``to`` cells, then its ``w`` cells, then every other cell,
+each group in harness order -- and reject at the first cell that trips the
+UB guard or whose own outcome contradicts its expected code.  A ``w`` is
+still decided only by the majority vote once every cell has run, and only a
+candidate that reached the end is compared to the signature, so each
+verdict equals the one running every cell would give
+(``tests/test_lazy_predicates.py``).  A rejection is counted under the
+first reason the order reaches: a UB run in a cell never evaluated is not
+an ``ub_rejection``.
+
 Predicates keep per-instance :class:`PredicateStats` and share the usual
 result cache, so repeated candidate evaluations inside one reduction stay
 warm.
@@ -54,7 +67,7 @@ from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
 from repro.testing.differential import DifferentialHarness, DifferentialResult
 from repro.testing.emi_harness import EmiBaseResult, EmiHarness
-from repro.testing.outcomes import Outcome, cell_label, classify_exception
+from repro.testing.outcomes import Outcome, TestRecord, cell_label, classify_exception
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.orchestration.cache import ResultCache
@@ -124,6 +137,50 @@ def emi_family_signature(cells: Sequence[EmiBaseResult]) -> Signature:
             if cell.worst_outcome != "ok"
         )
     )
+
+
+#: Evaluation rank of a cell by its expected code: ``bf`` cells need only
+#: a compile, ``c``/``to`` cells one run, a ``w`` cell's run must at least
+#: terminate, and every other cell comes last.
+_EVALUATION_RANK = {"bf": 0, "c": 1, "to": 1, "w": 2}
+
+#: Expected code of a cell that shares its label with another cell (two
+#: configurations of one name): only the whole signature tells them apart.
+_UNDECIDED = "?"
+
+
+def _evaluation_order(
+    labels: Sequence[str], signature: Signature
+) -> List[Tuple[int, str]]:
+    """``(cell index, expected code)`` of every cell, in the order a lazy
+    predicate evaluates them; ``"ok"`` marks a cell outside the signature.
+
+    ``labels`` are the cells' labels in harness order, which the stable
+    sort keeps within each group.
+    """
+    if len(set(labels)) < len(labels):
+        return [(index, _UNDECIDED) for index in range(len(labels))]
+    expected = dict(signature)
+    coded = [(index, expected.get(label, "ok")) for index, label in enumerate(labels)]
+    return sorted(coded, key=lambda item: _EVALUATION_RANK.get(item[1], 3))
+
+
+def _cell_labels(cells: Sequence[Tuple[Optional[DeviceConfig], bool]]) -> List[str]:
+    return [
+        cell_label(config.name if config is not None else "reference", optimisations)
+        for config, optimisations in cells
+    ]
+
+
+def _contradicts(outcome: Outcome, expected: str) -> bool:
+    """Whether a cell's own, pre-vote outcome rules out its expected code
+    whatever the vote decides: the vote only ever turns a terminating run
+    into wrong code.  (A UB outcome is the guard's to reject.)"""
+    if expected == "w":
+        return outcome is not Outcome.PASS
+    if expected == "ok":
+        return outcome.is_failure
+    return expected != _UNDECIDED and outcome.value != expected
 
 
 class InterestingnessPredicate:
@@ -227,9 +284,25 @@ class DifferentialSignaturePredicate(InterestingnessPredicate):
         return probe
 
     def _check(self, candidate: ast.Program) -> bool:
-        result = self.harness.run(candidate)
-        self._guard_ub([record.outcome for record in result.records])
-        return differential_signature(result) == self.expected_signature
+        harness = self.harness
+        cells = harness.cells()
+        records: List[Optional[TestRecord]] = [None] * len(cells)
+        for index, expected in _evaluation_order(
+            _cell_labels(cells), self.expected_signature
+        ):
+            config, optimisations = cells[index]
+            built = harness.compile_cell(candidate, config, optimisations)
+            if isinstance(built, TestRecord):
+                record = built
+            elif expected == "bf":
+                return False  # it built, so it cannot be a build failure
+            else:
+                record = harness.execute_cell(built, config, optimisations)
+            self._guard_ub([record.outcome])
+            if _contradicts(record.outcome, expected):
+                return False
+            records[index] = record
+        return differential_signature(harness.vote(records)) == self.expected_signature
 
 
 class MismatchPredicate(InterestingnessPredicate):
@@ -418,23 +491,54 @@ class EmiFamilyPredicate(InterestingnessPredicate):
         probe.stats = PredicateStats()
         return probe
 
-    def _family_cells(self, base: ast.Program) -> List[EmiBaseResult]:
+    def _cells(self) -> List[Tuple[Optional[DeviceConfig], bool]]:
+        return [
+            (config, optimisations)
+            for config in self.configs
+            for optimisations in self.optimisation_levels
+        ]
+
+    def _family(self, base: ast.Program) -> List[ast.Program]:
         base = refresh_base_fingerprint(base)
         variants = generate_variants(
             base, PRUNING_GRID[: self.variants_per_base], seed=self.variant_seed
         )
-        family = [base] + variants
+        return [base] + variants
+
+    def _family_cells(self, base: ast.Program) -> List[EmiBaseResult]:
+        """Every cell of ``base``'s family, in harness order (the original's
+        signature)."""
+        family = self._family(base)
         cells = []
-        for config in self.configs:
-            for optimisations in self.optimisation_levels:
-                cell = self.harness.run_family(family, config, optimisations)
-                self._guard_ub(cell.variant_outcomes)
-                cells.append(cell)
+        for config, optimisations in self._cells():
+            cell = self.harness.run_family(family, config, optimisations)
+            self._guard_ub(cell.variant_outcomes)
+            cells.append(cell)
         return cells
 
     def _check(self, candidate: ast.Program) -> bool:
-        cells = self._family_cells(candidate)
-        return emi_family_signature(cells) == self.expected_signature
+        harness = self.harness
+        family = self._family(candidate)
+        cells = self._cells()
+        results: List[Optional[EmiBaseResult]] = [None] * len(cells)
+        for index, expected in _evaluation_order(
+            _cell_labels(cells), self.expected_signature
+        ):
+            config, optimisations = cells[index]
+            builds = None
+            if expected == "bf":
+                builds = [
+                    harness.compile_variant(variant, config, optimisations)
+                    for variant in family
+                ]
+                if not any(built is Outcome.BUILD_FAILURE for built in builds):
+                    return False  # every variant built: no build failure
+            cell = harness.run_family(family, config, optimisations, builds=builds)
+            self._guard_ub(cell.variant_outcomes)
+            if expected != _UNDECIDED and cell.worst_outcome != expected:
+                return False
+            results[index] = cell
+        return emi_family_signature(results) == self.expected_signature
 
 
 # ---------------------------------------------------------------------------

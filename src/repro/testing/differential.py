@@ -15,15 +15,23 @@ changing any outcome.  The cache is a bounded LRU
 harnesses — the campaign engine hands every harness in a worker the same
 cache, so a curated kernel's sweep reuses its curation run and reductions
 and bisections reuse the campaign's executions.
+
+A cell is compiled (:meth:`DifferentialHarness.compile_cell`) and executed
+(:meth:`~DifferentialHarness.execute_cell`) on its own, and
+:meth:`~DifferentialHarness.vote` turns the cells' records into a
+:class:`DifferentialResult`.  :meth:`~DifferentialHarness.run` is those
+steps over every cell; the reduction predicates take the same steps one
+cell at a time and stop at the first cell that rules a candidate out
+(:mod:`repro.reduction.interestingness`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.compiler.driver import CompilerDriver
+from repro.compiler.driver import CompiledKernel, CompilerDriver
 from repro.kernel_lang import ast
 from repro.platforms.config import DeviceConfig
 from repro.runtime.engine import DEFAULT_ENGINE
@@ -78,28 +86,60 @@ class DifferentialHarness(ExecutionHarnessBase):
 
     # ------------------------------------------------------------------
 
+    def cells(self) -> List[Tuple[Optional[DeviceConfig], bool]]:
+        """Every (configuration, optimisation level) cell, in harness order."""
+        return [
+            (config, optimisations)
+            for config in self.configs
+            for optimisations in self.optimisation_levels
+        ]
+
+    def compile_cell(
+        self,
+        program: ast.Program,
+        config: Optional[DeviceConfig],
+        optimisations: bool,
+    ) -> Union[CompiledKernel, TestRecord]:
+        """The first half of a cell: the compiled kernel, or -- when the
+        build fails -- the cell's final record (nothing runs after it)."""
+        try:
+            return CompilerDriver(config).compile(program, optimisations=optimisations)
+        except (BuildFailure, KernelRuntimeError) as error:
+            return _failure_record(config, optimisations, error)
+
+    def execute_cell(
+        self,
+        compiled: CompiledKernel,
+        config: Optional[DeviceConfig],
+        optimisations: bool,
+    ) -> TestRecord:
+        """The second half of a cell: run a compiled kernel.  A terminating
+        run is a ``PASS`` record until :meth:`vote` says otherwise."""
+        try:
+            result = self._execute(compiled)
+        except (BuildFailure, KernelRuntimeError) as error:
+            return _failure_record(config, optimisations, error)
+        return TestRecord(_config_name(config), optimisations, Outcome.PASS, result=result)
+
     def run(self, program: ast.Program) -> DifferentialResult:
         """Compile/execute ``program`` everywhere and vote on the results."""
-        records: List[TestRecord] = []
-        values: List[Tuple[TestRecord, str]] = []
-        for config in self.configs:
-            name = config.name if config is not None else "reference"
-            for optimisations in self.optimisation_levels:
-                try:
-                    compiled = CompilerDriver(config).compile(
-                        program, optimisations=optimisations
-                    )
-                    result = self._execute(compiled)
-                except (BuildFailure, KernelRuntimeError) as error:
-                    records.append(TestRecord(
-                        name, optimisations, classify_exception(error),
-                        detail=str(error),
-                    ))
-                    continue
-                record = TestRecord(name, optimisations, Outcome.PASS, result=result)
-                records.append(record)
-                values.append((record, result.result_hash()))
+        records = []
+        for config, optimisations in self.cells():
+            built = self.compile_cell(program, config, optimisations)
+            if not isinstance(built, TestRecord):
+                built = self.execute_cell(built, config, optimisations)
+            records.append(built)
+        return self.vote(records)
 
+    def vote(self, records: List[TestRecord]) -> DifferentialResult:
+        """Majority-vote over the terminating (``PASS``) records: with a
+        majority of at least three, every terminating record whose value
+        disagrees with it becomes ``WRONG_CODE`` (marked in place)."""
+        values = [
+            (record, record.result.result_hash())
+            for record in records
+            if record.outcome is Outcome.PASS
+        ]
         majority_value, majority_size = self._majority(v for _, v in values)
         if majority_value is not None and majority_size >= MAJORITY_THRESHOLD:
             for record, value in values:
@@ -118,6 +158,19 @@ class DifferentialHarness(ExecutionHarnessBase):
         # verdicts are independent of configuration order.
         value, count = min(counter.items(), key=lambda item: (-item[1], item[0]))
         return value, count
+
+
+def _config_name(config: Optional[DeviceConfig]) -> str:
+    return config.name if config is not None else "reference"
+
+
+def _failure_record(
+    config: Optional[DeviceConfig], optimisations: bool, error: Exception
+) -> TestRecord:
+    return TestRecord(
+        _config_name(config), optimisations, classify_exception(error),
+        detail=str(error),
+    )
 
 
 __all__ = [

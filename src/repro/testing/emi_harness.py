@@ -18,9 +18,9 @@ Table 5 bookkeeping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.compiler.driver import CompilerDriver
+from repro.compiler.driver import CompiledKernel, CompilerDriver
 from repro.kernel_lang import ast
 from repro.platforms.config import DeviceConfig
 from repro.runtime.device import KernelResult
@@ -67,13 +67,21 @@ class EmiHarness(ExecutionHarnessBase):
         variants: Sequence[ast.Program],
         config: Optional[DeviceConfig],
         optimisations: bool,
+        builds: Optional[Sequence[Union[CompiledKernel, Outcome]]] = None,
     ) -> EmiBaseResult:
         """Run all ``variants`` (typically including the base itself) on one
-        configuration and summarise the outcomes."""
+        configuration and summarise the outcomes.  ``builds`` are the
+        variants' :meth:`compile_variant` results, when the caller already
+        compiled them."""
+        if builds is None:
+            builds = [
+                self.compile_variant(variant, config, optimisations)
+                for variant in variants
+            ]
         outcomes: List[Outcome] = []
         values: List[str] = []
-        for variant in variants:
-            outcome, result = self.run_single(variant, config, optimisations)
+        for built in builds:
+            outcome, result = self._execute_variant(built)
             outcomes.append(outcome)
             if result is not None:
                 values.append(result.result_hash())
@@ -114,6 +122,32 @@ class EmiHarness(ExecutionHarnessBase):
 
     # ------------------------------------------------------------------
 
+    def compile_variant(
+        self,
+        program: ast.Program,
+        config: Optional[DeviceConfig],
+        optimisations: bool,
+    ) -> Union[CompiledKernel, Outcome]:
+        """Compile one program on one (configuration, optimisation level)
+        pair: the compiled kernel, or the outcome of a build that failed."""
+        try:
+            return CompilerDriver(config).compile(program, optimisations=optimisations)
+        except (BuildFailure, KernelRuntimeError) as error:
+            return classify_exception(error)
+
+    def _execute_variant(
+        self, built: Union[CompiledKernel, Outcome]
+    ) -> Tuple[Outcome, Optional[KernelResult]]:
+        """Run a :meth:`compile_variant` result: its outcome and (for passing
+        runs) result."""
+        if isinstance(built, Outcome):
+            return built, None
+        try:
+            result = self._execute(built)
+        except (BuildFailure, KernelRuntimeError) as error:
+            return classify_exception(error), None
+        return Outcome.PASS, result
+
     def run_single(
         self,
         program: ast.Program,
@@ -122,15 +156,7 @@ class EmiHarness(ExecutionHarnessBase):
     ) -> Tuple[Outcome, Optional[KernelResult]]:
         """Compile and run one program on one (configuration, optimisation
         level) pair, returning its outcome and (for passing runs) result."""
-        try:
-            compiled = CompilerDriver(config).compile(program, optimisations=optimisations)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return classify_exception(error), None
-        try:
-            result = self._execute(compiled)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return classify_exception(error), None
-        return Outcome.PASS, result
+        return self._execute_variant(self.compile_variant(program, config, optimisations))
 
 
 __all__ = ["EmiHarness", "EmiBaseResult"]

@@ -17,7 +17,7 @@ from repro.platforms import get_configuration
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
 from repro.testing.campaign import BenchmarkEmiResult, worst_code
 from repro.testing.emi_harness import EmiHarness
-from repro.testing.outcomes import Outcome, classify_exception
+from repro.testing.outcomes import table3_code
 from repro.workloads import race_free_workloads
 
 #: A representative column subset of Table 3: reliable GPUs/CPUs, the buggy
@@ -52,18 +52,7 @@ def _run_table3():
                         outcome = harness.compare_expected(
                             injected, expected, config, optimisations
                         )
-                        if outcome is Outcome.PASS:
-                            codes.append("ok")
-                        elif outcome is Outcome.WRONG_CODE:
-                            codes.append("w")
-                        elif outcome is Outcome.BUILD_FAILURE:
-                            codes.append("bf")
-                        elif outcome is Outcome.RUNTIME_CRASH:
-                            codes.append("c")
-                        elif outcome is Outcome.TIMEOUT:
-                            codes.append("to")
-                        else:
-                            codes.append("ng")
+                        codes.append(table3_code(outcome))
             grid.set_cell(workload.name, f"config{config_id}", worst_code(codes))
     return grid, [w.name for w in benchmarks]
 

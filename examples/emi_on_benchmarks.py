@@ -15,20 +15,11 @@ from repro.emi.injector import inject_emi_blocks
 from repro.platforms import get_configuration
 from repro.testing.campaign import BenchmarkEmiResult, worst_code
 from repro.testing.emi_harness import EmiHarness
-from repro.testing.outcomes import Outcome
+from repro.testing.outcomes import table3_code
 from repro.workloads import race_free_workloads
 
 CONFIG_IDS = (1, 12, 14, 17, 19)
 VARIANTS = 3
-
-_CODES = {
-    Outcome.PASS: "ok",
-    Outcome.WRONG_CODE: "w",
-    Outcome.RUNTIME_CRASH: "c",
-    Outcome.TIMEOUT: "to",
-    Outcome.BUILD_FAILURE: "bf",
-    Outcome.UNDEFINED_BEHAVIOUR: "ng",
-}
 
 
 def main() -> None:
@@ -49,7 +40,7 @@ def main() -> None:
                     for optimisations in (False, True):
                         outcome = harness.compare_expected(injected, expected, config,
                                                            optimisations)
-                        codes.append(_CODES[outcome])
+                        codes.append(table3_code(outcome))
             grid.set_cell(workload.name, f"config{config_id}", worst_code(codes))
 
     print("Worst EMI outcome per (benchmark, configuration) -- Table 3 style")

@@ -1,5 +1,5 @@
-"""Generic AST rewriting utilities shared by the optimisation passes and
-the bug models.
+"""Generic AST rewriting utilities shared by the optimisation passes, the
+bug models, triage's canonical renaming and the reduction passes.
 
 The rewriters are *pure*: they never mutate their input.  They walk
 bottom-up and rebuild a node only when one of its children came back as a
@@ -20,7 +20,7 @@ nothing.  Callbacks keep the contract by returning their argument
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.kernel_lang import ast
 
@@ -249,12 +249,46 @@ def rewrite_program(
     )
 
 
+def replace_statements(
+    program: ast.Program,
+    replacements: Iterable[Tuple[ast.Stmt, Sequence[ast.Stmt]]],
+) -> ast.Program:
+    """A path copy of ``program`` in which each ``(statement, new)`` pair's
+    statement -- addressed by object identity -- is replaced by the
+    statements ``new`` (``[]`` deletes it).
+
+    The reduction passes derive every candidate through this helper, so a
+    candidate shares everything off the paths to its edits with ``program``.
+    Identity addresses a position only because a statement object sits at
+    one position of a program; a statement met twice, or not met at all
+    (for instance, nested inside another addressed statement, which is
+    rebuilt before it is visited), raises ``ValueError``.
+    """
+    targets = {id(stmt): list(new) for stmt, new in replacements}
+    met = set()
+
+    def stmt_fn(stmt: ast.Stmt) -> Optional[List[ast.Stmt]]:
+        key = id(stmt)
+        if key not in targets:
+            return None
+        if key in met:
+            raise ValueError("an addressed statement sits at two positions")
+        met.add(key)
+        return targets[key]
+
+    result = rewrite_program(program, stmt_fn=stmt_fn)
+    if len(met) != len(targets):
+        raise ValueError("an addressed statement is not in the program")
+    return result
+
+
 __all__ = [
     "map_expr",
     "map_stmt",
     "rewrite_function",
     "rewrite_program",
     "replace_functions",
+    "replace_statements",
     "ExprRewriter",
     "StmtRewriter",
 ]

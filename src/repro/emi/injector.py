@@ -18,6 +18,7 @@ the paper's *substitutions* toggle:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,35 +63,33 @@ class EmiInjector:
     # ------------------------------------------------------------------
 
     def inject(self, program: ast.Program) -> Tuple[ast.Program, InjectionReport]:
-        """Return a copy of ``program`` with EMI blocks and a ``dead`` buffer."""
-        rng = GeneratorRandom(self.seed)
-        clone = program.clone()
-        kernel = clone.kernel()
+        """Return a copy of ``program`` with EMI blocks and a ``dead`` buffer.
 
-        self._ensure_dead_buffer(clone, kernel)
+        The copy is a path copy: it rebuilds the kernel (its parameters and
+        its top-level statement list), the buffer list and the metadata, and
+        shares everything else -- the kernel's own statements and every other
+        function included -- with ``program``, which is left as it is.
+        """
+        rng = GeneratorRandom(self.seed)
+        kernel = program.kernel()
+        assert kernel.body is not None
         scalars = self._kernel_scalars(kernel)
         aliased: List[str] = []
 
-        body = kernel.body
-        assert body is not None
+        statements = list(kernel.body.statements)
         for i in range(self.n_blocks):
             block_rng = rng.fork(f"block-{i}")
-            position, visible = self._choose_position(body, scalars, block_rng)
+            position, visible = self._choose_position(statements, scalars, block_rng)
             block, used = self._build_block(visible, block_rng, marker=i)
             aliased.extend(used)
-            body.statements.insert(position, block)
+            statements.insert(position, block)
 
-        clone.metadata = dict(clone.metadata)
-        clone.metadata["emi_injected_blocks"] = self.n_blocks
-        clone.metadata["emi_substitutions"] = self.substitutions
-        report = InjectionReport(self.n_blocks, self.substitutions, aliased)
-        return clone, report
-
-    # ------------------------------------------------------------------
-
-    def _ensure_dead_buffer(self, program: ast.Program, kernel: ast.FunctionDecl) -> None:
-        if not any(b.name == DEAD_ARRAY for b in program.buffers):
-            program.buffers.append(
+        params = list(kernel.params)
+        if not any(p.name == DEAD_ARRAY for p in params):
+            params.append(ast.ParamDecl(DEAD_ARRAY, ty.PointerType(ty.UINT, ty.GLOBAL)))
+        buffers = list(program.buffers)
+        if not any(b.name == DEAD_ARRAY for b in buffers):
+            buffers.append(
                 ast.BufferSpec(
                     DEAD_ARRAY,
                     ty.UINT,
@@ -99,10 +98,23 @@ class EmiInjector:
                     init="iota",
                 )
             )
-        if not any(p.name == DEAD_ARRAY for p in kernel.params):
-            kernel.params.append(
-                ast.ParamDecl(DEAD_ARRAY, ty.PointerType(ty.UINT, ty.GLOBAL))
-            )
+        injected_kernel = dataclasses.replace(
+            kernel, params=params, body=ast.Block(statements)
+        )
+        injected = dataclasses.replace(
+            program,
+            functions=[injected_kernel if fn is kernel else fn for fn in program.functions],
+            buffers=buffers,
+            metadata={
+                **program.metadata,
+                "emi_injected_blocks": self.n_blocks,
+                "emi_substitutions": self.substitutions,
+            },
+        )
+        report = InjectionReport(self.n_blocks, self.substitutions, aliased)
+        return injected, report
+
+    # ------------------------------------------------------------------
 
     def _kernel_scalars(self, kernel: ast.FunctionDecl) -> List[Tuple[int, str, ty.IntType]]:
         """``(top-level index, name, type)`` of scalar locals of the kernel."""
@@ -115,18 +127,20 @@ class EmiInjector:
 
     def _choose_position(
         self,
-        body: ast.Block,
+        statements: Sequence[ast.Stmt],
         scalars: Sequence[Tuple[int, str, ty.IntType]],
         rng: GeneratorRandom,
     ) -> Tuple[int, List[Tuple[str, ty.IntType]]]:
-        """Pick an insertion index and the variables visible at that point."""
+        """Pick an insertion index into ``statements`` (the kernel's top
+        level, with the blocks inserted so far) and the variables visible at
+        that point."""
         if scalars:
             # Insert somewhere after the first declaration so substitutions
             # have something to alias.
             first = scalars[0][0] + 1
         else:
             first = 0
-        position = rng.randint(first, len(body.statements))
+        position = rng.randint(first, len(statements))
         visible = [(name, type_) for idx, name, type_ in scalars if idx < position]
         return position, visible
 

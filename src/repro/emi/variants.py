@@ -73,9 +73,10 @@ def generate_variants(
     variants: List[ast.Program] = []
     for index, config in enumerate(grid if grid is not None else PRUNING_GRID):
         variant = prune_program(base, config, seed=seed + index)
-        variant.metadata["emi_base_fingerprint"] = base_fingerprint
-        variant.metadata["emi_variant_index"] = index
-        variants.append(variant)
+        metadata = dict(variant.metadata)
+        metadata["emi_base_fingerprint"] = base_fingerprint
+        metadata["emi_variant_index"] = index
+        variants.append(dataclasses.replace(variant, metadata=metadata))
     return variants
 
 

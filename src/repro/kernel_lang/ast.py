@@ -6,26 +6,30 @@ bug of Figure 2(f)), address-of/dereference, and calls to builtins or
 user-defined functions; statements include barriers and the structured
 control flow constructs that CLsmith emits.
 
-Every node supports :meth:`clone` (a deep copy, used by the EMI injector and
-the test-case reducer, which edit the copy in place; triage no longer
-clones, it builds its renamed copy with the rewrite helpers) and
-:meth:`children` (generic traversal used by analyses and the printer tests).
+Every node supports :meth:`children` (generic traversal used by analyses
+and the printer tests) and :meth:`clone`, a deep copy for placing a copy of
+a subtree at a second position of the same program.
 
-Programs may share subtrees.  The optimisation passes, the bug models and
-triage's canonical renaming return programs that share nodes with their
-input (:mod:`repro.compiler.rewrite`): a rewrite rebuilds only the path to
-what it changes, and one that changes nothing returns its input -- the very
-node, function or program object it was given.  EMI variants are path
-copies that share every subtree outside their pruned EMI blocks with their
-base (:func:`repro.emi.pruning.prune_program`), and ``invert_dead_array``
-and ``mark_base_fingerprint`` results share all of their input's functions.
+Programs share subtrees, because path copying is the one way a program is
+derived from another: the optimisation passes, the bug models and triage's
+canonical renaming (:mod:`repro.compiler.rewrite`), EMI variants
+(:func:`repro.emi.pruning.prune_program`), the EMI injector
+(:mod:`repro.emi.injector`) and every reduction candidate
+(:mod:`repro.reduction.passes`) rebuild only the path to what they change
+and share every other node with their input.  A rewrite that changes
+nothing returns its input -- the very node, function or program object it
+was given -- and ``invert_dead_array`` and ``mark_base_fingerprint``
+results share all of their input's functions.
 
-Contract: never edit a node that is reachable from a program you did not
-clone yourself -- clone the program and edit the clone.  An edit to a shared
-node would silently change every program that reaches it, and compilation
-memoises what it derives from a program on the program object itself
-(:meth:`Program.memoised`), so it would also go stale.  A clone starts with
-an empty memo.
+Contract: no node is edited after it is built.  That is the whole soundness
+condition of sharing -- an edit to a shared node would silently change every
+program that reaches it -- and of :meth:`Program.memoised`, which keeps what
+compilation derives from a program on the program object itself.  A
+statement also sits at one position of a program, because the reduction
+passes address the statements they edit by identity
+(:func:`repro.compiler.rewrite.replace_statements`); a subtree needed at a
+second position is placed there as a :meth:`clone` (unrolled loop bodies,
+inlined calls, the ATOMIC SECTION hash).
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ class Node:
     """Base class of all AST nodes."""
 
     def clone(self) -> "Node":
-        """Return a deep copy of this node, for the EMI injector and the
-        reducer to edit (triage no longer clones; a rewrite that changes
-        nothing returns its input rather than a copy)."""
+        """Return a deep copy of this node, to place at a second position of
+        the same program.  Never a way to derive one program from another:
+        that is a path copy (module docstring)."""
         return copy.deepcopy(self)
 
     def children(self) -> Iterator["Node"]:
@@ -615,9 +619,8 @@ class Program(Node):
         The one lookup behind every fact compilation derives from a program
         whatever the configuration: its fingerprint, its validation verdict,
         the default pipeline's output, its feature flags and each named bug
-        model's verdict.  Sound because
-        nodes are edited only in a fresh clone, before anything is derived
-        from it (module docstring).
+        model's verdict.  Sound because no node is edited after it is built
+        (module docstring).
         """
         try:
             memo = self._memo
@@ -628,8 +631,9 @@ class Program(Node):
         return memo[key]
 
     def __getstate__(self) -> Dict[str, object]:
-        # Copies -- clone(), copy.copy, pickled jobs -- start with an empty
-        # memo: a clone is usually edited next.
+        # Copies -- clone(), copy.copy, pickled jobs and stored reproducers --
+        # start with an empty memo: it caches facts about this object, and a
+        # pickle carries the program, not what was derived from it.
         state = dict(self.__dict__)
         state.pop("_memo", None)
         return state

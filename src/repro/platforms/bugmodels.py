@@ -263,7 +263,7 @@ class AmdCharFirstStructBug(BugModel):
                 and stmt.init.elements
             ):
                 broken = ast.InitList(
-                    [ast.IntLiteral(0, ty.CHAR)] + [e.clone() for e in stmt.init.elements[1:]]
+                    [ast.IntLiteral(0, ty.CHAR)] + stmt.init.elements[1:]
                 )
                 return [ast.DeclStmt(stmt.name, stmt.type, broken, stmt.address_space, stmt.volatile)]
             return None
@@ -600,8 +600,8 @@ class IntelUnreachableLoopBarrierBug(BugModel):
             ):
                 return [
                     ast.AssignStmt(
-                        stmt.target.clone(),
-                        ast.BinaryOp("^", stmt.value.clone(), ast.IntLiteral(1, ty.ULONG)),
+                        stmt.target,
+                        ast.BinaryOp("^", stmt.value, ast.IntLiteral(1, ty.ULONG)),
                         "=",
                     )
                 ]

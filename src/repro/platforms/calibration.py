@@ -250,8 +250,8 @@ class StochasticDefectModel(BugModel):
                 state["done"] = True
                 return [
                     ast.AssignStmt(
-                        stmt.target.clone(),
-                        ast.BinaryOp("^", stmt.value.clone(), ast.IntLiteral(delta, ty.ULONG)),
+                        stmt.target,
+                        ast.BinaryOp("^", stmt.value, ast.IntLiteral(delta, ty.ULONG)),
                         stmt.op,
                     )
                 ]

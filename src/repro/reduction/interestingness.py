@@ -28,10 +28,13 @@ runs classifies as :data:`~repro.testing.outcomes.Outcome.
 UNDEFINED_BEHAVIOUR` is rejected outright, whatever else it reproduces --
 a reducer that trades a miscompilation for undefined behaviour has destroyed
 the reproducer (UB-afflicted tests are never counted as miscompilations).
-Candidates are statically validated first, and any unexpected execution
-error rejects the candidate rather than aborting the reduction, so the
+Candidates are statically validated first, and a build failure or kernel
+runtime error that escapes the harness's own classification rejects the
+candidate (an ``error_rejection``) rather than aborting the reduction, so the
 reducer is robust against passes producing semantically-nonsensical (but
-well-formed) programs.
+well-formed) programs.  Any other exception is a bug in the predicate or
+the harness and propagates: contained, it would reject every candidate, the
+original included, and silently leave every anomaly unreduced.
 
 The two signature predicates are **lazy**: nearly every candidate fails,
 so they evaluate one cell at a time -- the signature's ``bf`` cells first
@@ -184,7 +187,8 @@ def _contradicts(outcome: Outcome, expected: str) -> bool:
 
 
 class InterestingnessPredicate:
-    """Base class: validation, UB guard, error containment and stats."""
+    """Base class: validation, UB guard, build/runtime error containment
+    and stats."""
 
     #: Short registry name used by :class:`PredicateSpec` / job shipping.
     kind = "interestingness"
@@ -212,8 +216,9 @@ class InterestingnessPredicate:
         except _UBRejected:
             self.stats.ub_rejections += 1
             return False
-        except Exception:  # noqa: BLE001 - a broken candidate must never
-            # abort the whole reduction; it is simply not a reproducer.
+        except (BuildFailure, KernelRuntimeError):
+            # A candidate that breaks the build or the run outside the
+            # harness's classification is simply not a reproducer.
             self.stats.error_rejections += 1
             return False
         if verdict:
@@ -431,12 +436,12 @@ class MismatchPredicate(InterestingnessPredicate):
 def refresh_base_fingerprint(base: ast.Program) -> ast.Program:
     """A copy of ``base`` whose EMI fingerprint is derived from its own code.
 
-    Reduction candidates are deep clones and would otherwise inherit the
-    *original* kernel's ``emi_base_fingerprint`` metadata
-    (``mark_base_fingerprint`` keeps an existing mark), letting
-    fingerprint-keyed calibrated defects keep firing for shrinks that no
-    longer contain the triggering code at all -- the candidate would then
-    "reproduce" through an invisible metadata field.
+    Reduction candidates are path copies that keep the current program's
+    metadata, so they would otherwise inherit the *original* kernel's
+    ``emi_base_fingerprint`` (``mark_base_fingerprint`` keeps an existing
+    mark), letting fingerprint-keyed calibrated defects keep firing for
+    shrinks that no longer contain the triggering code at all -- the
+    candidate would then "reproduce" through an invisible metadata field.
     """
     metadata = {
         key: value

@@ -24,6 +24,14 @@ Design contract, property-tested in ``tests/test_reduction_passes.py``:
   seeded ``rng`` produce the same candidate sequence, which is what makes
   whole reductions replayable and backend-independent.
 
+Every candidate is a **path copy** of the current program: a pass addresses
+the statements it edits by identity (:func:`repro.compiler.rewrite.
+replace_statements`) or swaps a function, struct, parameter list, buffer or
+the launch with :func:`dataclasses.replace`, so the candidate shares every
+node off the paths to its edits with the current program, which is left as
+it is (``tests/test_path_copy_edits.py`` pins the candidate streams and
+checks both).
+
 The passes mirror the manual tricks the paper's authors applied by hand:
 
 ``compound-delete``   delete a whole ``if``/``for``/``while`` subtree
@@ -49,6 +57,7 @@ The passes mirror the manual tricks the paper's authors applied by hand:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -96,26 +105,23 @@ def size_key(program: ast.Program) -> int:
 
 
 def all_blocks(program: ast.Program) -> List[ast.Block]:
-    """Every :class:`~repro.kernel_lang.ast.Block` in deterministic pre-order.
-
-    The same traversal on a clone visits structurally-identical blocks in the
-    same order, which is how candidate descriptors computed on the current
-    program are applied to a fresh clone.
-    """
+    """Every :class:`~repro.kernel_lang.ast.Block` in deterministic pre-order:
+    the order in which the statement-level passes visit their edit sites."""
     return [node for node in program.walk() if isinstance(node, ast.Block)]
 
 
 _BRANCH_STMTS = (ast.IfStmt, ast.ForStmt, ast.WhileStmt)
 
 
-def _branch_sites(program: ast.Program) -> List[Tuple[int, int]]:
-    """(block index, statement index) of every branch statement."""
-    sites: List[Tuple[int, int]] = []
-    for b_idx, block in enumerate(all_blocks(program)):
-        for s_idx, stmt in enumerate(block.statements):
-            if isinstance(stmt, _BRANCH_STMTS):
-                sites.append((b_idx, s_idx))
-    return sites
+def _branch_sites(program: ast.Program) -> List[ast.Stmt]:
+    """Every branch statement of a statement list, in :func:`all_blocks`
+    order."""
+    return [
+        stmt
+        for block in all_blocks(program)
+        for stmt in block.statements
+        if isinstance(stmt, _BRANCH_STMTS)
+    ]
 
 
 class ReductionPass:
@@ -165,19 +171,11 @@ class CompoundDeletionPass(ReductionPass):
     name = "compound-delete"
 
     def propose(self, program, rng):
-        sites = _branch_sites(program)
-        blocks = all_blocks(program)
         # Biggest subtrees first: deleting them early saves the most work.
-        sites.sort(
-            key=lambda site: (
-                -ast.count_nodes(blocks[site[0]].statements[site[1]]),
-                site,
-            )
-        )
-        for b_idx, s_idx in sites:
-            clone = program.clone()
-            del all_blocks(clone)[b_idx].statements[s_idx]
-            yield clone
+        # The sort is stable, so equal sizes keep their site order.
+        sites = sorted(_branch_sites(program), key=lambda stmt: -ast.count_nodes(stmt))
+        for stmt in sites:
+            yield rewrite.replace_statements(program, [(stmt, [])])
 
 
 class StatementDeletionPass(ReductionPass):
@@ -204,16 +202,16 @@ class StatementDeletionPass(ReductionPass):
         return sizes
 
     def propose(self, program, rng):
-        for b_idx, block in enumerate(all_blocks(program)):
-            n = len(block.statements)
+        for block in all_blocks(program):
+            statements = block.statements
+            n = len(statements)
             if n == 0:
                 continue
             for chunk in self._chunk_sizes(n):
                 for start in range(0, n, chunk):
-                    clone = program.clone()
-                    target = all_blocks(clone)[b_idx]
-                    del target.statements[start:start + chunk]
-                    yield clone
+                    yield rewrite.replace_statements(
+                        program, [(stmt, []) for stmt in statements[start:start + chunk]]
+                    )
 
 
 class ChildLiftPass(ReductionPass):
@@ -222,12 +220,8 @@ class ChildLiftPass(ReductionPass):
     name = "child-lift"
 
     def propose(self, program, rng):
-        for b_idx, s_idx in _branch_sites(program):
-            clone = program.clone()
-            block = all_blocks(clone)[b_idx]
-            stmt = block.statements[s_idx]
-            block.statements[s_idx:s_idx + 1] = self._lifted(stmt)
-            yield clone
+        for stmt in _branch_sites(program):
+            yield rewrite.replace_statements(program, [(stmt, self._lifted(stmt))])
 
     @staticmethod
     def _lifted(stmt: ast.Stmt) -> List[ast.Stmt]:
@@ -293,21 +287,19 @@ class FunctionPrunePass(ReductionPass):
                 called |= analysis.called_functions(fn.body)
 
         # Drop each individually-uncalled helper (definition or forward decl).
-        for idx, fn in enumerate(program.functions):
+        functions = program.functions
+        for idx, fn in enumerate(functions):
             if fn.name == program.kernel_name or fn.name in called:
                 continue
-            clone = program.clone()
-            del clone.functions[idx]
-            yield clone
+            yield rewrite.replace_functions(program, functions[:idx] + functions[idx + 1:])
 
         # Drop each unreferenced struct/union definition.
         referenced = _referenced_type_names(program)
-        for idx, st in enumerate(program.structs):
+        structs = program.structs
+        for idx, st in enumerate(structs):
             if st.name in referenced:
                 continue
-            clone = program.clone()
-            del clone.structs[idx]
-            yield clone
+            yield dataclasses.replace(program, structs=structs[:idx] + structs[idx + 1:])
 
         # Inline simple helpers wholesale, then sweep what became uncalled.
         # InlinePass never mutates its input; the sweep happens on its output.
@@ -344,13 +336,14 @@ class DeadParamBufferPass(ReductionPass):
         for param in kernel.params:
             if param.name in used:
                 continue
-            clone = program.clone()
-            clone_kernel = clone.kernel()
-            clone_kernel.params = [
-                p for p in clone_kernel.params if p.name != param.name
-            ]
-            clone.buffers = [b for b in clone.buffers if b.name != param.name]
-            yield clone
+            trimmed = dataclasses.replace(
+                kernel, params=[p for p in kernel.params if p.name != param.name]
+            )
+            yield dataclasses.replace(
+                program,
+                functions=[trimmed if fn is kernel else fn for fn in program.functions],
+                buffers=[b for b in program.buffers if b.name != param.name],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +372,26 @@ class ExprToLiteralPass(ReductionPass):
     name = "expr-to-literal"
 
     def propose(self, program, rng):
-        sites: List[Tuple[int, int]] = []
-        blocks = all_blocks(program)
-        for b_idx, block in enumerate(blocks):
-            for s_idx, stmt in enumerate(block.statements):
+        sites: List[ast.Stmt] = []
+        for block in all_blocks(program):
+            for stmt in block.statements:
                 slot = _EXPR_SLOTS.get(type(stmt))
                 if slot is None:
                     continue
                 expr = getattr(stmt, slot)
                 if expr is None or isinstance(expr, ast.IntLiteral):
                     continue
-                sites.append((b_idx, s_idx))
+                sites.append(stmt)
         if len(sites) > _MAX_EXPR_SITES:
-            sites = sorted(rng.sample(sites, _MAX_EXPR_SITES))
-        for b_idx, s_idx in sites:
-            stmt = blocks[b_idx].statements[s_idx]
+            # Sampling positions draws what sampling the sites would; sorting
+            # them keeps the sample in site order.
+            chosen = sorted(rng.sample(range(len(sites)), _MAX_EXPR_SITES))
+            sites = [sites[i] for i in chosen]
+        for stmt in sites:
             slot = _EXPR_SLOTS[type(stmt)]
-            expr = getattr(stmt, slot)
-            for replacement in self._replacements(expr, stmt):
-                clone = program.clone()
-                target = all_blocks(clone)[b_idx].statements[s_idx]
-                setattr(target, slot, replacement)
-                yield clone
+            for replacement in self._replacements(getattr(stmt, slot), stmt):
+                edited = dataclasses.replace(stmt, **{slot: replacement})
+                yield rewrite.replace_statements(program, [(stmt, [edited])])
 
     @staticmethod
     def _replacements(expr: ast.Expr, stmt: ast.Stmt) -> List[ast.Expr]:
@@ -414,14 +405,16 @@ class ExprToLiteralPass(ReductionPass):
         if not isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
             out.append(ast.IntLiteral(1, literal_type))
         # Operand hoisting: keep a sub-tree, drop the rest of the expression.
+        # The sub-tree moves into the statement that replaces ``stmt``, so it
+        # still sits at one position.
         if isinstance(expr, ast.BinaryOp):
-            out.append(expr.left.clone())
-            out.append(expr.right.clone())
+            out.append(expr.left)
+            out.append(expr.right)
         elif isinstance(expr, (ast.UnaryOp, ast.Cast)):
-            out.append(expr.operand.clone())
+            out.append(expr.operand)
         elif isinstance(expr, ast.Conditional):
-            out.append(expr.then.clone())
-            out.append(expr.otherwise.clone())
+            out.append(expr.then)
+            out.append(expr.otherwise)
         return out
 
 
@@ -436,25 +429,25 @@ class LoopShrinkPass(ReductionPass):
     name = "loop-shrink"
 
     def propose(self, program, rng):
-        loops: List[Tuple[int, ast.ForStmt]] = []
-        for idx, node in enumerate(program.walk()):
-            if (
-                isinstance(node, ast.ForStmt)
-                and isinstance(node.cond, ast.BinaryOp)
-                and node.cond.op in ("<", "<=")
-                and isinstance(node.cond.right, ast.IntLiteral)
-            ):
-                loops.append((idx, node))
-        for node_idx, loop in loops:
+        loops = [
+            node
+            for node in program.walk()
+            if isinstance(node, ast.ForStmt)
+            and isinstance(node.cond, ast.BinaryOp)
+            and node.cond.op in ("<", "<=")
+            and isinstance(node.cond.right, ast.IntLiteral)
+        ]
+        for loop in loops:
             bound = loop.cond.right
             shrunk = sorted({1, bound.value // 2} - {bound.value})
             for new_value in shrunk:
                 if new_value < 0 or new_value >= bound.value:
                     continue
-                clone = program.clone()
-                target = list(clone.walk())[node_idx]
-                target.cond.right = ast.IntLiteral(new_value, bound.type)
-                yield clone
+                cond = dataclasses.replace(
+                    loop.cond, right=ast.IntLiteral(new_value, bound.type)
+                )
+                shrunk_loop = dataclasses.replace(loop, cond=cond)
+                yield rewrite.replace_statements(program, [(loop, [shrunk_loop])])
 
 
 class GridShrinkPass(ReductionPass):
@@ -488,9 +481,7 @@ class GridShrinkPass(ReductionPass):
             if key in seen:
                 continue
             seen.add(key)
-            clone = program.clone()
-            clone.launch = spec
-            yield clone
+            yield dataclasses.replace(program, launch=spec)
 
         # Shrink buffers that are larger than the (possibly already shrunk)
         # thread count; out-of-bounds candidates are vetoed by the UB guard.
@@ -498,9 +489,9 @@ class GridShrinkPass(ReductionPass):
         for idx, buf in enumerate(program.buffers):
             if buf.size <= threads:
                 continue
-            clone = program.clone()
-            clone.buffers[idx].size = max(threads, 1)
-            yield clone
+            buffers = list(program.buffers)
+            buffers[idx] = dataclasses.replace(buf, size=max(threads, 1))
+            yield dataclasses.replace(program, buffers=buffers)
 
 
 #: The default pass schedule: coarsest reductions first.

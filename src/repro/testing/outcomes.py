@@ -72,6 +72,12 @@ def classify_exception(error: BaseException) -> Outcome:
 OUTCOME_SEVERITY = {"w": 5, "bf": 4, "c": 3, "to": 2, "ng": 1, "ok": 0, "?": -1}
 
 
+def table3_code(outcome: Outcome) -> str:
+    """The Table 3 code of one run: the outcome's own code, except that
+    undefined behaviour is ``ng`` (the test cannot be run meaningfully)."""
+    return "ng" if outcome is Outcome.UNDEFINED_BEHAVIOUR else outcome.value
+
+
 def worst_code(codes: Sequence[str]) -> str:
     """The paper's 'worst outcome' aggregation for Table 3 (``"?"`` for no
     codes; unknown codes rank with ``"?"``)."""
@@ -174,5 +180,5 @@ class OutcomeCounts:
         )
 
 
-__all__ = ["Outcome", "classify_exception", "OUTCOME_SEVERITY", "worst_code",
-           "cell_label", "TestRecord", "OutcomeCounts"]
+__all__ = ["Outcome", "classify_exception", "OUTCOME_SEVERITY", "table3_code",
+           "worst_code", "cell_label", "TestRecord", "OutcomeCounts"]

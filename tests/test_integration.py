@@ -14,7 +14,7 @@ from repro.testing.campaign import (
 )
 from repro.testing.differential import DifferentialHarness
 from repro.testing.emi_harness import EmiHarness
-from repro.testing.outcomes import Outcome
+from repro.testing.outcomes import Outcome, table3_code
 from repro.testing.reliability import ReliabilityClassifier
 from repro.emi.injector import inject_emi_blocks
 from repro.compiler import compile_program
@@ -62,7 +62,7 @@ def test_emi_over_a_workload_matches_table3_cell_semantics():
     for substitutions in (False, True):
         injected = inject_emi_blocks(program, seed=1, n_blocks=1, substitutions=substitutions)
         outcome = harness.compare_expected(injected, expected, None, True)
-        codes.append("ok" if outcome is Outcome.PASS else "w")
+        codes.append(table3_code(outcome))
     grid = BenchmarkEmiResult()
     grid.set_cell(workload.name, "reference", worst_code(codes))
     assert grid.cell(workload.name, "reference") == "ok"

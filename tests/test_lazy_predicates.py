@@ -14,8 +14,9 @@ tests lock that this saves work and changes nothing else:
   only here;
 * cost and rejection accounting: a candidate whose first ``bf`` cell
   builds costs one compile and no result-cache lookup, an accepted
-  candidate runs every cell, and a UB run in the first evaluated cell is an
-  ``ub_rejection`` under both predicates;
+  candidate runs every cell, a UB run in the first evaluated cell is an
+  ``ub_rejection`` under both predicates, and only build and runtime errors
+  are contained as an ``error_rejection`` (any other exception propagates);
 * byte identity: a small CLsmith and a small EMI auto-triage campaign
   produce the report and the reductions they produced when every
   candidate ran every cell (pinned).
@@ -51,6 +52,7 @@ from repro.reduction.interestingness import (
     refresh_base_fingerprint,
 )
 from repro.reduction.passes import DEFAULT_PASSES
+from repro.runtime.errors import KernelRuntimeError
 from repro.testing.campaign import (
     generate_emi_bases,
     run_clsmith_campaign,
@@ -348,6 +350,43 @@ def test_a_ub_run_in_the_first_evaluated_cell_is_an_ub_rejection(kind, monkeypat
     assert len(cells) == 1
     assert predicate.stats.ub_rejections == 1
     assert predicate.stats.accepted == 0
+
+
+def _predicate_that_votes():
+    """A kernel and a predicate built from it that reaches the vote: its
+    signature is the crash device's two cells, which the kernel keeps."""
+    program = generate_kernel(Mode.BASIC, 3, options=_OPTIONS)
+    configs = [clean_config(911), clean_config(912), crash_config()]
+    predicate = DifferentialSignaturePredicate.from_program(
+        program, configs, max_steps=_MAX_STEPS, engine=_ENGINE
+    )
+    return program, predicate
+
+
+def _failing_vote(monkeypatch, error):
+    def vote(self, records):
+        raise error
+
+    monkeypatch.setattr(DifferentialHarness, "vote", vote)
+
+
+def test_a_bug_in_the_predicate_propagates_instead_of_rejecting(monkeypatch):
+    """Only build and runtime errors are contained: a ``TypeError`` is a bug,
+    and rejecting on it would leave every anomaly silently unreduced."""
+    program, predicate = _predicate_that_votes()
+    _failing_vote(monkeypatch, TypeError("a bug in the vote"))
+    with pytest.raises(TypeError):
+        predicate(program)
+
+
+def test_a_runtime_error_outside_the_harness_is_one_error_rejection(monkeypatch):
+    program, predicate = _predicate_that_votes()
+    _failing_vote(monkeypatch, KernelRuntimeError("raised past the harness"))
+    assert predicate(program) is False
+    assert predicate.stats.as_dict() == {
+        "evaluations": 1, "accepted": 0, "ub_rejections": 0,
+        "invalid_rejections": 0, "error_rejections": 1,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ reduction signatures built on top of it.
 import itertools
 
 from repro.testing.campaign import worst_code
-from repro.testing.outcomes import OUTCOME_SEVERITY as _OUTCOME_SEVERITY
+from repro.testing.outcomes import OUTCOME_SEVERITY as _OUTCOME_SEVERITY, Outcome, table3_code
 from repro.testing.emi_harness import EmiBaseResult
 
 #: The paper's Table 3 legend, most severe first.
@@ -36,6 +36,16 @@ def test_worst_code_follows_the_order_pairwise_and_overall():
     assert worst_code([]) == "?"
     # Unknown codes never outrank known ones.
     assert worst_code(["mystery", "to"]) == "to"
+
+
+def test_every_run_outcome_has_one_ranked_table3_code():
+    """``table3_code`` is the one Outcome-to-Table-3 mapping: an outcome's
+    own code, except undefined behaviour, which is ``ng``.  Every run
+    outcome lands in the legend, so none ranks with the placeholder."""
+    codes = {outcome: table3_code(outcome) for outcome in Outcome}
+    assert codes.pop(Outcome.UNDEFINED_BEHAVIOUR) == "ng"
+    assert all(code == outcome.value for outcome, code in codes.items())
+    assert set(codes.values()) | {"ng"} == set(TABLE3_ORDER)
 
 
 def _cell(**flags) -> EmiBaseResult:

@@ -1,9 +1,10 @@
 """The compiler driver: front end, optimisation, bug-model application.
 
-:meth:`CompilerDriver.compile` is the entry point the testing harnesses,
-interestingness predicates and bisection use (``compile_program`` is a
-convenience wrapper).  It mirrors what happens inside a real OpenCL driver's
-``clBuildProgram``:
+:meth:`CompilerDriver.compile` is the build step of the one cell path
+(:class:`repro.testing.harness_base.ExecutionHarnessBase`), which the
+testing harnesses, interestingness predicates and bisection use
+(``compile_program`` is a convenience wrapper).  It mirrors what happens
+inside a real OpenCL driver's ``clBuildProgram``:
 
 1. front-end validation (may raise :class:`BuildFailure`), including any
    configuration-specific front-end defects (e.g. configuration 15 rejecting
@@ -19,16 +20,20 @@ differ.
 
 A campaign compiles each program for every configuration at opt- and opt+.
 Validation and the default pipeline depend only on the program and the
-optimisation level, never on the configuration, so ``compile`` memoises the
-validation verdict and the optimised program on the program object
-(:meth:`~repro.kernel_lang.ast.Program.memoised`), as
+optimisation level, never on the configuration, so both are memoised on the
+program object (:meth:`~repro.kernel_lang.ast.Program.memoised`), as
 :func:`~repro.platforms.calibration.program_fingerprint`, the
 ``analysis.uses_*`` flags and the named bug models' verdicts
-(:meth:`~repro.platforms.bugmodels.BugModel.triggers`) do.  That is sound because
-validation and the passes are deterministic, neither the passes nor the bug
-models edit their input, and a program is not edited once compiled (the
-contract in :mod:`repro.kernel_lang.ast`; copies start with an empty memo).
-A caller-supplied ``pipeline=`` (pass bisection) bypasses the memo.
+(:meth:`~repro.platforms.bugmodels.BugModel.triggers`) are.  The validation
+memo is :func:`repro.kernel_lang.semantics.validation_error`, shared with
+reduction: the pass filter and the interestingness predicates ask it too, so
+a reduction candidate is validated once.  ``compile`` memoises the
+optimised program.  That is sound because validation and the passes are
+deterministic, neither the passes nor the bug models edit their input, and
+a program is not edited once compiled (the contract in
+:mod:`repro.kernel_lang.ast`; copies start with an empty memo).  A
+caller-supplied ``pipeline=`` (pass bisection) bypasses the optimised
+program's memo.
 
 The memoised optimised program may be the input object itself: a pass that
 changes nothing returns its input (:mod:`repro.compiler.rewrite`), so when
@@ -44,7 +49,7 @@ from typing import Dict, Optional
 
 from repro.compiler.pipeline import OptimisationLevel, Pipeline, default_pipeline
 from repro.kernel_lang import ast
-from repro.kernel_lang.semantics import ValidationError, validate_program
+from repro.kernel_lang.semantics import validation_error
 from repro.runtime.device import Device, KernelResult
 from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, ExecutionTimeout, RuntimeCrash
@@ -114,7 +119,7 @@ class CompilerDriver:
     ) -> CompiledKernel:
         """Compile ``program``; raises :class:`BuildFailure` on rejection."""
         level = OptimisationLevel.from_flag(optimisations)
-        error = program.memoised("validation", lambda: _validation_error(program))
+        error = validation_error(program)
         if error is not None:
             raise BuildFailure(error)
 
@@ -145,15 +150,6 @@ class CompilerDriver:
             config_name=config_name,
             execution_flags=execution_flags,
         )
-
-
-def _validation_error(program: ast.Program) -> Optional[str]:
-    """The front end's verdict: ``None`` if valid, else the rejection."""
-    try:
-        validate_program(program)
-    except ValidationError as exc:
-        return str(exc)
-    return None
 
 
 def compile_program(

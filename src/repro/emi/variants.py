@@ -80,6 +80,15 @@ def generate_variants(
     return variants
 
 
+def emi_family(
+    base: ast.Program, variants_per_base: Optional[int], seed: int
+) -> List[ast.Program]:
+    """``base`` followed by its first ``variants_per_base`` pruned variants
+    (the whole grid for ``None``): the family an EMI cell runs.  Callers
+    mark or refresh the base's fingerprint first."""
+    return [base] + generate_variants(base, PRUNING_GRID[:variants_per_base], seed=seed)
+
+
 def invert_dead_array(program: ast.Program, dead_name: str = "dead") -> ast.Program:
     """Return a copy whose ``dead`` array initialisation is inverted.
 
@@ -104,6 +113,7 @@ def invert_dead_array(program: ast.Program, dead_name: str = "dead") -> ast.Prog
 
 __all__ = [
     "PRUNING_GRID",
+    "emi_family",
     "generate_variants",
     "invert_dead_array",
     "mark_base_fingerprint",

@@ -242,10 +242,31 @@ def validate_program(program: ast.Program, strict: bool = True) -> List[Diagnost
     return diags
 
 
+def validation_error(program: ast.Program) -> Optional[str]:
+    """The front end's verdict on ``program``: ``None`` if it is well formed,
+    else the rejection message.
+
+    Memoised on the program object (:meth:`~repro.kernel_lang.ast.Program.
+    memoised`, key ``"validation"``), so the reduction pass filter, the
+    interestingness predicates and ``CompilerDriver.compile`` ask for one
+    verdict and each program object is validated once.
+    """
+
+    def verdict() -> Optional[str]:
+        try:
+            validate_program(program)
+        except ValidationError as error:
+            return str(error)
+        return None
+
+    return program.memoised("validation", verdict)
+
+
 __all__ = [
     "UBKind",
     "Diagnostic",
     "ValidationError",
     "Validator",
     "validate_program",
+    "validation_error",
 ]

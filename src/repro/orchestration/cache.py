@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable
 
 #: Default number of execution results a harness-level cache retains.
 DEFAULT_CACHE_SIZE = 4096
@@ -120,22 +120,22 @@ class ResultCache:
 
 
 def cached_run(
-    cache: Optional[ResultCache],
+    cache: ResultCache,
     compiled: Any,
     max_steps: int,
     engine: str = "reference",
 ) -> Any:
-    """Execute a compiled program, memoising through ``cache`` when given.
+    """Execute a compiled program, memoising through ``cache``.
 
-    This is the single execution-caching path shared by the differential and
-    EMI harnesses, so the key policy (program fingerprint + execution flags +
-    step budget + execution engine) and the hit/miss accounting cannot drift
-    between them.  Only a miss executes the kernel, lowering it afresh.  The
-    key covers every input of a lowering (fingerprint, comma flag, budget,
-    engine), so a repeat launch is a hit and never reaches the engine.
+    This is the single execution-caching path, called by the one cell path
+    (:meth:`repro.testing.harness_base.ExecutionHarnessBase.execute_cell`)
+    that every harness, predicate and bisection probe runs, so the key
+    policy (program fingerprint + execution flags + step budget + execution
+    engine) and the hit/miss accounting cannot drift between them.  Only a
+    miss executes the kernel, lowering it afresh.  The key covers every
+    input of a lowering (fingerprint, comma flag, budget, engine), so a
+    repeat launch is a hit and never reaches the engine.
     """
-    if cache is None:
-        return compiled.run(max_steps=max_steps, engine=engine)
     from repro.platforms.calibration import execution_cache_key
 
     key = execution_cache_key(

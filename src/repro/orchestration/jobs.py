@@ -62,12 +62,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.emi.variants import (
-    PRUNING_GRID,
-    generate_variants,
-    invert_dead_array,
-    mark_base_fingerprint,
-)
+from repro.emi.variants import emi_family, invert_dead_array, mark_base_fingerprint
 from repro.generator import generate_kernel
 from repro.generator.options import GeneratorOptions, Mode
 from repro.kernel_lang import ast
@@ -385,8 +380,8 @@ def _execute_clsmith_differential(job: CampaignJob, cache: ResultCache) -> JobRe
 def _execute_emi_base_filter(job: CampaignJob, cache: ResultCache) -> JobResult:
     candidate = job.materialise_program()
     harness = EmiHarness(max_steps=job.max_steps, cache=cache, engine=job.engine)
-    normal_outcome, normal = harness.run_single(candidate, None, True)
-    inverted_outcome, inverted = harness.run_single(
+    normal_outcome, normal = harness.run_cell(candidate, None, True)
+    inverted_outcome, inverted = harness.run_cell(
         invert_dead_array(candidate), None, True
     )
     accepted = normal_outcome is Outcome.PASS and inverted_outcome is Outcome.PASS
@@ -399,11 +394,9 @@ def _execute_emi_base_filter(job: CampaignJob, cache: ResultCache) -> JobResult:
 
 def _execute_emi_family(job: CampaignJob, cache: ResultCache) -> JobResult:
     base = job.program if job.program is not None else job.materialise_program()
-    base = mark_base_fingerprint(base)
-    variants = generate_variants(
-        base, PRUNING_GRID[: job.variants_per_base], seed=job.variant_seed
+    family = emi_family(
+        mark_base_fingerprint(base), job.variants_per_base, job.variant_seed
     )
-    family = [base] + variants
     harness = EmiHarness(max_steps=job.max_steps, cache=cache, engine=job.engine)
     cells = [
         harness.run_family(family, config, optimisations)
@@ -415,7 +408,7 @@ def _execute_emi_family(job: CampaignJob, cache: ResultCache) -> JobResult:
         job.seed,
         emi_blocks=job.emi_blocks,
         emi_cells=cells,
-        n_variants=len(variants),
+        n_variants=len(family) - 1,
     )
 
 

@@ -28,8 +28,16 @@ runs classifies as :data:`~repro.testing.outcomes.Outcome.
 UNDEFINED_BEHAVIOUR` is rejected outright, whatever else it reproduces --
 a reducer that trades a miscompilation for undefined behaviour has destroyed
 the reproducer (UB-afflicted tests are never counted as miscompilations).
-Candidates are statically validated first, and a build failure or kernel
-runtime error that escapes the harness's own classification rejects the
+
+Every cell a predicate runs takes the campaign's own cell path
+(:class:`~repro.testing.harness_base.ExecutionHarnessBase`: ``compile_cell``,
+``execute_cell``, ``run_cell``), so a candidate is compiled, run, cached and
+classified exactly as the fuzzer's oracle does it.  Candidates are
+statically validated first, through the verdict memoised on the program
+object (:func:`~repro.kernel_lang.semantics.validation_error`): a candidate
+the pass filter already validated is not validated again, and neither
+predicate nor compiler repeats the check.  A build failure or kernel
+runtime error that escapes the cell path's own classification rejects the
 candidate (an ``error_rejection``) rather than aborting the reduction, so the
 reducer is robust against passes producing semantically-nonsensical (but
 well-formed) programs.  Any other exception is a bug in the predicate or
@@ -60,17 +68,16 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.compiler.driver import CompilerDriver
-from repro.emi.variants import PRUNING_GRID, generate_variants, mark_base_fingerprint
+from repro.emi.variants import emi_family, mark_base_fingerprint
 from repro.kernel_lang import ast
-from repro.kernel_lang.semantics import ValidationError, validate_program
+from repro.kernel_lang.semantics import validation_error
 from repro.platforms.config import DeviceConfig
-from repro.runtime.device import KernelResult
 from repro.runtime.engine import DEFAULT_ENGINE
 from repro.runtime.errors import BuildFailure, KernelRuntimeError
 from repro.testing.differential import DifferentialHarness, DifferentialResult
 from repro.testing.emi_harness import EmiBaseResult, EmiHarness
-from repro.testing.outcomes import Outcome, TestRecord, cell_label, classify_exception
+from repro.testing.harness_base import ExecutionHarnessBase
+from repro.testing.outcomes import Outcome, TestRecord, cell_label, config_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.orchestration.cache import ResultCache
@@ -170,7 +177,7 @@ def _evaluation_order(
 
 def _cell_labels(cells: Sequence[Tuple[Optional[DeviceConfig], bool]]) -> List[str]:
     return [
-        cell_label(config.name if config is not None else "reference", optimisations)
+        cell_label(config_name(config), optimisations)
         for config, optimisations in cells
     ]
 
@@ -196,21 +203,17 @@ class InterestingnessPredicate:
     def __init__(self) -> None:
         self.stats = PredicateStats()
 
-    def __call__(self, candidate: ast.Program, pre_validated: bool = False) -> bool:
+    def __call__(self, candidate: ast.Program) -> bool:
         """Evaluate one candidate.
 
-        ``pre_validated=True`` skips the static well-formedness check for
-        candidates that already passed a pass filter's ``validate_program``
-        (the reducer's in-process hot path); by-value candidates arriving
-        from elsewhere (``reduce-check`` jobs, direct callers) keep it.
+        The static well-formedness verdict is memoised on the candidate
+        (:func:`~repro.kernel_lang.semantics.validation_error`), so a
+        candidate a pass filter already validated is not validated again.
         """
         self.stats.evaluations += 1
-        if not pre_validated:
-            try:
-                validate_program(candidate)
-            except ValidationError:
-                self.stats.invalid_rejections += 1
-                return False
+        if validation_error(candidate) is not None:
+            self.stats.invalid_rejections += 1
+            return False
         try:
             verdict = bool(self._check(candidate))
         except _UBRejected:
@@ -297,16 +300,13 @@ class DifferentialSignaturePredicate(InterestingnessPredicate):
         ):
             config, optimisations = cells[index]
             built = harness.compile_cell(candidate, config, optimisations)
-            if isinstance(built, TestRecord):
-                record = built
-            elif expected == "bf":
+            if expected == "bf" and not isinstance(built, Outcome):
                 return False  # it built, so it cannot be a build failure
-            else:
-                record = harness.execute_cell(built, config, optimisations)
-            self._guard_ub([record.outcome])
-            if _contradicts(record.outcome, expected):
+            outcome, result = harness.execute_cell(built)
+            self._guard_ub([outcome])
+            if _contradicts(outcome, expected):
                 return False
-            records[index] = record
+            records[index] = harness.record(config, optimisations, outcome, result)
         return differential_signature(harness.vote(records)) == self.expected_signature
 
 
@@ -339,17 +339,14 @@ class MismatchPredicate(InterestingnessPredicate):
                 f"expected class must be one of {FAILURE_CODES}, "
                 f"got {expected_class!r}"
             )
-        # Imported lazily: repro.orchestration imports this package's users.
-        from repro.orchestration.cache import ResultCache
-
         self.target_config = target_config
         self.optimisations = optimisations
         self.expected_class = expected_class
         self.baseline_config = baseline_config
         self.baseline_optimisations = baseline_optimisations
-        self.max_steps = max_steps
-        self.engine = engine
-        self.cache = cache if cache is not None else ResultCache()
+        self.harness = ExecutionHarnessBase(
+            max_steps=max_steps, cache=cache, engine=engine
+        )
 
     @classmethod
     def from_program(
@@ -376,25 +373,6 @@ class MismatchPredicate(InterestingnessPredicate):
         probe.stats = PredicateStats()
         return probe
 
-    # -- execution helpers ----------------------------------------------
-
-    def _outcome(
-        self,
-        program: ast.Program,
-        config: Optional[DeviceConfig],
-        optimisations: bool,
-    ) -> Tuple[Outcome, Optional[KernelResult]]:
-        from repro.orchestration.cache import cached_run
-
-        try:
-            compiled = CompilerDriver(config).compile(
-                program, optimisations=optimisations
-            )
-            result = cached_run(self.cache, compiled, self.max_steps, self.engine)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return classify_exception(error), None
-        return Outcome.PASS, result
-
     def observe_class(self, program: ast.Program) -> str:
         """The anomaly class this program exhibits on the target cell.
 
@@ -402,7 +380,7 @@ class MismatchPredicate(InterestingnessPredicate):
         the guard when either run is undefined (callers inside ``_check``
         inherit the rejection; direct callers see a ``ValueError``).
         """
-        base_outcome, base_result = self._outcome(
+        base_outcome, base_result = self.harness.run_cell(
             program, self.baseline_config, self.baseline_optimisations
         )
         self._guard_ub([base_outcome])
@@ -410,7 +388,7 @@ class MismatchPredicate(InterestingnessPredicate):
             # A reproducer must stay deterministic and clean on the
             # conformant baseline; anything else is not a reduction.
             return "invalid-baseline"
-        target_outcome, target_result = self._outcome(
+        target_outcome, target_result = self.harness.run_cell(
             program, self.target_config, self.optimisations
         )
         self._guard_ub([target_outcome])
@@ -425,12 +403,7 @@ class MismatchPredicate(InterestingnessPredicate):
 
     @property
     def target_label(self) -> str:
-        name = (
-            self.target_config.name
-            if self.target_config is not None
-            else "reference"
-        )
-        return cell_label(name, self.optimisations)
+        return cell_label(config_name(self.target_config), self.optimisations)
 
 
 def refresh_base_fingerprint(base: ast.Program) -> ast.Program:
@@ -504,11 +477,9 @@ class EmiFamilyPredicate(InterestingnessPredicate):
         ]
 
     def _family(self, base: ast.Program) -> List[ast.Program]:
-        base = refresh_base_fingerprint(base)
-        variants = generate_variants(
-            base, PRUNING_GRID[: self.variants_per_base], seed=self.variant_seed
+        return emi_family(
+            refresh_base_fingerprint(base), self.variants_per_base, self.variant_seed
         )
-        return [base] + variants
 
     def _family_cells(self, base: ast.Program) -> List[EmiBaseResult]:
         """Every cell of ``base``'s family, in harness order (the original's
@@ -533,7 +504,7 @@ class EmiFamilyPredicate(InterestingnessPredicate):
             builds = None
             if expected == "bf":
                 builds = [
-                    harness.compile_variant(variant, config, optimisations)
+                    harness.compile_cell(variant, config, optimisations)
                     for variant in family
                 ]
                 if not any(built is Outcome.BUILD_FAILURE for built in builds):

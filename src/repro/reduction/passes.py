@@ -12,10 +12,12 @@ the first one that still reproduces the defect.
 Design contract, property-tested in ``tests/test_reduction_passes.py``:
 
 * every candidate a pass yields **pretty-prints** (the printer accepts it)
-  and **re-validates** through :func:`repro.kernel_lang.semantics.
-  validate_program` -- passes filter out candidates that would be malformed
-  (e.g. a ddmin chunk that deletes a declaration whose variable is still
-  used) instead of handing them to the harness;
+  and **re-validates** -- passes filter out candidates that would be
+  malformed (e.g. a ddmin chunk that deletes a declaration whose variable is
+  still used) instead of handing them to the harness.  The filter asks
+  :func:`repro.kernel_lang.semantics.validation_error`, whose verdict is
+  memoised on the candidate, so the predicate and the compiler that see the
+  candidate next reuse it instead of validating it again;
 * every candidate **strictly decreases** the program's :func:`size_key`
   (AST node count + launch threads + buffer cells + struct fields), which
   makes the reduction fixpoint terminate: each accepted step decreases a
@@ -65,26 +67,7 @@ from repro.compiler import analysis, rewrite
 from repro.compiler.passes.inline import InlinePass
 from repro.emi.pruning import strip_outer_loop_control
 from repro.kernel_lang import ast, types as ty
-from repro.kernel_lang.semantics import ValidationError, validate_program
-
-
-def _literal_loop_bound_sum(program: ast.Program) -> int:
-    """Sum of literal ``for`` bounds (``i < N`` shapes), non-negative.
-
-    Part of :func:`size_key` so that shrinking a trip count registers as
-    progress: replacing one literal with a smaller one leaves the node count
-    unchanged, and without this term every loop-shrink candidate would fail
-    the strict-decrease filter.
-    """
-    total = 0
-    for node in program.walk():
-        if (
-            isinstance(node, ast.ForStmt)
-            and isinstance(node.cond, ast.BinaryOp)
-            and isinstance(node.cond.right, ast.IntLiteral)
-        ):
-            total += abs(node.cond.right.value)
-    return total
+from repro.kernel_lang.semantics import validation_error
 
 
 def size_key(program: ast.Program) -> int:
@@ -93,14 +76,27 @@ def size_key(program: ast.Program) -> int:
     AST nodes dominate; launch threads, buffer cells, struct fields and
     literal loop bounds are included so that passes which only shrink the
     launch geometry, the type environment or a trip count still make
-    measurable progress.
+    measurable progress.  The bound term sums the literal ``for`` bounds
+    (``i < N`` shapes, non-negative): replacing one literal with a smaller
+    one leaves the node count unchanged, and without this term every
+    loop-shrink candidate would fail the strict-decrease filter.  Nodes and
+    bounds are counted in one walk.
     """
+    nodes = bounds = 0
+    for node in program.walk():
+        nodes += 1
+        if (
+            isinstance(node, ast.ForStmt)
+            and isinstance(node.cond, ast.BinaryOp)
+            and isinstance(node.cond.right, ast.IntLiteral)
+        ):
+            bounds += abs(node.cond.right.value)
     return (
-        ast.count_nodes(program)
+        nodes
         + program.launch.total_threads
         + sum(buf.size for buf in program.buffers)
         + sum(1 + len(st.fields) for st in program.structs)
-        + _literal_loop_bound_sum(program)
+        + bounds
     )
 
 
@@ -151,13 +147,8 @@ class ReductionPass:
         """
         threshold = size_key(program)
         for candidate in self.propose(program, rng):
-            if size_key(candidate) >= threshold:
-                continue
-            try:
-                validate_program(candidate)
-            except ValidationError:
-                continue
-            yield candidate
+            if size_key(candidate) < threshold and validation_error(candidate) is None:
+                yield candidate
 
 
 # ---------------------------------------------------------------------------

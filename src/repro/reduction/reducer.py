@@ -225,8 +225,7 @@ class LocalEvaluator:
         ``None``.  ``exhausted`` distinguishes "the candidate stream ran
         dry" from "the budget cut the stream off with candidates untested"
         -- the driver reports the latter as budget exhaustion rather than a
-        fixpoint.  Candidates come from a pass filter, so the predicate
-        skips re-validating them.
+        fixpoint.
         """
         used = 0
         while used < budget:
@@ -235,7 +234,7 @@ class LocalEvaluator:
             except StopIteration:
                 return None, used, True
             used += 1
-            if self.predicate(candidate, pre_validated=True):
+            if self.predicate(candidate):
                 return (used - 1, candidate), used, False
         return None, used, False
 

@@ -16,28 +16,29 @@ harnesses — the campaign engine hands every harness in a worker the same
 cache, so a curated kernel's sweep reuses its curation run and reductions
 and bisections reuse the campaign's executions.
 
-A cell is compiled (:meth:`DifferentialHarness.compile_cell`) and executed
-(:meth:`~DifferentialHarness.execute_cell`) on its own, and
-:meth:`~DifferentialHarness.vote` turns the cells' records into a
-:class:`DifferentialResult`.  :meth:`~DifferentialHarness.run` is those
-steps over every cell; the reduction predicates take the same steps one
-cell at a time and stop at the first cell that rules a candidate out
-(:mod:`repro.reduction.interestingness`).
+Each cell takes the one cell path of
+:class:`~repro.testing.harness_base.ExecutionHarnessBase` (``compile_cell``,
+``execute_cell``, or both as ``run_cell``), :meth:`~DifferentialHarness.
+record` makes its outcome a :class:`TestRecord`, and
+:meth:`~DifferentialHarness.vote` turns the records into a
+:class:`DifferentialResult`.  :meth:`~DifferentialHarness.run` is one
+``run_cell`` per cell, then the vote; the reduction predicates take the
+same steps one cell at a time and stop at the first cell that rules a
+candidate out (:mod:`repro.reduction.interestingness`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from repro.compiler.driver import CompiledKernel, CompilerDriver
 from repro.kernel_lang import ast
 from repro.platforms.config import DeviceConfig
+from repro.runtime.device import KernelResult
 from repro.runtime.engine import DEFAULT_ENGINE
-from repro.runtime.errors import KernelRuntimeError, BuildFailure
 from repro.testing.harness_base import ExecutionHarnessBase
-from repro.testing.outcomes import Outcome, TestRecord, classify_exception
+from repro.testing.outcomes import Outcome, TestRecord, config_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.orchestration.cache import ResultCache
@@ -94,41 +95,23 @@ class DifferentialHarness(ExecutionHarnessBase):
             for optimisations in self.optimisation_levels
         ]
 
-    def compile_cell(
-        self,
-        program: ast.Program,
+    @staticmethod
+    def record(
         config: Optional[DeviceConfig],
         optimisations: bool,
-    ) -> Union[CompiledKernel, TestRecord]:
-        """The first half of a cell: the compiled kernel, or -- when the
-        build fails -- the cell's final record (nothing runs after it)."""
-        try:
-            return CompilerDriver(config).compile(program, optimisations=optimisations)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return _failure_record(config, optimisations, error)
-
-    def execute_cell(
-        self,
-        compiled: CompiledKernel,
-        config: Optional[DeviceConfig],
-        optimisations: bool,
+        outcome: Outcome,
+        result: Optional[KernelResult],
     ) -> TestRecord:
-        """The second half of a cell: run a compiled kernel.  A terminating
-        run is a ``PASS`` record until :meth:`vote` says otherwise."""
-        try:
-            result = self._execute(compiled)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return _failure_record(config, optimisations, error)
-        return TestRecord(_config_name(config), optimisations, Outcome.PASS, result=result)
+        """One cell's record.  A terminating run is a ``PASS`` record until
+        :meth:`vote` says otherwise."""
+        return TestRecord(config_name(config), optimisations, outcome, result=result)
 
     def run(self, program: ast.Program) -> DifferentialResult:
         """Compile/execute ``program`` everywhere and vote on the results."""
         records = []
         for config, optimisations in self.cells():
-            built = self.compile_cell(program, config, optimisations)
-            if not isinstance(built, TestRecord):
-                built = self.execute_cell(built, config, optimisations)
-            records.append(built)
+            outcome, result = self.run_cell(program, config, optimisations)
+            records.append(self.record(config, optimisations, outcome, result))
         return self.vote(records)
 
     def vote(self, records: List[TestRecord]) -> DifferentialResult:
@@ -158,19 +141,6 @@ class DifferentialHarness(ExecutionHarnessBase):
         # verdicts are independent of configuration order.
         value, count = min(counter.items(), key=lambda item: (-item[1], item[0]))
         return value, count
-
-
-def _config_name(config: Optional[DeviceConfig]) -> str:
-    return config.name if config is not None else "reference"
-
-
-def _failure_record(
-    config: Optional[DeviceConfig], optimisations: bool, error: Exception
-) -> TestRecord:
-    return TestRecord(
-        _config_name(config), optimisations, classify_exception(error),
-        detail=str(error),
-    )
 
 
 __all__ = [

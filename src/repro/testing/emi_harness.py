@@ -18,15 +18,14 @@ Table 5 bookkeeping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
-from repro.compiler.driver import CompiledKernel, CompilerDriver
+from repro.compiler.driver import CompiledKernel
 from repro.kernel_lang import ast
 from repro.platforms.config import DeviceConfig
 from repro.runtime.device import KernelResult
-from repro.runtime.errors import BuildFailure, KernelRuntimeError
 from repro.testing.harness_base import ExecutionHarnessBase
-from repro.testing.outcomes import Outcome, classify_exception, worst_code
+from repro.testing.outcomes import Outcome, config_name, worst_code
 
 
 @dataclass
@@ -71,17 +70,17 @@ class EmiHarness(ExecutionHarnessBase):
     ) -> EmiBaseResult:
         """Run all ``variants`` (typically including the base itself) on one
         configuration and summarise the outcomes.  ``builds`` are the
-        variants' :meth:`compile_variant` results, when the caller already
+        variants' :meth:`compile_cell` results, when the caller already
         compiled them."""
         if builds is None:
             builds = [
-                self.compile_variant(variant, config, optimisations)
+                self.compile_cell(variant, config, optimisations)
                 for variant in variants
             ]
         outcomes: List[Outcome] = []
         values: List[str] = []
         for built in builds:
-            outcome, result = self._execute_variant(built)
+            outcome, result = self.execute_cell(built)
             outcomes.append(outcome)
             if result is not None:
                 values.append(result.result_hash())
@@ -89,9 +88,8 @@ class EmiHarness(ExecutionHarnessBase):
         distinct = len(set(values))
         bad_base = len(values) == 0
         wrong_code = distinct > 1
-        name = config.name if config is not None else "reference"
         return EmiBaseResult(
-            config_name=name,
+            config_name=config_name(config),
             optimisations=optimisations,
             variant_outcomes=outcomes,
             distinct_values=distinct,
@@ -114,49 +112,11 @@ class EmiHarness(ExecutionHarnessBase):
     ) -> Outcome:
         """Table 3 style check: run one variant and compare against the
         benchmark's expected output (generated with an empty EMI block)."""
-        outcome, result = self.run_single(program, config, optimisations)
+        outcome, result = self.run_cell(program, config, optimisations)
         if outcome is Outcome.PASS and result is not None:
             if result.outputs != expected.outputs:
                 return Outcome.WRONG_CODE
         return outcome
-
-    # ------------------------------------------------------------------
-
-    def compile_variant(
-        self,
-        program: ast.Program,
-        config: Optional[DeviceConfig],
-        optimisations: bool,
-    ) -> Union[CompiledKernel, Outcome]:
-        """Compile one program on one (configuration, optimisation level)
-        pair: the compiled kernel, or the outcome of a build that failed."""
-        try:
-            return CompilerDriver(config).compile(program, optimisations=optimisations)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return classify_exception(error)
-
-    def _execute_variant(
-        self, built: Union[CompiledKernel, Outcome]
-    ) -> Tuple[Outcome, Optional[KernelResult]]:
-        """Run a :meth:`compile_variant` result: its outcome and (for passing
-        runs) result."""
-        if isinstance(built, Outcome):
-            return built, None
-        try:
-            result = self._execute(built)
-        except (BuildFailure, KernelRuntimeError) as error:
-            return classify_exception(error), None
-        return Outcome.PASS, result
-
-    def run_single(
-        self,
-        program: ast.Program,
-        config: Optional[DeviceConfig],
-        optimisations: bool,
-    ) -> Tuple[Outcome, Optional[KernelResult]]:
-        """Compile and run one program on one (configuration, optimisation
-        level) pair, returning its outcome and (for passing runs) result."""
-        return self._execute_variant(self.compile_variant(program, config, optimisations))
 
 
 __all__ = ["EmiHarness", "EmiBaseResult"]

@@ -11,8 +11,8 @@ requirement that test programs produce deterministic output).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.runtime.device import KernelResult
 from repro.runtime.errors import (
@@ -23,6 +23,9 @@ from repro.runtime.errors import (
     RuntimeCrash,
     UndefinedBehaviourError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.platforms.config import DeviceConfig
 
 
 class Outcome(enum.Enum):
@@ -95,6 +98,14 @@ def cell_label(config_name: str, optimisations: bool) -> str:
     return f"{config_name}{'+' if optimisations else '-'}"
 
 
+def config_name(config: Optional["DeviceConfig"]) -> str:
+    """The name a cell's configuration goes by in records and labels:
+    its own, or ``"reference"`` for the conformant reference compiler
+    (``None``).  The single spelling, for the reason :func:`cell_label`
+    gives."""
+    return config.name if config is not None else "reference"
+
+
 @dataclass
 class TestRecord:
     """One (test, configuration, optimisation level) execution record."""
@@ -103,7 +114,6 @@ class TestRecord:
     optimisations: bool
     outcome: Outcome
     result: Optional[KernelResult] = None
-    detail: str = ""
 
     @property
     def label(self) -> str:
@@ -181,4 +191,4 @@ class OutcomeCounts:
 
 
 __all__ = ["Outcome", "classify_exception", "OUTCOME_SEVERITY", "table3_code",
-           "worst_code", "cell_label", "TestRecord", "OutcomeCounts"]
+           "worst_code", "cell_label", "config_name", "TestRecord", "OutcomeCounts"]

@@ -44,11 +44,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.compiler.driver import CompilerDriver
 from repro.compiler.pipeline import Pipeline, default_pipeline
 from repro.kernel_lang import ast
-from repro.observability import SPAN_BISECT_PROBE, current_collector, maybe_span
-from repro.orchestration.cache import ResultCache, cached_run
+from repro.observability import SPAN_BISECT_PROBE, maybe_span
+from repro.orchestration.cache import ResultCache
 from repro.platforms.config import DeviceConfig
 from repro.reduction.interestingness import (
     PredicateSpec,
@@ -56,8 +55,8 @@ from repro.reduction.interestingness import (
     build_predicate,
 )
 from repro.runtime.engine import DEFAULT_ENGINE
-from repro.runtime.errors import BuildFailure, KernelRuntimeError
-from repro.testing.outcomes import Outcome, cell_label, classify_exception
+from repro.testing.harness_base import ExecutionHarnessBase
+from repro.testing.outcomes import Outcome, cell_label, config_name
 from repro.triage.bucketing import _CODE_SEVERITY, worst_signature_code
 
 #: Human-readable defect-class spellings used in culprit labels.
@@ -114,7 +113,7 @@ def _target_config_index(
     ranked: List[Tuple[int, str, int]] = []
     for cell, code in signature:
         for index, config in enumerate(configs):
-            name = config.name if config is not None else "reference"
+            name = config_name(config)
             if cell in (cell_label(name, True), cell_label(name, False)):
                 ranked.append((-_CODE_SEVERITY.get(code, 0), cell, index))
     if not ranked:
@@ -144,30 +143,24 @@ def _make_probe(
 
     def probe(target_index: int, models: List[object]) -> bool:
         counter.steps += 1
-        collector = current_collector()
-        if collector is not None:
-            with collector.span(SPAN_BISECT_PROBE, name="bug-model"):
-                return _probe(target_index, models)
-        return _probe(target_index, models)
-
-    def _probe(target_index: int, models: List[object]) -> bool:
-        probed = list(configs)
-        target = probed[target_index]
-        if target is not None:
-            probed[target_index] = dataclasses.replace(
-                target, bug_models=list(models)
+        with maybe_span(SPAN_BISECT_PROBE, name="bug-model"):
+            probed = list(configs)
+            target = probed[target_index]
+            if target is not None:
+                probed[target_index] = dataclasses.replace(
+                    target, bug_models=list(models)
+                )
+            predicate = build_predicate(
+                spec,
+                probed,
+                optimisation_levels,
+                max_steps,
+                engine,
+                variant_seed=variant_seed,
+                variants_per_base=variants_per_base,
+                cache=cache,
             )
-        predicate = build_predicate(
-            spec,
-            probed,
-            optimisation_levels,
-            max_steps,
-            engine,
-            variant_seed=variant_seed,
-            variants_per_base=variants_per_base,
-            cache=cache,
-        )
-        return bool(predicate(program))
+            return bool(predicate(program))
 
     return probe
 
@@ -244,26 +237,6 @@ def bisect_bug_models(
 # ---------------------------------------------------------------------------
 
 
-def _observed_class(
-    program: ast.Program,
-    config: Optional[DeviceConfig],
-    pipeline: Optional[Pipeline],
-    optimisations: bool,
-    max_steps: int,
-    engine: str,
-    cache: Optional[ResultCache],
-) -> Tuple[str, Optional[str]]:
-    """(outcome code, result hash) of one compile+run under ``pipeline``."""
-    try:
-        compiled = CompilerDriver(config).compile(
-            program, optimisations=optimisations, pipeline=pipeline
-        )
-        result = cached_run(cache, compiled, max_steps, engine)
-    except (BuildFailure, KernelRuntimeError) as error:
-        return classify_exception(error).value, None
-    return Outcome.PASS.value, result.result_hash()
-
-
 def bisect_passes(
     program: ast.Program,
     config: Optional[DeviceConfig] = None,
@@ -282,27 +255,27 @@ def bisect_passes(
     different values, ``bf``/``c``/``to``/``ub`` mean the optimised run
     exhibits that class.  Returns ``(None, steps)`` when the full schedule
     does not reproduce or the empty schedule already does (the anomaly is
-    not the optimiser's).
+    not the optimiser's).  Every probe runs through one harness over
+    ``cache`` (a fresh result cache when it is ``None``).
     """
     counter = counter or _ProbeCounter()
     schedule = list(passes if passes is not None else default_pipeline().passes)
-    baseline_code, baseline_hash = _observed_class(
-        program, config, None, False, max_steps, engine, cache
-    )
+    harness = ExecutionHarnessBase(max_steps=max_steps, cache=cache, engine=engine)
+    baseline, baseline_result = harness.run_cell(program, config, False)
     counter.steps += 1
-    if baseline_code != Outcome.PASS.value:
+    if baseline is not Outcome.PASS:
         return None, counter.steps
+    baseline_hash = baseline_result.result_hash()
 
     def reproduces(k: int) -> bool:
         counter.steps += 1
         with maybe_span(SPAN_BISECT_PROBE, name="pass-schedule"):
-            code, value = _observed_class(
-                program, config, Pipeline(schedule[:k]), True, max_steps,
-                engine, cache,
+            outcome, result = harness.run_cell(
+                program, config, True, pipeline=Pipeline(schedule[:k])
             )
         if expected_class == "w":
-            return code == Outcome.PASS.value and value != baseline_hash
-        return code == expected_class
+            return outcome is Outcome.PASS and result.result_hash() != baseline_hash
+        return outcome.value == expected_class
 
     if not reproduces(len(schedule)) or reproduces(0):
         return None, counter.steps
@@ -347,7 +320,7 @@ def attribute_culprit(
             verified=False, detail="no signature cell maps to a configuration",
         )
     target = configs[target_index]
-    config_name = target.name if target is not None else "reference"
+    target_name = config_name(target)
 
     model, verified, _ = bisect_bug_models(
         program, spec, configs, target_index, optimisation_levels, max_steps,
@@ -356,7 +329,7 @@ def attribute_culprit(
     if model is not None:
         return BisectionResult(
             kind=KIND_BUG_MODEL, culprit=model,
-            label=f"{class_word}@{model}", config_name=config_name,
+            label=f"{class_word}@{model}", config_name=target_name,
             defect_class=defect_class, steps=counter.steps, verified=verified,
             detail="" if verified else
             "boundary model does not reproduce alone (injection interaction)",
@@ -375,12 +348,12 @@ def attribute_culprit(
     if pass_name is not None:
         return BisectionResult(
             kind=KIND_PASS, culprit=pass_name,
-            label=f"{class_word}@pass:{pass_name}", config_name=config_name,
+            label=f"{class_word}@pass:{pass_name}", config_name=target_name,
             defect_class=defect_class, steps=counter.steps, verified=True,
         )
     return BisectionResult(
         kind=KIND_UNKNOWN, culprit="", label=f"{class_word}@unknown",
-        config_name=config_name, defect_class=defect_class,
+        config_name=target_name, defect_class=defect_class,
         steps=counter.steps, verified=False,
         detail="neither a bug model nor an optimisation pass reproduces the "
                "anomaly in isolation",

@@ -172,9 +172,9 @@ def test_emi_harness_run_single_is_public_and_classifies_outcomes():
     public ``run_single`` covers that use."""
     harness = EmiHarness()
     program = generate_kernel(Mode.BASIC, seed=1, options=_FAST)
-    outcome, result = harness.run_single(program, None, True)
+    outcome, result = harness.run_cell(program, None, True)
     assert outcome is Outcome.PASS and result is not None
-    failing_outcome, failing_result = harness.run_single(
+    failing_outcome, failing_result = harness.run_cell(
         figure_program("1c"), get_configuration(20), True
     )
     assert failing_outcome is Outcome.BUILD_FAILURE and failing_result is None

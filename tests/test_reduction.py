@@ -97,7 +97,7 @@ def test_corpus_shrinks_70_percent_median_preserving_outcome_class():
         ratios.append(result.node_reduction)
         # The reduced kernel still reproduces the *same* outcome class...
         check = MismatchPredicate(
-            config, True, expected_class, max_steps=predicate.max_steps
+            config, True, expected_class, max_steps=predicate.harness.max_steps
         )
         assert check(result.reduced), expected_class
         # ...and the reducer never traded the defect for undefined

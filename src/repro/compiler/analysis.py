@@ -2,11 +2,18 @@
 
 All analyses are conservative: when in doubt they report "has side effects"
 or "is used", so that passes relying on them stay semantics-preserving.
+
+Whole-program questions -- the ``uses_*`` feature flags, the named bug
+models' patterns, the reduction passes' edit sites and sizes -- read one
+:func:`census` of the program: a single walk of its function bodies,
+memoised on the program object, that groups every node by class.  A new
+whole-program question is a query on it, not another walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from collections import defaultdict
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.kernel_lang import ast, builtins
 
@@ -207,56 +214,61 @@ def called_functions(node: ast.Node) -> Set[str]:
     }
 
 
-# uses_vectors/uses_barriers/uses_atomics walk the whole program and every
-# configuration's bug models query them, so each is computed once per
-# program (ast.Program.memoised).
+#: Node class -> the ``(function, node)`` pairs of that class.
+Census = Dict[type, List[Tuple[ast.FunctionDecl, ast.Node]]]
+
+
+def census(program: ast.Program) -> Census:
+    """Every node of the program's function bodies, grouped by exact class.
+
+    The pairs keep the order :meth:`~repro.kernel_lang.ast.Node.walk` visits
+    them in: each function with a body, in ``program.functions`` order,
+    walked in pre-order.  One walk per program object, memoised on it
+    (:meth:`~repro.kernel_lang.ast.Program.memoised`).  Keying on
+    ``type(node)`` is sound because every concrete AST class is a leaf
+    (``Expr`` and ``Stmt`` are abstract bases); a query over several classes
+    names each one.
+    """
+    return program.memoised("census", lambda: _take_census(program))
+
+
+def _take_census(program: ast.Program) -> Census:
+    found: Census = defaultdict(list)
+    for fn in program.functions:
+        if fn.body is not None:
+            for node in fn.body.walk():
+                found[type(node)].append((fn, node))
+    return dict(found)
+
+
+def nodes(program: ast.Program, kind: type) -> List[ast.Node]:
+    """The program's nodes of class ``kind``, in :func:`census` order."""
+    return [node for _, node in census(program).get(kind, ())]
 
 
 def uses_vectors(program: ast.Program) -> bool:
     """True if the program declares or constructs any vector value."""
-    return program.memoised("uses_vectors", lambda: _uses_vectors(program))
-
-
-def _uses_vectors(program: ast.Program) -> bool:
     from repro.kernel_lang import types as ty
 
-    for node in _all_nodes(program):
-        if isinstance(node, ast.VectorLiteral):
-            return True
-        if isinstance(node, ast.DeclStmt) and isinstance(node.type, ty.VectorType):
-            return True
-    for st in program.structs:
-        for f in st.fields:
-            if isinstance(f.type, ty.VectorType):
-                return True
-    return False
+    return (
+        ast.VectorLiteral in census(program)
+        or any(isinstance(d.type, ty.VectorType) for d in nodes(program, ast.DeclStmt))
+        or any(isinstance(f.type, ty.VectorType) for st in program.structs for f in st.fields)
+    )
 
 
 def uses_barriers(program: ast.Program) -> bool:
-    return program.memoised(
-        "uses_barriers",
-        lambda: any(isinstance(n, ast.BarrierStmt) for n in _all_nodes(program)),
-    )
+    """True if any function body holds a barrier."""
+    return ast.BarrierStmt in census(program)
 
 
 def uses_atomics(program: ast.Program) -> bool:
-    return program.memoised(
-        "uses_atomics",
-        lambda: any(
-            isinstance(n, ast.Call) and n.name in builtins.ATOMIC_BUILTINS
-            for n in _all_nodes(program)
-        ),
-    )
+    """True if any function body calls an atomic builtin."""
+    return any(n.name in builtins.ATOMIC_BUILTINS for n in nodes(program, ast.Call))
 
 
 def uses_structs(program: ast.Program) -> bool:
     return bool(program.structs)
-
-
-def _all_nodes(program: ast.Program) -> Iterable[ast.Node]:
-    for fn in program.functions:
-        if fn.body is not None:
-            yield from fn.body.walk()
 
 
 __all__ = [
@@ -269,6 +281,8 @@ __all__ = [
     "contains_barrier",
     "contains_loop_control",
     "called_functions",
+    "census",
+    "nodes",
     "uses_vectors",
     "uses_barriers",
     "uses_atomics",

@@ -22,8 +22,9 @@ A campaign compiles each program for every configuration at opt- and opt+.
 Validation and the default pipeline depend only on the program and the
 optimisation level, never on the configuration, so both are memoised on the
 program object (:meth:`~repro.kernel_lang.ast.Program.memoised`), as
-:func:`~repro.platforms.calibration.program_fingerprint`, the
-``analysis.uses_*`` flags and the named bug models' verdicts
+:func:`~repro.platforms.calibration.program_fingerprint`, the census
+(:func:`~repro.compiler.analysis.census`, the one walk the ``uses_*`` flags
+and the bug models' patterns read) and the named bug models' verdicts
 (:meth:`~repro.platforms.bugmodels.BugModel.triggers`) are.  The validation
 memo is :func:`repro.kernel_lang.semantics.validation_error`, shared with
 reduction: the pass filter and the interestingness predicates ask it too, so

@@ -618,9 +618,10 @@ class Program(Node):
 
         The one lookup behind every fact compilation derives from a program
         whatever the configuration: its fingerprint, its validation verdict,
-        the default pipeline's output, its feature flags and each named bug
-        model's verdict.  Sound because no node is edited after it is built
-        (module docstring).
+        the default pipeline's output, its census (the one walk its feature
+        flags, bug-model patterns and reduction size read) and each named
+        bug model's verdict.  Sound because no node is edited after it is
+        built (module docstring).
         """
         try:
             memo = self._memo

@@ -43,9 +43,12 @@ class BugModel:
     program object and model class -- the verdict is memoised on the
     program (:meth:`~repro.kernel_lang.ast.Program.memoised`), so a
     campaign compiling one program for many configurations and both levels
-    walks it once per model.  A model whose decision needs more than the
-    program (the calibrated models depend on the configuration and the
-    level) overrides ``triggers`` instead, and is never memoised.
+    decides once per model.  ``matches`` reads the program's census
+    (:func:`repro.compiler.analysis.census`, one memoised walk shared by
+    every model and flag) instead of walking the program itself.  A model
+    whose decision needs more than the program (the calibrated models
+    depend on the configuration and the level) overrides ``triggers``
+    instead, and is never memoised.
     """
 
     name = "bug"
@@ -127,16 +130,6 @@ def _unions_uint_over_short(program: ast.Program) -> List[ty.UnionType]:
     return found
 
 
-def _program_nodes(program: ast.Program):
-    for fn in program.functions:
-        if fn.body is not None:
-            yield fn, fn.body
-
-
-def _kernel_uses_barrier(program: ast.Program) -> bool:
-    return analysis.uses_barriers(program)
-
-
 def _has_forward_declaration(program: ast.Program) -> bool:
     defined = {f.name for f in program.functions if f.body is not None}
     return any(f.body is None and f.name in defined for f in program.functions)
@@ -147,27 +140,23 @@ def _largest_struct_size(program: ast.Program) -> int:
     return max(sizes) if sizes else 0
 
 
+def _helper_nodes(program: ast.Program, kind: type) -> List[Tuple[ast.FunctionDecl, ast.Node]]:
+    """The census pairs of class ``kind`` whose function is not the kernel."""
+    pairs = analysis.census(program).get(kind, ())
+    return [(fn, node) for fn, node in pairs if not fn.is_kernel]
+
+
 def _uses_comma_operator(program: ast.Program) -> bool:
-    for _, body in _program_nodes(program):
-        for node in body.walk():
-            if isinstance(node, ast.BinaryOp) and node.op == ",":
-                return True
-    return False
+    return any(node.op == "," for node in analysis.nodes(program, ast.BinaryOp))
 
 
 def _group_id_in_condition_of_helper(program: ast.Program) -> bool:
     group_fns = {"get_group_id", "get_linear_group_id"}
-    for fn in program.functions:
-        if fn.body is None or fn.is_kernel:
-            continue
-        for node in fn.body.walk():
-            if isinstance(node, ast.IfStmt):
-                if any(
-                    isinstance(n, ast.WorkItemExpr) and n.function in group_fns
-                    for n in node.cond.walk()
-                ):
-                    return True
-    return False
+    return any(
+        isinstance(n, ast.WorkItemExpr) and n.function in group_fns
+        for _, node in _helper_nodes(program, ast.IfStmt)
+        for n in node.cond.walk()
+    )
 
 
 def _mixes_size_t_and_int_bitwise(program: ast.Program) -> bool:
@@ -179,41 +168,35 @@ def _mixes_size_t_and_int_bitwise(program: ast.Program) -> bool:
         "get_num_groups",
         "get_linear_group_id",
     }
-    for _, body in _program_nodes(program):
-        for node in body.walk():
-            operands = []
-            if isinstance(node, ast.BinaryOp) and node.op in ("|", "&", "^", "%"):
-                operands = [node.left, node.right]
-            elif isinstance(node, ast.AssignStmt) and node.op in ("|=", "&=", "^=", "%="):
-                operands = [node.value]
-            for op in operands:
-                if isinstance(op, ast.WorkItemExpr) and op.function in size_t_fns:
-                    return True
-    return False
+    operands = [
+        operand
+        for node in analysis.nodes(program, ast.BinaryOp)
+        if node.op in ("|", "&", "^", "%")
+        for operand in (node.left, node.right)
+    ] + [
+        node.value
+        for node in analysis.nodes(program, ast.AssignStmt)
+        if node.op in ("|=", "&=", "^=", "%=")
+    ]
+    return any(
+        isinstance(op, ast.WorkItemExpr) and op.function in size_t_fns for op in operands
+    )
 
 
 def _whole_struct_copies(program: ast.Program) -> bool:
     """``s = t;`` where both sides are plain variables (struct copy shape)."""
-    struct_decls: Dict[str, bool] = {}
-    for _, body in _program_nodes(program):
-        for node in body.walk():
-            if isinstance(node, ast.DeclStmt) and isinstance(
-                node.type, (ty.StructType, ty.UnionType)
-            ):
-                struct_decls[node.name] = True
-    if not struct_decls:
-        return False
-    for _, body in _program_nodes(program):
-        for node in body.walk():
-            if (
-                isinstance(node, ast.AssignStmt)
-                and node.op == "="
-                and isinstance(node.target, ast.VarRef)
-                and isinstance(node.value, ast.VarRef)
-                and node.target.name in struct_decls
-            ):
-                return True
-    return False
+    struct_decls = {
+        node.name
+        for node in analysis.nodes(program, ast.DeclStmt)
+        if isinstance(node.type, (ty.StructType, ty.UnionType))
+    }
+    return any(
+        node.op == "="
+        and isinstance(node.target, ast.VarRef)
+        and isinstance(node.value, ast.VarRef)
+        and node.target.name in struct_decls
+        for node in analysis.nodes(program, ast.AssignStmt)
+    )
 
 
 def _literal_only(expr: ast.Expr) -> bool:
@@ -244,12 +227,12 @@ class AmdCharFirstStructBug(BugModel):
         if not affected:
             return False
         names = {st.name for st in affected}
-        for _, body in _program_nodes(program):
-            for node in body.walk():
-                if isinstance(node, ast.DeclStmt) and isinstance(node.type, ty.StructType):
-                    if node.type.name in names and isinstance(node.init, ast.InitList):
-                        return True
-        return False
+        return any(
+            isinstance(node.type, ty.StructType)
+            and node.type.name in names
+            and isinstance(node.init, ast.InitList)
+            for node in analysis.nodes(program, ast.DeclStmt)
+        )
 
     def apply(self, program, optimisations, config):
         names = {st.name for st in _structs_char_first(program)}
@@ -291,12 +274,12 @@ class AnonStructCopyBug(BugModel):
         return has_array_field and _whole_struct_copies(program)
 
     def apply(self, program, optimisations, config):
-        struct_names: Dict[str, bool] = {}
-        for _, body in _program_nodes(program):
-            for node in body.walk():
-                if isinstance(node, ast.DeclStmt) and isinstance(node.type, ty.StructType):
-                    if any(isinstance(f.type, ty.ArrayType) for f in node.type.fields):
-                        struct_names[node.name] = True
+        struct_names = {
+            node.name
+            for node in analysis.nodes(program, ast.DeclStmt)
+            if isinstance(node.type, ty.StructType)
+            and any(isinstance(f.type, ty.ArrayType) for f in node.type.fields)
+        }
 
         def stmt_fn(stmt: ast.Stmt):
             if (
@@ -337,24 +320,18 @@ class AnonCpuBarrierStructBug(BugModel):
     stage = MISCOMPILE
 
     def matches(self, program):
-        if not program.structs or not _kernel_uses_barrier(program):
+        if not program.structs or not analysis.uses_barriers(program):
             return False
-        for fn in program.functions:
-            if fn.body is None or fn.is_kernel:
-                continue
-            takes_struct_ptr = any(
+        return any(
+            isinstance(node.target, ast.FieldAccess)
+            and node.target.arrow
+            and any(
                 isinstance(p.type, ty.PointerType)
                 and isinstance(p.type.pointee, (ty.StructType, ty.UnionType))
                 for p in fn.params
             )
-            if not takes_struct_ptr:
-                continue
-            for node in fn.body.walk():
-                if isinstance(node, ast.AssignStmt) and isinstance(
-                    node.target, ast.FieldAccess
-                ) and node.target.arrow:
-                    return True
-        return False
+            for fn, node in _helper_nodes(program, ast.AssignStmt)
+        )
 
     def apply(self, program, optimisations, config):
         new_functions = []
@@ -385,12 +362,10 @@ class IntelGpuCompileHangBug(BugModel):
     stage = FRONTEND
 
     def matches(self, program):
-        for _, body in _program_nodes(program):
-            for node in body.walk():
-                if isinstance(node, ast.ForStmt) and node.cond is not None:
-                    bound = _loop_literal_bound(node)
-                    if bound is not None and bound >= 197 and _contains_infinite_while(node):
-                        return True
+        for node in analysis.nodes(program, ast.ForStmt):
+            bound = _loop_literal_bound(node)
+            if bound is not None and bound >= 197 and _contains_infinite_while(node):
+                return True
         return False
 
     def raise_failure(self, program, optimisations, config):
@@ -407,7 +382,7 @@ class XeonPhiSlowCompileBug(BugModel):
     requires_optimisations = True
 
     def matches(self, program):
-        return _largest_struct_size(program) > 64 and _kernel_uses_barrier(program)
+        return _largest_struct_size(program) > 64 and analysis.uses_barriers(program)
 
     def raise_failure(self, program, optimisations, config):
         raise CompileTimeout("compilation exceeded 20s for struct+barrier kernel")
@@ -486,12 +461,10 @@ class IntelRotateConstFoldBug(BugModel):
     stage = MISCOMPILE
 
     def matches(self, program):
-        for _, body in _program_nodes(program):
-            for node in body.walk():
-                if isinstance(node, ast.Call) and node.name in ("rotate", "safe_rotate"):
-                    if all(_literal_only(a) for a in node.args):
-                        return True
-        return False
+        return any(
+            node.name in ("rotate", "safe_rotate") and all(_literal_only(a) for a in node.args)
+            for node in analysis.nodes(program, ast.Call)
+        )
 
     def apply(self, program, optimisations, config):
         def expr_fn(expr: ast.Expr) -> ast.Expr:
@@ -524,19 +497,15 @@ class IntelBarrierFwdDeclMiscompile(BugModel):
     requires_optimisations = False
 
     def matches(self, program):
-        if not _has_forward_declaration(program):
-            return False
-        for fn in program.functions:
-            if fn.body is None or fn.is_kernel:
-                continue
-            if analysis.contains_barrier(fn.body):
-                return True
-        return False
+        return _has_forward_declaration(program) and bool(
+            _helper_nodes(program, ast.BarrierStmt)
+        )
 
     def apply(self, program, optimisations, config):
+        with_barrier = {id(fn) for fn, _ in _helper_nodes(program, ast.BarrierStmt)}
         new_functions = []
         for fn in program.functions:
-            if fn.body is None or fn.is_kernel or not analysis.contains_barrier(fn.body):
+            if id(fn) not in with_barrier:
                 new_functions.append(fn)
                 continue
 
@@ -575,19 +544,12 @@ class IntelUnreachableLoopBarrierBug(BugModel):
     requires_optimisations = False
 
     def matches(self, program):
-        for fn in program.functions:
-            if fn.body is None:
-                continue
-            for node in fn.body.walk():
-                if isinstance(node, ast.ForStmt) and analysis.contains_barrier(node.body):
-                    if _loop_statically_dead(node):
-                        return True
-        return False
+        return any(
+            _loop_statically_dead(node) and analysis.contains_barrier(node.body)
+            for node in analysis.nodes(program, ast.ForStmt)
+        )
 
     def apply(self, program, optimisations, config):
-        def expr_fn(expr: ast.Expr) -> ast.Expr:
-            return expr
-
         def stmt_fn(stmt: ast.Stmt):
             # The final store of the kernel's result is XORed with 1,
             # modelling the corrupted value the paper observed.
@@ -607,7 +569,7 @@ class IntelUnreachableLoopBarrierBug(BugModel):
                 ]
             return None
 
-        return rewrite.rewrite_program(program, expr_fn=expr_fn, stmt_fn=stmt_fn), {}
+        return rewrite.rewrite_program(program, stmt_fn=stmt_fn), {}
 
 
 class AnonGpuGroupIdMiscompile(BugModel):
@@ -689,14 +651,14 @@ class AlteraVectorLogicalRejection(BugModel):
     stage = FRONTEND
 
     def matches(self, program):
-        for _, body in _program_nodes(program):
-            for node in body.walk():
-                if isinstance(node, ast.BinaryOp) and node.op in ("&&", "||"):
-                    if isinstance(node.left, ast.VectorLiteral) or isinstance(
-                        node.right, ast.VectorLiteral
-                    ):
-                        return True
-        return False
+        return any(
+            node.op in ("&&", "||")
+            and (
+                isinstance(node.left, ast.VectorLiteral)
+                or isinstance(node.right, ast.VectorLiteral)
+            )
+            for node in analysis.nodes(program, ast.BinaryOp)
+        )
 
     def raise_failure(self, program, optimisations, config):
         raise BuildFailure("logical operation on vector operands is not supported")
@@ -713,17 +675,12 @@ class AmdIrreducibleControlFlowRejection(BugModel):
     requires_optimisations = True
 
     def matches(self, program):
-        for _, body in _program_nodes(program):
-            for node in body.walk():
-                if isinstance(node, (ast.ForStmt, ast.WhileStmt)):
-                    inner_loops = [
-                        n
-                        for n in node.body.walk()
-                        if isinstance(n, (ast.ForStmt, ast.WhileStmt))
-                    ]
-                    if inner_loops and analysis.contains_loop_control(node.body):
-                        return True
-        return False
+        loops = analysis.nodes(program, ast.ForStmt) + analysis.nodes(program, ast.WhileStmt)
+        return any(
+            any(isinstance(n, (ast.ForStmt, ast.WhileStmt)) for n in node.body.walk())
+            and analysis.contains_loop_control(node.body)
+            for node in loops
+        )
 
     def raise_failure(self, program, optimisations, config):
         raise BuildFailure("unsupported irreducible control flow detected during optimisation")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.compiler import analysis
 from repro.emi.pruning import count_emi_statements
 from repro.generator import generate_kernel
 from repro.generator.options import GeneratorOptions, Mode
@@ -54,18 +55,15 @@ class XorOutStoreBug(BugModel):
         out_name = _result_buffer_name(program)
         if out_name is None:
             return False
-        for node in program.walk():
-            # AssignStmt only: apply()'s statement rewriter is what flips
-            # the store, so matches() must not claim expression-position
-            # assignments it would leave untouched.
-            if (
-                isinstance(node, ast.AssignStmt)
-                and isinstance(node.target, ast.IndexAccess)
-                and isinstance(node.target.base, ast.VarRef)
-                and node.target.base.name == out_name
-            ):
-                return True
-        return False
+        # AssignStmt only: apply()'s statement rewriter is what flips the
+        # store, so matches() must not claim expression-position assignments
+        # it would leave untouched.
+        return any(
+            isinstance(node.target, ast.IndexAccess)
+            and isinstance(node.target.base, ast.VarRef)
+            and node.target.base.name == out_name
+            for node in analysis.nodes(program, ast.AssignStmt)
+        )
 
     def apply(self, program, optimisations, config) -> Tuple[ast.Program, Flags]:
         from repro.compiler import rewrite

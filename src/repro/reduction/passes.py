@@ -70,29 +70,34 @@ from repro.kernel_lang import ast, types as ty
 from repro.kernel_lang.semantics import validation_error
 
 
+def node_count(program: ast.Program) -> int:
+    """The program's AST node count, :func:`ast.count_nodes` read off its
+    census: the Program node, every ``FunctionDecl`` (forward declarations
+    included) and every node of the function bodies."""
+    census = analysis.census(program)
+    return 1 + len(program.functions) + sum(len(pairs) for pairs in census.values())
+
+
 def size_key(program: ast.Program) -> int:
     """The strictly-decreasing size metric reductions are measured by.
 
-    AST nodes dominate; launch threads, buffer cells, struct fields and
-    literal loop bounds are included so that passes which only shrink the
-    launch geometry, the type environment or a trip count still make
-    measurable progress.  The bound term sums the literal ``for`` bounds
-    (``i < N`` shapes, non-negative): replacing one literal with a smaller
-    one leaves the node count unchanged, and without this term every
-    loop-shrink candidate would fail the strict-decrease filter.  Nodes and
-    bounds are counted in one walk.
+    AST nodes (:func:`node_count`) dominate; launch threads, buffer cells,
+    struct fields and literal loop bounds are included so that passes which
+    only shrink the launch geometry, the type environment or a trip count
+    still make measurable progress.  The bound term sums the literal
+    ``for`` bounds (``i < N`` shapes, non-negative): replacing one literal
+    with a smaller one leaves the node count unchanged, and without this
+    term every loop-shrink candidate would fail the strict-decrease filter.
+    Both terms read the program's census (:func:`repro.compiler.analysis.
+    census`), the one walk its compiles' bug models reuse.
     """
-    nodes = bounds = 0
-    for node in program.walk():
-        nodes += 1
-        if (
-            isinstance(node, ast.ForStmt)
-            and isinstance(node.cond, ast.BinaryOp)
-            and isinstance(node.cond.right, ast.IntLiteral)
-        ):
-            bounds += abs(node.cond.right.value)
+    bounds = sum(
+        abs(node.cond.right.value)
+        for node in analysis.nodes(program, ast.ForStmt)
+        if isinstance(node.cond, ast.BinaryOp) and isinstance(node.cond.right, ast.IntLiteral)
+    )
     return (
-        nodes
+        node_count(program)
         + program.launch.total_threads
         + sum(buf.size for buf in program.buffers)
         + sum(1 + len(st.fields) for st in program.structs)
@@ -103,7 +108,7 @@ def size_key(program: ast.Program) -> int:
 def all_blocks(program: ast.Program) -> List[ast.Block]:
     """Every :class:`~repro.kernel_lang.ast.Block` in deterministic pre-order:
     the order in which the statement-level passes visit their edit sites."""
-    return [node for node in program.walk() if isinstance(node, ast.Block)]
+    return analysis.nodes(program, ast.Block)
 
 
 _BRANCH_STMTS = (ast.IfStmt, ast.ForStmt, ast.WhileStmt)
@@ -254,15 +259,9 @@ def _referenced_type_names(program: ast.Program) -> set:
         for param in fn.params:
             note(param.type)
         note(fn.return_type)
-        if fn.body is None:
-            continue
-        for node in fn.body.walk():
-            if isinstance(node, ast.DeclStmt):
-                note(node.type)
-            elif isinstance(node, ast.Cast):
-                note(node.type)
-            elif isinstance(node, ast.VectorLiteral):
-                note(node.type)
+    for kind in (ast.DeclStmt, ast.Cast, ast.VectorLiteral):
+        for node in analysis.nodes(program, kind):
+            note(node.type)
     return names
 
 
@@ -422,9 +421,8 @@ class LoopShrinkPass(ReductionPass):
     def propose(self, program, rng):
         loops = [
             node
-            for node in program.walk()
-            if isinstance(node, ast.ForStmt)
-            and isinstance(node.cond, ast.BinaryOp)
+            for node in analysis.nodes(program, ast.ForStmt)
+            if isinstance(node.cond, ast.BinaryOp)
             and node.cond.op in ("<", "<=")
             and isinstance(node.cond.right, ast.IntLiteral)
         ]
@@ -499,6 +497,7 @@ DEFAULT_PASSES: Tuple[ReductionPass, ...] = (
 
 
 __all__ = [
+    "node_count",
     "size_key",
     "all_blocks",
     "ReductionPass",

@@ -51,7 +51,7 @@ from repro.reduction.interestingness import (
     InterestingnessPredicate,
     PredicateStats,
 )
-from repro.reduction.passes import DEFAULT_PASSES, ReductionPass, size_key
+from repro.reduction.passes import DEFAULT_PASSES, ReductionPass, node_count, size_key
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+|[^\s\w]")
 
@@ -398,9 +398,7 @@ class Reducer:
                             break
                         index, candidate = hit
                         stats.accepted += 1
-                        stats.nodes_removed += ast.count_nodes(current) - ast.count_nodes(
-                            candidate
-                        )
+                        stats.nodes_removed += node_count(current) - node_count(candidate)
                         trace.append(
                             TraceStep(
                                 round=round_index,
@@ -420,8 +418,8 @@ class Reducer:
         return ReductionResult(
             original=program,
             reduced=current,
-            nodes_before=ast.count_nodes(program),
-            nodes_after=ast.count_nodes(current),
+            nodes_before=node_count(program),
+            nodes_after=node_count(current),
             tokens_before=token_count(program),
             tokens_after=token_count(current),
             evaluations=evaluations,

@@ -207,9 +207,13 @@ def bisect_bug_models(
     Returns ``(None, False, steps)`` when the anomaly needs no bug model at
     all (it survives the empty model list -- the optimiser or the substrate
     is at fault) or when the full model list does not reproduce (stale
-    bucket).
+    bucket).  Every probe runs through ``cache`` (one fresh result cache for
+    the whole search when it is ``None``), so a run two probes share -- the
+    reference cell, a configuration the probe leaves alone -- runs once.
     """
     counter = counter or _ProbeCounter()
+    if cache is None:
+        cache = ResultCache()
     probe = _make_probe(
         program, spec, configs, optimisation_levels, max_steps, engine,
         variant_seed, variants_per_base, cache, counter,
@@ -306,9 +310,12 @@ def attribute_culprit(
     most severe cell; falls back to optimisation-pass bisection (with the
     target's models stripped) when no injection explains the anomaly.  The
     returned label reads ``<class>@<model name>`` or ``<class>@pass:<pass
-    name>``, or ``<class>@unknown`` when neither axis resolves.
+    name>``, or ``<class>@unknown`` when neither axis resolves.  Both axes
+    run through ``cache``, one fresh result cache when it is ``None``.
     """
     counter = _ProbeCounter()
+    if cache is None:
+        cache = ResultCache()
     signature = tuple(spec.signature)
     defect_class = worst_signature_code(signature)
     class_word = CLASS_LABELS.get(defect_class, defect_class)

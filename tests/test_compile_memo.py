@@ -188,6 +188,7 @@ def test_campaign_renders_the_same_with_every_memo_hit_recomputed(campaign, monk
     hits = _recompute_every_hit(monkeypatch)
     assert _rendered(campaign()) == expected
     assert hits["fingerprint"] and hits["validation"] and hits["optimised"]
+    assert hits["census"]
     # Named bug-model verdicts, asked again by every configuration and by
     # both the front-end and the bug-model stage of each compile.
     assert hits["bug-model"]

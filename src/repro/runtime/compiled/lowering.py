@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.compiler import analysis
 from repro.kernel_lang import ast, builtins, types as ty, values as vals
 from repro.kernel_lang.semantics import UBKind
 from repro.runtime import memory, ops
@@ -325,26 +326,24 @@ class _FnRecord:
 # ---------------------------------------------------------------------------
 
 
-def yielding_functions(functions: Dict[str, ast.FunctionDecl]) -> FrozenSet[str]:
+def yielding_functions(program: ast.Program) -> FrozenSet[str]:
     """Names of user functions that can reach a scheduling point.
 
     A function yields control iff it contains a barrier, an atomic builtin
     call, or a call to a function that (transitively) does -- computed as a
-    call-graph fixpoint.  Only these functions pay generator overhead.
+    call-graph fixpoint over the program's census (its ``BarrierStmt`` and
+    ``Call`` pairs), so the bodies are not walked again.  Only these
+    functions pay generator overhead.
     """
+    found = analysis.census(program)
+    defined = {fn.name for fn in program.functions if fn.body is not None}
+    syncing = {fn.name for fn, _ in found.get(ast.BarrierStmt, ())}
     calls: Dict[str, set] = {}
-    syncing = set()
-    for name, fn in functions.items():
-        callees = set()
-        for node in fn.body.walk():
-            if isinstance(node, ast.BarrierStmt):
-                syncing.add(name)
-            elif isinstance(node, ast.Call):
-                if node.name in builtins.ATOMIC_BUILTINS:
-                    syncing.add(name)
-                elif node.name in functions:
-                    callees.add(node.name)
-        calls[name] = callees
+    for fn, node in found.get(ast.Call, ()):
+        if node.name in builtins.ATOMIC_BUILTINS:
+            syncing.add(fn.name)
+        elif node.name in defined:
+            calls.setdefault(fn.name, set()).add(node.name)
     changed = True
     while changed:
         changed = False
@@ -353,6 +352,65 @@ def yielding_functions(functions: Dict[str, ast.FunctionDecl]) -> FrozenSet[str]
                 syncing.add(name)
                 changed = True
     return frozenset(syncing)
+
+
+# ---------------------------------------------------------------------------
+# Uniform replay
+# ---------------------------------------------------------------------------
+
+#: The work-item functions whose value can differ between the work-items of
+#: one group.  Every other one (group ids, sizes) is the same for a whole
+#: group, so it belongs to the replay key.
+ITEM_VARYING = frozenset(
+    ("get_global_id", "get_local_id", "get_linear_global_id", "get_linear_local_id")
+)
+
+
+def replay_store(program: ast.Program, yielding: FrozenSet[str]) -> Optional[ast.AssignStmt]:
+    """The kernel's final store ``p[index] = value;`` when every statement
+    before it may run once per tuple of group-uniform work-item values
+    (ENGINE.md, "Uniform replay"), else None.
+
+    The statements before the store (the *prefix*) must compute the same
+    private state in every work-item with that tuple and touch no shared
+    memory, and the store must only read that state.  So: no function
+    yields (``yielding`` is empty: no barrier, no atomic), no buffer is
+    ``local``, the store's base is a ``global`` pointer parameter of the
+    kernel and the one reference to any kernel pointer parameter, its index
+    and value have no side effects, and every item-varying work-item
+    function is read inside it.  Every check but the store's own is a
+    query on the program's census.
+    """
+    if yielding or any(spec.address_space == ty.LOCAL for spec in program.buffers):
+        return None
+    kernel = program.kernel()
+    if not kernel.body.statements:
+        return None
+    store = kernel.body.statements[-1]
+    if not (
+        isinstance(store, ast.AssignStmt)
+        and store.op == "="
+        and isinstance(store.target, ast.IndexAccess)
+        and isinstance(store.target.base, ast.VarRef)
+    ):
+        return None
+    pointers = {p.name: p.type for p in kernel.params if isinstance(p.type, ty.PointerType)}
+    base = pointers.get(store.target.base.name)
+    if base is None or base.address_space != ty.GLOBAL:
+        return None
+    if analysis.expr_has_side_effects(store.target.index) or analysis.expr_has_side_effects(
+        store.value
+    ):
+        return None
+    found = analysis.census(program)
+    if sum(node.name in pointers for _, node in found.get(ast.VarRef, ())) != 1:
+        return None
+    varying = sum(node.function in ITEM_VARYING for _, node in found.get(ast.WorkItemExpr, ()))
+    in_store = sum(
+        isinstance(node, ast.WorkItemExpr) and node.function in ITEM_VARYING
+        for node in store.walk()
+    )
+    return store if varying == in_store else None
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +430,7 @@ class _Lowerer:
         self._functions: Dict[str, ast.FunctionDecl] = {
             fn.name: fn for fn in program.functions if fn.body is not None
         }
-        self._yielding_fns = yielding_functions(self._functions)
+        self._yielding_fns = yielding_functions(program)
         self._fn_records: Dict[str, _FnRecord] = {}
         self._wi_map: Dict[Tuple[str, int], int] = {}
         self._wi_specs: List[Tuple[str, int]] = []
@@ -447,7 +505,15 @@ class _Lowerer:
                     )
                 )
 
-        body = self._compile_block(kernel.body, scope)
+        store = replay_store(self.program, self._yielding_fns)
+        if store is None:
+            prefix = None
+            body = self._compile_block(kernel.body, scope)
+        else:
+            # One scope for both parts: the store reads the prefix's locals.
+            inner = scope.child()
+            prefix = self._compile_statements(kernel.body.statements[:-1], inner)
+            body = self._compile_stmt(store, inner)
         return CompiledProgram(
             program=self.program,
             body=body,
@@ -455,6 +521,7 @@ class _Lowerer:
             param_specs=param_specs,
             wi_specs=list(self._wi_specs),
             limits=self.limits,
+            prefix=prefix,
         )
 
     # -- work-item values -----------------------------------------------
@@ -494,8 +561,12 @@ class _Lowerer:
     # ------------------------------------------------------------------
 
     def _compile_block(self, blk: ast.Block, scope: _Scope) -> _C:
-        inner = scope.child()
-        compiled = [self._compile_stmt(stmt, inner) for stmt in blk.statements]
+        return self._compile_statements(blk.statements, scope.child())
+
+    def _compile_statements(self, statements: List[ast.Stmt], inner: _Scope) -> _C:
+        """``statements`` run in order, in scope ``inner``, until one completes
+        abruptly: a block, or the prefix of a replayed kernel."""
+        compiled = [self._compile_stmt(stmt, inner) for stmt in statements]
         if not any(c.yields for c in compiled):
             fns = [c.fn for c in compiled]
             # Unrolled variants for the common short blocks (a block adds no
@@ -2371,7 +2442,14 @@ _wrap_size_t = ty.SIZE_T.wrap
 
 
 class CompiledProgram(PreparedProgram):
-    """A kernel lowered to closures, independent of any launch's buffers."""
+    """A kernel lowered to closures, independent of any launch's buffers.
+
+    A kernel that qualifies for uniform replay (:func:`replay_store`) is
+    lowered as a ``prefix`` (every statement but the last) and a ``body``
+    (its final store); ``_replay_key`` is the positions of ``wi_specs`` whose
+    function is not item-varying.  Any other kernel has ``prefix`` None and
+    its whole body in ``body``.
+    """
 
     def __init__(
         self,
@@ -2381,6 +2459,7 @@ class CompiledProgram(PreparedProgram):
         param_specs: List[Tuple[int, str, ty.Type, object, bool]],
         wi_specs: List[Tuple[str, int]],
         limits: ExecutionLimits,
+        prefix: Optional[_C] = None,
     ) -> None:
         self.program = program
         self._body = body
@@ -2388,6 +2467,10 @@ class CompiledProgram(PreparedProgram):
         self._param_specs = param_specs
         self._wi_specs = wi_specs
         self._limits = limits
+        self.prefix = prefix
+        self._replay_key = tuple(
+            i for i, (function, _) in enumerate(wi_specs) if function not in ITEM_VARYING
+        )
 
     def bind(self, global_memory: memory.GlobalMemory) -> "CompiledLaunch":
         # One active launch at a time: the closures tick this lowering's own
@@ -2404,7 +2487,11 @@ class CompiledProgram(PreparedProgram):
 
 
 class CompiledLaunch(PreparedLaunch):
-    """A lowered kernel bound to one launch's global buffers."""
+    """A lowered kernel bound to one launch's global buffers.
+
+    ``replay`` is the launch's uniform-replay table: a replay key's values
+    -> ``(locals, steps, flow)`` of the prefix its first work-item ran.
+    """
 
     def __init__(
         self,
@@ -2413,6 +2500,7 @@ class CompiledLaunch(PreparedLaunch):
     ) -> None:
         self._lowered = lowered
         self._param_specs = param_specs
+        self.replay: Dict[tuple, Tuple[list, int, object]] = {}
 
     @property
     def steps(self) -> int:
@@ -2426,7 +2514,7 @@ class CompiledLaunch(PreparedLaunch):
                 inits.append((slot, name, type_, value, False))
             else:
                 inits.append((slot, name, type_, payload, is_raise))
-        return CompiledGroup(self._lowered, inits)
+        return CompiledGroup(self._lowered, inits, self.replay)
 
 
 class CompiledGroup(PreparedGroup):
@@ -2434,9 +2522,20 @@ class CompiledGroup(PreparedGroup):
         self,
         lowered: CompiledProgram,
         param_inits: List[Tuple[int, str, ty.Type, object, bool]],
+        replay: Dict[tuple, Tuple[list, int, object]],
     ) -> None:
         self._lowered = lowered
         self._param_inits = param_inits
+        self._replay = replay
+
+    def _frame(self) -> List[Optional[memory.Cell]]:
+        """A work-item's kernel frame with its parameters bound."""
+        frame: List[Optional[memory.Cell]] = [None] * self._lowered._nslots
+        for slot, name, type_, payload, is_raise in self._param_inits:
+            if is_raise:
+                payload()
+            frame[slot] = memory.Cell(name, type_, payload)
+        return frame
 
     def thread(
         self,
@@ -2449,30 +2548,50 @@ class CompiledGroup(PreparedGroup):
         rt.wi = [
             _wrap_size_t(_workitem_raw(fn, dim, context)) for fn, dim in lowered._wi_specs
         ]
-        nslots = lowered._nslots
-        param_inits = self._param_inits
+        if lowered.prefix is not None:
+            return self._replayed(rt)
         body = lowered._body
 
         if body.yields:
             def run_thread_gen():
-                rt.locals = [None] * nslots
-                for slot, name, type_, payload, is_raise in param_inits:
-                    if is_raise:
-                        payload()
-                    rt.locals[slot] = memory.Cell(name, type_, payload)
+                rt.locals = self._frame()
                 yield from body.fn(rt)
             return run_thread_gen()
 
         def run_thread():
-            rt.locals = [None] * nslots
-            for slot, name, type_, payload, is_raise in param_inits:
-                if is_raise:
-                    payload()
-                rt.locals[slot] = memory.Cell(name, type_, payload)
+            rt.locals = self._frame()
             body.fn(rt)
             return
             yield  # pragma: no cover - makes this function a generator
         return run_thread()
+
+    def _replayed(self, rt: _RT):
+        """Uniform replay (ENGINE.md): the first work-item with its key, in
+        schedule order, runs the prefix and records it.  Every later one is
+        charged the recorded steps, timing out exactly when per-item
+        execution would inside the prefix, and runs the store over the
+        recorded locals, which the store only reads.  A prefix that
+        returned skips every store."""
+        lowered = self._lowered
+        limits = lowered._limits
+        wi = rt.wi
+        key = tuple([wi[i] for i in lowered._replay_key])
+        entry = self._replay.get(key)
+        if entry is None:
+            rt.locals = self._frame()
+            start = limits.steps
+            flow = lowered.prefix.fn(rt)
+            self._replay[key] = (rt.locals, limits.steps - start, flow)
+        else:
+            rt.locals, steps, flow = entry
+            s = limits.steps + steps
+            limits.steps = s
+            if s > limits.max_steps:
+                raise ExecutionTimeout(limits.max_steps + 1)
+        if flow is None:
+            lowered._body.fn(rt)
+        return
+        yield  # pragma: no cover - makes this function a generator
 
 
 def _raiser(kind: UBKind, message: str):

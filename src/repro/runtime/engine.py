@@ -24,7 +24,10 @@ must produce the same :class:`~repro.runtime.device.KernelResult` (outputs,
 final step count, race reports), raise the same error classes for timeout /
 UB / crash outcomes, and yield the same
 :class:`~repro.runtime.interpreter.SchedulerEvent` sequence at barriers and
-atomics so that scheduling decisions are engine-independent.
+atomics so that scheduling decisions are engine-independent.  An engine may
+execute fewer work-items than the NDRange -- the compiled engine's uniform
+replay runs a straight-line kernel's shared part once per tuple of
+group-uniform ids -- provided the ``KernelResult`` is the same.
 
 Lifecycle -- preparation is split into a buffer-independent and a
 per-launch step, and :meth:`~repro.runtime.device.Device.run` takes both for

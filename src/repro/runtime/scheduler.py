@@ -38,7 +38,7 @@ class ScheduleOrder(enum.Enum):
     RANDOM = "random"
 
 
-@dataclass
+@dataclass(eq=False)
 class _ThreadSlot:
     context: ThreadContext
     coroutine: Generator[SchedulerEvent, None, None]
@@ -57,24 +57,38 @@ class WorkGroupScheduler:
         barrier_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.order = order
-        self._rng = random.Random(seed)
+        # Only RANDOM draws from it; seeding one takes several microseconds,
+        # paid per work-group.
+        self._rng = random.Random(seed) if order is ScheduleOrder.RANDOM else None
         self.barrier_hook = barrier_hook
         #: Number of barrier episodes completed (used by the race detector to
         #: delimit synchronisation epochs).
         self.barrier_epochs = 0
 
     def run(self, slots: List[_ThreadSlot]) -> None:
-        """Drive the work-group until every thread has finished."""
+        """Drive the work-group until every thread has finished.
+
+        ``runnable`` holds, in slot order, the threads that have neither
+        finished nor arrived at a barrier: a thread leaves it when it does
+        either, and a released barrier refills it from the waiting threads
+        -- which are then all of them, or the release raises.
+        """
+        runnable = list(slots)
+        waiting: List[_ThreadSlot] = []
         while True:
-            runnable = [s for s in slots if not s.finished and s.waiting_barrier is None]
             if not runnable:
-                waiting = [s for s in slots if s.waiting_barrier is not None]
                 if not waiting:
                     return  # all threads finished
                 self._release_barrier(slots, waiting)
+                runnable, waiting = list(slots), []
                 continue
             slot = self._pick(runnable)
             self._advance(slot)
+            if slot.finished:
+                runnable.remove(slot)
+            elif slot.waiting_barrier is not None:
+                runnable.remove(slot)
+                waiting.append(slot)
 
     # -- internals -------------------------------------------------------
 

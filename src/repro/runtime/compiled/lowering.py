@@ -14,10 +14,11 @@ AST *once per launch* and emitting a tree of closures:
   prepare time, local buffer cells at group-bind time, and per-thread
   work-item values (``get_global_id`` and friends, with the linear ids
   precomputed by :class:`ThreadContext`) are materialised once per thread;
-* **coroutine overhead is paid only where scheduling can happen** -- a yield
-  analysis (barriers, atomics, calls to functions that transitively contain
-  them) decides per subtree whether a closure must be a generator; straight
-  line compute compiles to plain closures;
+* **coroutine overhead is paid only where the schedule can see it** -- a
+  yield analysis (observable barriers and atomics, calls to functions that
+  transitively contain them) decides per subtree whether a closure must be
+  a generator; an atomic under a fixed schedule order and a barrier in a
+  one-work-item group run as plain code, as does straight-line compute;
 * **integers travel unboxed** -- a node whose value is statically an integer
   of a known type (literals, int variables and parameters, work-item
   values, int casts, and operators, ternaries and 2-argument builtins over
@@ -84,6 +85,7 @@ from repro.runtime.interpreter import (
     ThreadContext,
     _MAX_CALL_DEPTH,
 )
+from repro.runtime.scheduler import ScheduleOrder
 
 # ---------------------------------------------------------------------------
 # Runtime representation
@@ -326,22 +328,26 @@ class _FnRecord:
 # ---------------------------------------------------------------------------
 
 
-def yielding_functions(program: ast.Program) -> FrozenSet[str]:
-    """Names of user functions that can reach a scheduling point.
+def yielding_functions(program: ast.Program, atomics: bool, barriers: bool) -> FrozenSet[str]:
+    """Names of user functions that can reach an observable scheduling point.
 
-    A function yields control iff it contains a barrier, an atomic builtin
-    call, or a call to a function that (transitively) does -- computed as a
-    call-graph fixpoint over the program's census (its ``BarrierStmt`` and
-    ``Call`` pairs), so the bodies are not walked again.  Only these
-    functions pay generator overhead.
+    ``atomics`` and ``barriers`` say whether the launch's schedule can
+    observe an atomic builtin call and a barrier (ENGINE.md, "The engine
+    contract").
+    A function yields control iff it contains an observable one, or a call
+    to a function that (transitively) does -- computed as a call-graph
+    fixpoint over the program's census (its ``BarrierStmt`` and ``Call``
+    pairs), so the bodies are not walked again.  Only these functions pay
+    generator overhead.
     """
     found = analysis.census(program)
     defined = {fn.name for fn in program.functions if fn.body is not None}
-    syncing = {fn.name for fn, _ in found.get(ast.BarrierStmt, ())}
+    syncing = {fn.name for fn, _ in found.get(ast.BarrierStmt, ())} if barriers else set()
     calls: Dict[str, set] = {}
     for fn, node in found.get(ast.Call, ()):
         if node.name in builtins.ATOMIC_BUILTINS:
-            syncing.add(fn.name)
+            if atomics:
+                syncing.add(fn.name)
         elif node.name in defined:
             calls.setdefault(fn.name, set()).add(node.name)
     changed = True
@@ -366,7 +372,7 @@ ITEM_VARYING = frozenset(
 )
 
 
-def replay_store(program: ast.Program, yielding: FrozenSet[str]) -> Optional[ast.AssignStmt]:
+def replay_store(program: ast.Program) -> Optional[ast.AssignStmt]:
     """The kernel's final store ``p[index] = value;`` when every statement
     before it may run once per tuple of group-uniform work-item values
     (ENGINE.md, "Uniform replay"), else None.
@@ -374,14 +380,18 @@ def replay_store(program: ast.Program, yielding: FrozenSet[str]) -> Optional[ast
     The statements before the store (the *prefix*) must compute the same
     private state in every work-item with that tuple and touch no shared
     memory, and the store must only read that state.  So: no function
-    yields (``yielding`` is empty: no barrier, no atomic), no buffer is
-    ``local``, the store's base is a ``global`` pointer parameter of the
-    kernel and the one reference to any kernel pointer parameter, its index
-    and value have no side effects, and every item-varying work-item
-    function is read inside it.  Every check but the store's own is a
-    query on the program's census.
+    holds a barrier or an atomic, called or not (whatever the launch's
+    order and group size), no buffer is ``local``, the store's base is a
+    ``global`` pointer parameter of the kernel and the one reference to any
+    kernel pointer parameter, its index and value have no side effects, and
+    every item-varying work-item function is read inside it.  Every check
+    but the store's own is a query on the program's census.
     """
-    if yielding or any(spec.address_space == ty.LOCAL for spec in program.buffers):
+    if (
+        analysis.uses_barriers(program)
+        or analysis.uses_atomics(program)
+        or any(spec.address_space == ty.LOCAL for spec in program.buffers)
+    ):
         return None
     kernel = program.kernel()
     if not kernel.body.statements:
@@ -424,13 +434,21 @@ class _Lowerer:
         program: ast.Program,
         comma_yields_zero: bool,
         max_steps: int,
+        schedule_order: Optional[ScheduleOrder],
     ) -> None:
         self.program = program
         self.comma_yields_zero = comma_yields_zero
         self._functions: Dict[str, ast.FunctionDecl] = {
             fn.name: fn for fn in program.functions if fn.body is not None
         }
-        self._yielding_fns = yielding_functions(program)
+        # Only a point the order can observe yields (ENGINE.md, "The engine
+        # contract"): under a fixed order an atomic resumes the work-item
+        # that yielded, and a barrier in a one-work-item group releases.
+        self._atomics_yield = schedule_order in (None, ScheduleOrder.RANDOM)
+        self._barriers_yield = program.launch.group_size > 1
+        self._yielding_fns = yielding_functions(
+            program, self._atomics_yield, self._barriers_yield
+        )
         self._fn_records: Dict[str, _FnRecord] = {}
         self._wi_map: Dict[Tuple[str, int], int] = {}
         self._wi_specs: List[Tuple[str, int]] = []
@@ -505,7 +523,7 @@ class _Lowerer:
                     )
                 )
 
-        store = replay_store(self.program, self._yielding_fns)
+        store = replay_store(self.program)
         if store is None:
             prefix = None
             body = self._compile_block(kernel.body, scope)
@@ -696,6 +714,11 @@ class _Lowerer:
                 return _CNT
             return _C(run_continue, False)
         if isinstance(stmt, ast.BarrierStmt):
+            if not self._barriers_yield:
+                def run_barrier_tick(rt):
+                    tick()
+                    return None
+                return _C(run_barrier_tick, False)
             event = SchedulerEvent(BARRIER_EVENT, barrier_site=id(stmt), fence=stmt.fence)
 
             def run_barrier(rt):
@@ -2190,6 +2213,25 @@ class _Lowerer:
             return self._compile_atomic_index(expr, scope, atomic_fn)
         pointer = self._compile_expr(expr.args[0], scope)
         operands = [self._compile_expr(a, scope) for a in expr.args[1:]]
+        observed = self._atomics_yield
+
+        def update(rt, target, values):
+            """The read-modify-write, after the scheduling point."""
+            old = ops.as_int(target.read(rt.hook, atomic=True))
+            result_type = target.type if isinstance(target.type, ty.IntType) else ty.UINT
+            new = atomic_fn(old, values)
+            target.write(vals.ScalarValue.wrap(result_type, new), rt.hook, atomic=True)
+            return vals.ScalarValue.wrap(result_type, old)
+
+        if not (observed or pointer.yields or any(c.yields for c in operands)):
+            pfn = pointer.fn
+            operand_fns = [c.fn for c in operands]
+
+            def run_atomic_plain(rt):
+                tick()
+                target = ops.pointer_target(pfn(rt))
+                return update(rt, target, [ops.as_int(f(rt)) for f in operand_fns])
+            return _C(run_atomic_plain, False)
 
         def run_atomic(rt):
             tick()
@@ -2198,14 +2240,12 @@ class _Lowerer:
             values = []
             for c in operands:
                 values.append(ops.as_int((yield from _ev(c, rt))))
-            # Scheduling point: the interleaving of atomics across threads is
-            # the only non-determinism OpenCL 1.x permits in our kernels.
-            yield _ATOMIC_EVENT
-            old = ops.as_int(target.read(rt.hook, atomic=True))
-            result_type = target.type if isinstance(target.type, ty.IntType) else ty.UINT
-            new = atomic_fn(old, values)
-            target.write(vals.ScalarValue.wrap(result_type, new), rt.hook, atomic=True)
-            return vals.ScalarValue.wrap(result_type, old)
+            if observed:
+                # Scheduling point: the interleaving of atomics across
+                # threads is the only non-determinism OpenCL 1.x permits in
+                # our kernels.
+                yield _ATOMIC_EVENT
+            return update(rt, target, values)
         return _C(run_atomic, True)
 
     def _compile_atomic_index(
@@ -2229,18 +2269,12 @@ class _Lowerer:
         type_at_path = memory.type_at_path
         navigate = memory._navigate
         store = memory._store
+        observed = self._atomics_yield
 
-        def run_atomic_index(rt):
-            # The call tick, the AddressOf tick and the index lvalue tick.
-            s = limits.steps + 3
-            limits.steps = s
-            if s > max_steps:
-                raise ExecutionTimeout(max_steps + 1)
-            if ifn is not None:
-                i = ifn(rt)
-            else:
-                i = ops.as_int((yield from index.fn(rt)))
-            s = limits.steps + 2  # the pointer VarRef eval + lvalue ticks
+        def locate(rt, i):
+            """The target's cell, path and type, after the pointer VarRef
+            eval and lvalue ticks."""
+            s = limits.steps + 2
             limits.steps = s
             if s > max_steps:
                 raise ExecutionTimeout(max_steps + 1)
@@ -2256,17 +2290,11 @@ class _Lowerer:
             # raise for a path the cell's type cannot follow).
             cell_type = cell.type
             if len(path) == 1 and cell_type.__class__ is ty.ArrayType:
-                target_type = cell_type.element
-            else:
-                target_type = type_at_path(cell_type, path)
-            if operand_fns is not None:
-                values = [f(rt) for f in operand_fns]
-            else:
-                values = []
-                for c in operands:
-                    values.append(ops.as_int((yield from _ev(c, rt))))
-            # Scheduling point, as in run_atomic.
-            yield _ATOMIC_EVENT
+                return cell, path, cell_type.element
+            return cell, path, type_at_path(cell_type, path)
+
+        def update(rt, i, cell, path, target_type, values):
+            """The read-modify-write, after the scheduling point."""
             hook = rt.hook
             shared = hook is not None and cell.address_space in _SHARED_SPACES
             if shared:
@@ -2294,6 +2322,38 @@ class _Lowerer:
                 cell.value = store(container, path, new)
             cell.initialised = True
             return _box_int(old, result_type)
+
+        if not observed and ifn is not None and operand_fns is not None:
+            def run_atomic_index_plain(rt):
+                # The call tick, the AddressOf tick and the index lvalue tick.
+                s = limits.steps + 3
+                limits.steps = s
+                if s > max_steps:
+                    raise ExecutionTimeout(max_steps + 1)
+                i = ifn(rt)
+                cell, path, target_type = locate(rt, i)
+                return update(rt, i, cell, path, target_type, [f(rt) for f in operand_fns])
+            return _C(run_atomic_index_plain, False)
+
+        def run_atomic_index(rt):
+            s = limits.steps + 3  # the ticks of run_atomic_index_plain
+            limits.steps = s
+            if s > max_steps:
+                raise ExecutionTimeout(max_steps + 1)
+            if ifn is not None:
+                i = ifn(rt)
+            else:
+                i = ops.as_int((yield from index.fn(rt)))
+            cell, path, target_type = locate(rt, i)
+            if operand_fns is not None:
+                values = [f(rt) for f in operand_fns]
+            else:
+                values = []
+                for c in operands:
+                    values.append(ops.as_int((yield from _ev(c, rt))))
+            if observed:
+                yield _ATOMIC_EVENT  # the scheduling point, as in run_atomic
+            return update(rt, i, cell, path, target_type, values)
         return _C(run_atomic_index, True)
 
     def _compile_user_call(self, expr: ast.Call, scope: _Scope) -> _C:
@@ -2500,6 +2560,12 @@ class CompiledLaunch(PreparedLaunch):
     ) -> None:
         self._lowered = lowered
         self._param_specs = param_specs
+        #: The positions of the local pointer parameters in ``param_specs``:
+        #: a group binds these and shares every other entry.
+        self._local_params = [
+            k for k, (_, _, _, payload, is_raise) in enumerate(param_specs)
+            if payload == "local" and not is_raise
+        ]
         self.replay: Dict[tuple, Tuple[list, int, object]] = {}
 
     @property
@@ -2507,13 +2573,13 @@ class CompiledLaunch(PreparedLaunch):
         return self._lowered._limits.steps
 
     def bind_group(self, local_memory: memory.LocalMemory) -> "CompiledGroup":
-        inits: List[Tuple[int, str, ty.Type, object, bool]] = []
-        for slot, name, type_, payload, is_raise in self._param_specs:
-            if payload == "local" and not is_raise:
+        inits = self._param_specs
+        if self._local_params:
+            inits = list(inits)
+            for k in self._local_params:
+                slot, name, type_, _, _ = inits[k]
                 value = vals.PointerValue(type_, local_memory.cell(name), ())
-                inits.append((slot, name, type_, value, False))
-            else:
-                inits.append((slot, name, type_, payload, is_raise))
+                inits[k] = (slot, name, type_, value, False)
         return CompiledGroup(self._lowered, inits, self.replay)
 
 
@@ -2610,8 +2676,9 @@ class CompiledEngine(ExecutionEngine):
         program: ast.Program,
         comma_yields_zero: bool = False,
         max_steps: int = DEFAULT_MAX_STEPS,
+        schedule_order: Optional[ScheduleOrder] = None,
     ) -> CompiledProgram:
-        return _Lowerer(program, comma_yields_zero, max_steps).lower()
+        return _Lowerer(program, comma_yields_zero, max_steps, schedule_order).lower()
 
     def lower_batch(
         self,

@@ -113,8 +113,10 @@ class Device:
         """Execute ``program`` over its full NDRange and collect outputs.
 
         Every call lowers ``program`` afresh with this device's engine,
-        ``comma_yields_zero`` and ``max_steps`` and binds that lowering once,
-        to this launch's buffers (ENGINE.md, "The lower/bind split").
+        ``comma_yields_zero``, ``max_steps`` and ``schedule_order`` and binds
+        that lowering once, to this launch's buffers (ENGINE.md, "The
+        lower/bind split").  Local buffers are built once per launch, and
+        each work-group starts from a copy.
 
         Telemetry: when an ambient collector is installed (see
         :mod:`repro.observability`) each execution records a ``run`` span
@@ -143,6 +145,7 @@ class Device:
                     spec.initial_contents(),
                     spec.address_space,
                 )
+        local_buffers = memory.local_buffers(program.buffers)
         detector = (
             RaceDetector(throw_on_race=self.throw_on_race) if self.check_races else None
         )
@@ -151,6 +154,7 @@ class Device:
                 program,
                 comma_yields_zero=self.comma_yields_zero,
                 max_steps=self.max_steps,
+                schedule_order=self.schedule_order,
             )
         else:
             with collector.span(SPAN_LOWER):
@@ -158,6 +162,7 @@ class Device:
                     program,
                     comma_yields_zero=self.comma_yields_zero,
                     max_steps=self.max_steps,
+                    schedule_order=self.schedule_order,
                 )
         if collector is None:
             prepared = lowered.bind(global_memory)
@@ -174,6 +179,7 @@ class Device:
                         (gx, gy, gz),
                         prepared,
                         detector,
+                        local_buffers,
                     )
 
         outputs = {
@@ -194,6 +200,7 @@ class Device:
         group_id: Tuple[int, int, int],
         prepared: PreparedLaunch,
         detector: Optional[RaceDetector],
+        local_buffers: List[memory.LocalBuffer],
     ) -> None:
         launch = program.launch
         lx, ly, lz = launch.local_size
@@ -201,13 +208,7 @@ class Device:
         gx, gy, gz = group_id
         group_linear = (gz * ngy + gy) * ngx + gx
 
-        local_memory = memory.LocalMemory(group_linear)
-        for spec in program.buffers:
-            if spec.address_space == ty.LOCAL:
-                local_memory.allocate(
-                    spec.name, spec.element_type, spec.size, spec.initial_contents()
-                )
-
+        local_memory = memory.LocalMemory(group_linear, local_buffers)
         scheduler = WorkGroupScheduler(
             order=self.schedule_order,
             seed=self.schedule_seed + group_linear,

@@ -22,20 +22,23 @@ engines are registered:
 The engine contract (see ENGINE.md) is strict: for any program, every engine
 must produce the same :class:`~repro.runtime.device.KernelResult` (outputs,
 final step count, race reports), raise the same error classes for timeout /
-UB / crash outcomes, and yield the same
-:class:`~repro.runtime.interpreter.SchedulerEvent` sequence at barriers and
-atomics so that scheduling decisions are engine-independent.  An engine may
-execute fewer work-items than the NDRange -- the compiled engine's uniform
-replay runs a straight-line kernel's shared part once per tuple of
-group-uniform ids -- provided the ``KernelResult`` is the same.
+UB / crash outcomes, and make the same scheduling decisions.  The reference
+engine yields a :class:`~repro.runtime.interpreter.SchedulerEvent` at every
+barrier and atomic; another engine may leave out one the launch's schedule
+order cannot observe (an atomic under a fixed order, a barrier in a group
+of one work-item), where the scheduler would resume the same work-item.  An
+engine may execute fewer work-items than the NDRange -- the compiled
+engine's uniform replay runs a straight-line kernel's shared part once per
+tuple of group-uniform ids -- provided the ``KernelResult`` is the same.
 
 Lifecycle -- preparation is split into a buffer-independent and a
 per-launch step, and :meth:`~repro.runtime.device.Device.run` takes both for
 every launch:
 
 1. :meth:`ExecutionEngine.lower` turns the program into a
-   :class:`PreparedProgram` (the device's ``comma_yields_zero`` setting and
-   step budget are lowering inputs, baked into the lowered artefact);
+   :class:`PreparedProgram` (the device's ``comma_yields_zero`` setting,
+   step budget and schedule order are lowering inputs, baked into the
+   lowered artefact);
 2. :meth:`PreparedProgram.bind` binds that lowering once, to the launch's
    global buffers, and returns a :class:`PreparedLaunch`, which also
    carries the launch's step counter;
@@ -58,6 +61,7 @@ from repro.runtime.interpreter import (
     SchedulerEvent,
     ThreadContext,
 )
+from repro.runtime.scheduler import ScheduleOrder
 
 #: Engine used when callers do not ask for one.  The reference walker stays
 #: the default so that every existing path keeps its exact baseline
@@ -126,11 +130,14 @@ class ExecutionEngine(ABC):
         program: ast.Program,
         comma_yields_zero: bool = False,
         max_steps: int = DEFAULT_MAX_STEPS,
+        schedule_order: Optional[ScheduleOrder] = None,
     ) -> PreparedProgram:
         """Lower ``program`` once, independent of any launch.
 
-        ``comma_yields_zero`` and ``max_steps`` are lowering inputs: engines
-        specialise comma-operator code and tick checks on them.
+        ``comma_yields_zero``, ``max_steps`` and ``schedule_order`` (None:
+        any order) are lowering inputs: engines specialise comma-operator
+        code and tick checks on the first two, and may leave out a
+        scheduling point the order cannot observe.
         """
 
 
@@ -247,7 +254,9 @@ class ReferenceEngine(ExecutionEngine):
         program: ast.Program,
         comma_yields_zero: bool = False,
         max_steps: int = DEFAULT_MAX_STEPS,
+        schedule_order: Optional[ScheduleOrder] = None,
     ) -> PreparedProgram:
+        # The oracle yields at every barrier and atomic, whatever the order.
         return _ReferenceProgram(program, comma_yields_zero, max_steps)
 
 

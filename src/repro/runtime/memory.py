@@ -260,21 +260,36 @@ class GlobalMemory:
         return [e.value for e in cell.value.elements]  # type: ignore[union-attr]
 
 
+#: One local buffer of a launch: its name, array type and initial elements.
+LocalBuffer = Tuple[str, ty.ArrayType, List[vals.ScalarValue]]
+
+
+def local_buffers(specs) -> List[LocalBuffer]:
+    """The local buffers among ``specs`` (a program's ``BufferSpec``s), built
+    once per launch: every group starts from the same elements, and a
+    :class:`~repro.kernel_lang.values.ScalarValue` is immutable, so each
+    group's :class:`LocalMemory` copies the list and shares the values."""
+    return [
+        (
+            spec.name,
+            ty.ArrayType(spec.element_type, spec.size),
+            [vals.ScalarValue.wrap(spec.element_type, v) for v in spec.initial_contents()],
+        )
+        for spec in specs
+        if spec.address_space == ty.LOCAL
+    ]
+
+
 class LocalMemory:
-    """Per-work-group local memory."""
+    """Per-work-group local memory, holding a fresh copy of ``buffers``."""
 
-    def __init__(self, group_linear_id: int) -> None:
+    def __init__(self, group_linear_id: int, buffers: Sequence[LocalBuffer]) -> None:
         self.group_linear_id = group_linear_id
-        self._buffers: dict = {}
-
-    def allocate(self, name: str, element_type: ty.IntType, size: int,
-                 contents: Sequence[int]) -> Cell:
-        arr_type = ty.ArrayType(element_type, size)
-        elements = [vals.ScalarValue.wrap(element_type, v) for v in contents]
-        cell = Cell(f"{name}@group{self.group_linear_id}", arr_type,
-                    vals.ArrayValue(arr_type, list(elements)), ty.LOCAL)
-        self._buffers[name] = cell
-        return cell
+        self._buffers = {
+            name: Cell(f"{name}@group{group_linear_id}", arr_type,
+                       vals.ArrayValue(arr_type, list(elements)), ty.LOCAL)
+            for name, arr_type, elements in buffers
+        }
 
     def cell(self, name: str) -> Cell:
         return self._buffers[name]
@@ -288,7 +303,9 @@ __all__ = [
     "LValue",
     "Environment",
     "GlobalMemory",
+    "LocalBuffer",
     "LocalMemory",
+    "local_buffers",
     "Path",
     "PathElement",
     "AccessHook",

@@ -5,18 +5,20 @@ work-groups are executed one after another; *within* a group the scheduler
 cooperatively interleaves the work-item coroutines produced by the
 interpreter.  Threads only yield at barriers and atomic operations, which are
 exactly the points at which the order of threads can influence intermediate
-state.  Because the kernels the generator produces are deterministic by
-construction, the final result must be independent of the interleaving -- the
-``ScheduleOrder`` policies exist so tests and benchmarks can *check* that
-claim by running the same kernel under different orders.
+state (the compiled engine yields only at those its order can observe: see
+ENGINE.md, "The engine contract").  Because the kernels the generator
+produces are deterministic by construction, the final result must be
+independent of the interleaving -- the ``ScheduleOrder`` policies exist so
+tests and benchmarks can *check* that claim by running the same kernel under
+different orders.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Generator, List, Optional
 
 from repro.runtime.errors import BarrierDivergenceError
 from repro.runtime.interpreter import (
@@ -44,7 +46,6 @@ class _ThreadSlot:
     coroutine: Generator[SchedulerEvent, None, None]
     finished: bool = False
     waiting_barrier: Optional[int] = None
-    waiting_fence: Optional[str] = None
 
 
 class WorkGroupScheduler:
@@ -54,13 +55,11 @@ class WorkGroupScheduler:
         self,
         order: ScheduleOrder = ScheduleOrder.ROUND_ROBIN,
         seed: int = 0,
-        barrier_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.order = order
         # Only RANDOM draws from it; seeding one takes several microseconds,
         # paid per work-group.
         self._rng = random.Random(seed) if order is ScheduleOrder.RANDOM else None
-        self.barrier_hook = barrier_hook
         #: Number of barrier episodes completed (used by the race detector to
         #: delimit synchronisation epochs).
         self.barrier_epochs = 0
@@ -71,8 +70,13 @@ class WorkGroupScheduler:
         ``runnable`` holds, in slot order, the threads that have neither
         finished nor arrived at a barrier: a thread leaves it when it does
         either, and a released barrier refills it from the waiting threads
-        -- which are then all of them, or the release raises.
+        -- which are then all of them, or the release raises.  So the list
+        stays in ascending local linear id, and a fixed order's pick is
+        its first or last entry, provided ``slots`` arrive in that order.
         """
+        for before, after in zip(slots, slots[1:]):
+            if before.context.local_linear_id >= after.context.local_linear_id:
+                raise ValueError("work-group slots are not in ascending local linear id")
         runnable = list(slots)
         waiting: List[_ThreadSlot] = []
         while True:
@@ -94,9 +98,9 @@ class WorkGroupScheduler:
 
     def _pick(self, runnable: List[_ThreadSlot]) -> _ThreadSlot:
         if self.order is ScheduleOrder.ROUND_ROBIN:
-            return min(runnable, key=lambda s: s.context.local_linear_id)
+            return runnable[0]
         if self.order is ScheduleOrder.REVERSED:
-            return max(runnable, key=lambda s: s.context.local_linear_id)
+            return runnable[-1]
         return self._rng.choice(runnable)
 
     def _advance(self, slot: _ThreadSlot) -> None:
@@ -107,7 +111,6 @@ class WorkGroupScheduler:
             return
         if event.kind == BARRIER_EVENT:
             slot.waiting_barrier = event.barrier_site
-            slot.waiting_fence = event.fence
         elif event.kind == ATOMIC_EVENT:
             # The atomic itself executes when the thread next resumes; the
             # yield simply provides an interleaving point.
@@ -128,13 +131,9 @@ class WorkGroupScheduler:
             raise BarrierDivergenceError(
                 "threads of one work-group arrived at different barriers"
             )
-        fence = waiting[0].waiting_fence or ""
-        if self.barrier_hook is not None:
-            self.barrier_hook(fence)
         self.barrier_epochs += 1
         for s in waiting:
             s.waiting_barrier = None
-            s.waiting_fence = None
 
 
 def make_slot(
